@@ -31,6 +31,7 @@ from .metric import (
     identity_weights,
     mahalanobis_distance,
     robustness_bound,
+    scale_rows,
 )
 from .model import ModelConfig, TrainParams, corrupt_tokens, diagnose, forward, train
 from .numerics import finite_diff_jacobian, make_rng, matmul, softmax_rows
@@ -64,6 +65,7 @@ __all__ = [
     "oracle_variability",
     "robustness_bound",
     "run_sparse_mse_experiment",
+    "scale_rows",
     "softmax_rows",
     "standard_attention",
     "train",

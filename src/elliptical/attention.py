@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import estimate_overlayers, prefix_overlayers_raw
-from .metric import EllipticalWeights, apply_scaling
+from .metric import EllipticalWeights, apply_scaling, scale_rows
 from .numerics import ParameterError, ShapeError, as_matrix, as_vector, softmax_rows
 
 
@@ -141,7 +141,14 @@ def elliptical_attention(
     floor.  The weight computation is a plain array calculation with no
     gradient semantics.  In the causal case the estimate for query position
     t is restricted to value rows <= t so that outputs never depend on later
-    positions, and scaling is applied row by row.
+    positions, and :func:`~elliptical.metric.scale_rows` scales each row.
+
+    Warm-up: here every causal row uses its prefix from the first position on
+    (``min_samples=1``), so this single-layer operator is the estimator
+    exactly as written and stays informative on inputs of a few rows.  The
+    toy transformer instead keeps the identity metric on the first
+    ``model.METRIC_WARMUP - 1`` (15) positions of every sequence, because in
+    a trained model a mean over so few value differences is mostly noise.
     """
     q, k, v = _check_qkv(q, k, v, cfg.causal)
     v_prev = as_matrix(v_prev)
@@ -151,10 +158,7 @@ def elliptical_attention(
     if mode == "identity":
         m = np.ones(cfg.head_dim)
     elif cfg.causal:
-        raw_rows = prefix_overlayers_raw(v, v_prev, delta)
-        m = np.vstack(
-            [apply_scaling(row, mode, floor, rng).m for row in raw_rows]
-        )
+        m = scale_rows(prefix_overlayers_raw(v, v_prev, delta), mode, floor, rng)
     else:
         raw = estimate_overlayers(v, v_prev, delta).raw
         m = apply_scaling(raw, mode, floor, rng).m

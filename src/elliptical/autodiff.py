@@ -197,51 +197,57 @@ class GradTape:
         return self._new(np.hstack([p.value for p in parts]), tuple(parts), bwd)
 
     def block_causal_attention(
-        self, q: Tensor, k: Tensor, v: Tensor, m, temperature: float, batch: int
+        self,
+        q: Tensor,
+        k: Tensor,
+        v: Tensor,
+        m,
+        temperature: float,
+        batch: int,
+        heads: int = 1,
     ) -> Tensor:
-        """Fused causal attention over ``batch`` equal-length sequences.
+        """Fused multi-head causal attention over ``batch`` equal-length sequences.
 
-        Inputs are stacked (batch * t_len, dim); block b attends only within
-        its own rows.  ``m`` is a constant per-row (or per-dim) scale applied
-        to the queries before the dot product; no gradient flows into it.
-        One tape node covers the whole head, which keeps the hot path out of
-        per-block closure overhead.
+        Inputs are stacked (batch * t_len, heads * head_dim) with head h in
+        columns [h * head_dim, (h + 1) * head_dim); block b attends only
+        within its own rows and each head only within its own columns.  The
+        output has the same merged layout.  ``m`` is a constant scale,
+        broadcast against the merged queries (per row and column, per column
+        or a scalar) before the dot product; no gradient flows into it.  One
+        tape node covers every block and head of a layer, and both passes are
+        stacked matrix products over (batch, heads, t_len, head_dim).
         """
-        rows, dim = q.value.shape
-        if rows % batch != 0:
-            raise ShapeError("stacked rows must divide evenly into blocks")
-        t_len = rows // batch
+        rows, width = q.value.shape
+        if rows % batch != 0 or width % heads != 0:
+            raise ShapeError("stacked rows and columns must divide into blocks and heads")
+        t_len, dh = rows // batch, width // heads
+
+        def split(a):  # (batch * t_len, heads * dh) -> (batch, heads, t_len, dh)
+            return np.ascontiguousarray(
+                a.reshape(batch, t_len, heads, dh).transpose(0, 2, 1, 3)
+            )
+
+        def merge(a):
+            return a.transpose(0, 2, 1, 3).reshape(rows, width)
+
         m = np.asarray(m, dtype=np.float64)
-        qm = q.value * m
-        out = np.empty_like(v.value)
-        probs = np.empty((rows, t_len))
-        tri = np.triu_indices(t_len, k=1)
-        for b in range(batch):
-            sl = slice(b * t_len, (b + 1) * t_len)
-            scores = (qm[sl] @ k.value[sl].T) / temperature
-            scores[tri] = -np.inf
-            p = softmax_rows(scores)
-            probs[sl] = p
-            out[sl] = p @ v.value[sl]
+        qm = split(q.value * m)
+        kh, vh = split(k.value), split(v.value)
+        scores = np.matmul(qm, kh.swapaxes(-1, -2)) / temperature
+        scores += np.triu(np.full((t_len, t_len), -np.inf), k=1)  # causal mask
+        probs = softmax_rows(scores.reshape(-1, t_len)).reshape(scores.shape)
 
         def bwd(g):
-            gq = np.empty_like(q.value)
-            gk = np.empty_like(k.value)
-            gv = np.empty_like(v.value)
-            for b in range(batch):
-                sl = slice(b * t_len, (b + 1) * t_len)
-                p = probs[sl]
-                gv[sl] = p.T @ g[sl]
-                gp = g[sl] @ v.value[sl].T
-                gs = p * (gp - np.sum(gp * p, axis=1, keepdims=True))
-                gs /= temperature
-                gq[sl] = gs @ k.value[sl]
-                gk[sl] = gs.T @ qm[sl]
-            _acc(q, gq * m)
-            _acc(k, gk)
-            _acc(v, gv)
+            gh = split(g)
+            gv = np.matmul(probs.swapaxes(-1, -2), gh)
+            gp = np.matmul(gh, vh.swapaxes(-1, -2))
+            gs = probs * (gp - np.sum(gp * probs, axis=-1, keepdims=True))
+            gs /= temperature
+            _acc(q, merge(np.matmul(gs, kh)) * m)
+            _acc(k, merge(np.matmul(gs.swapaxes(-1, -2), qm)))
+            _acc(v, merge(gv))
 
-        return self._new(out, (q, k, v), bwd)
+        return self._new(merge(np.matmul(probs, vh)), (q, k, v), bwd)
 
     # -- reductions and losses ----------------------------------------------
 

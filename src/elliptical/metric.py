@@ -66,30 +66,55 @@ def apply_scaling(
     only clamps.  identity ignores ``raw``; random ignores it too and draws
     fresh uniform [0, 1] weights which are then maxscaled.  An all-zero
     ``raw`` falls back to identity weights in every mode, so a degenerate
-    estimate can never produce a degenerate kernel.
+    estimate can never produce a degenerate kernel.  This is the one-row
+    case of :func:`scale_rows`.
+    """
+    row = np.reshape(np.asarray(raw, dtype=np.float64), (1, -1))
+    return EllipticalWeights(scale_rows(row, mode, floor, rng)[0], mode, floor)
+
+
+def scale_rows(
+    raw,
+    mode: str,
+    floor: float = DEFAULT_FLOOR,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Scale every row of an (n, dim) array of raw estimates on its own.
+
+    Each row gets the rule documented in :func:`apply_scaling`, all-zero rows
+    included.  random draws one fresh uniform row per nonzero row, in row
+    order, so a stream gives the same weights as scaling the rows one at a
+    time in that order.
     """
     if mode not in SCALING_MODES:
         raise ParameterError(f"unknown scaling mode {mode!r}")
-    raw = as_vector(raw)
-    if np.any(raw < 0):
+    if not 0.0 < floor < 1.0:
+        raise ParameterError("floor must lie in (0, 1)")
+    raw = as_matrix(raw)
+    if raw.min(initial=0.0) < 0:
         raise ParameterError("raw variability estimates must be nonnegative")
-    dim = raw.size
-    if mode == "identity" or not np.any(raw > 0):
-        return EllipticalWeights(np.ones(dim), mode, floor)
+    m = np.ones_like(raw)
+    top = raw.max(axis=1, keepdims=True, initial=0.0)
+    live = top[:, 0] > 0  # a row with any positive entry
+    if mode == "identity" or not live.any():
+        return m
+    r = raw[live]
     if mode == "maxscale":
-        m = np.maximum(raw / raw.max(), floor)
+        m[live] = np.maximum(r / top[live], floor)
     elif mode == "meanscale":
-        m = np.maximum(raw / raw.mean(), floor)
+        m[live] = np.maximum(r / r.mean(axis=1, keepdims=True), floor)
     elif mode == "unscaled":
-        m = np.maximum(raw, floor)
+        m[live] = np.maximum(r, floor)
     else:  # random
         if rng is None:
             raise ParameterError("random scaling mode requires an rng")
-        u = rng.uniform(0.0, 1.0, dim)
-        if not np.any(u > 0):
-            return EllipticalWeights(np.ones(dim), mode, floor)
-        m = np.maximum(u / u.max(), floor)
-    return EllipticalWeights(m, mode, floor)
+        u = rng.uniform(0.0, 1.0, r.shape)
+        u_top = u.max(axis=1, keepdims=True)
+        drawn = u_top[:, 0] > 0  # an all-zero draw keeps the identity row
+        rows = np.ones_like(u)
+        rows[drawn] = np.maximum(u[drawn] / u_top[drawn], floor)
+        m[live] = rows
+    return m
 
 
 def mahalanobis_distance(q, k, w: EllipticalWeights) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .attention import causal_mask, weighted_kernel
 from .autodiff import GradTape, Tensor, backward, leaf
 from .estimators import prefix_overlayers_raw
-from .metric import DEFAULT_FLOOR, SCALING_MODES, apply_scaling
+from .metric import DEFAULT_FLOOR, SCALING_MODES, scale_rows
 from .numerics import ParameterError, derive_rng, softmax_rows
 
 NS_INIT = 1
@@ -197,30 +197,41 @@ def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
 
 #: causal metric warmup: positions with fewer prefix samples than this keep
 #: the identity metric, because a 1-to-15-sample mean is mostly noise
+#: (the single-layer ``attention.elliptical_attention`` uses no warm-up)
 METRIC_WARMUP = 16
 
 
 def _metric_rows(
     v_curr: np.ndarray,
     v_prev: np.ndarray,
+    heads: int,
     mode: str,
     delta: float,
     floor: float = DEFAULT_FLOOR,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Per-position metric rows from prefix-restricted variability estimates.
+    """Per-position metric rows for a (batch, t_len, heads * head_dim) stack.
 
-    Row t only sees value rows <= t, which keeps causal decoding honest; the
-    maxscale path is vectorized and matches the per-row scaling exactly.
+    Row t of each block and head only sees that block's and head's value
+    rows <= t, which keeps causal decoding honest.  One prefix mean down the
+    time axis covers every block and head.  Rows are scaled in (head, block,
+    row) order, the order in which random mode draws.  Returns
+    (batch * t_len, heads * head_dim) rows in the merged column layout.
     """
-    raw = prefix_overlayers_raw(v_curr, v_prev, delta, min_samples=METRIC_WARMUP)
-    if mode == "maxscale":
-        mx = raw.max(axis=1, keepdims=True)
-        rows = np.ones_like(raw)
-        live = mx[:, 0] > 0
-        rows[live] = np.maximum(raw[live] / mx[live], floor)
-        return rows
-    return np.vstack([apply_scaling(row, mode, floor, rng).m for row in raw])
+    batch, t_len, width = v_curr.shape
+    dh = width // heads
+
+    def time_major(a):  # (batch, t_len, width) -> (t_len, batch * width)
+        return a.transpose(1, 0, 2).reshape(t_len, batch * width)
+
+    raw = prefix_overlayers_raw(
+        time_major(v_curr), time_major(v_prev), delta, min_samples=METRIC_WARMUP
+    )
+    by_head = raw.reshape(t_len, batch, heads, dh).transpose(2, 1, 0, 3)
+    m = scale_rows(by_head.reshape(-1, dh), mode, floor, rng)
+    return m.reshape(heads, batch, t_len, dh).transpose(1, 2, 0, 3).reshape(
+        batch * t_len, width
+    )
 
 
 def forward(
@@ -235,6 +246,8 @@ def forward(
 
     ``metric_overrides`` pins the metric rows of (layer, head) pairs to given
     constants, which lets tests freeze the metric while differentiating.
+    Each layer's metric is estimated for all heads before overrides apply,
+    so in random mode an override leaves the other heads' draws unchanged.
     """
     tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
     t_len = tokens.size
@@ -252,7 +265,7 @@ def forward(
     mask = causal_mask(t_len)
     temp = float(np.sqrt(cfg.head_dim))
     dh = cfg.head_dim
-    prev_values: list[np.ndarray] | None = None
+    prev_values: np.ndarray | None = None
     states: list[AttentionLayerState] = []
 
     for li in range(cfg.layers):
@@ -260,6 +273,13 @@ def forward(
         qm = tape.matmul(xn, params[f"l{li}.wq"])
         km = tape.matmul(xn, params[f"l{li}.wk"])
         vm = tape.matmul(xn, params[f"l{li}.wv"])
+        use_metric = cfg.elliptical and li >= 1 and cfg.scaling != "identity"
+        if use_metric:
+            held = (vm.value.copy(), prev_values.copy())
+            m_layer = _metric_rows(
+                held[0][None], held[1][None], cfg.heads, cfg.scaling, cfg.delta,
+                rng=metric_rng,
+            )
         outs, vals, attns, metrics, est_inputs = [], [], [], [], []
         qs_rec, ks_rec = [], []
         for h in range(cfg.heads):
@@ -267,16 +287,12 @@ def forward(
             q = tape.slice_cols(qm, j0, j1)
             k = tape.slice_cols(km, j0, j1)
             v = tape.slice_cols(vm, j0, j1)
-            use_metric = cfg.elliptical and li >= 1 and cfg.scaling != "identity"
             if metric_overrides is not None and (li, h) in metric_overrides:
                 m = np.asarray(metric_overrides[(li, h)], dtype=np.float64)
                 est_inputs.append(None)
             elif use_metric:
-                held = (v.value.copy(), prev_values[h].copy())
-                m = _metric_rows(
-                    held[0], held[1], cfg.scaling, cfg.delta, rng=metric_rng
-                )
-                est_inputs.append(held)
+                m = m_layer[:, j0:j1]
+                est_inputs.append((held[0][:, j0:j1], held[1][:, j0:j1]))
             else:
                 m = np.ones(dh)
                 est_inputs.append(None)
@@ -312,7 +328,7 @@ def forward(
                 representation=x.value.copy(),
             )
         )
-        prev_values = vals
+        prev_values = vm.value
 
     xf = tape.layer_norm(x, params["lnf.g"], params["lnf.b"])
     logits = tape.add(tape.matmul(xf, params["head.w"]), params["head.b"])
@@ -328,10 +344,11 @@ def _forward_stacked(
 ) -> Tensor:
     """Training-path forward over a (batch, t_len) stack of sequences.
 
-    Mathematically identical to per-sequence :func:`forward` (the attention
-    mask is block-diagonal, and metric rows are computed per sequence), but
-    runs the projections, norms and feedforward as single stacked matmuls.
-    Returns flat logits of shape (batch * t_len, vocab).
+    Bit for bit equal to per-sequence :func:`forward` on each sequence
+    (attention stays within each sequence, and metric rows are computed per
+    sequence and head), but each layer runs as stacked matmuls: one metric
+    call and one multi-head attention node per layer.  Returns flat logits of
+    shape (batch * t_len, vocab).
     """
     batch, t_len = inputs.shape
     if t_len < 1 or t_len > cfg.context:
@@ -347,36 +364,22 @@ def _forward_stacked(
         tape.embedding(params["pos_emb"], pos),
     )
     temp = float(np.sqrt(cfg.head_dim))
-    dh = cfg.head_dim
-    blocks = [slice(b * t_len, (b + 1) * t_len) for b in range(batch)]
-    prev_values: list[np.ndarray] | None = None
+    use_metric = cfg.elliptical and cfg.scaling != "identity"
+    prev_values: np.ndarray | None = None
 
     for li in range(cfg.layers):
         xn = tape.layer_norm(x, params[f"l{li}.ln1.g"], params[f"l{li}.ln1.b"])
         qm = tape.matmul(xn, params[f"l{li}.wq"])
         km = tape.matmul(xn, params[f"l{li}.wk"])
         vm = tape.matmul(xn, params[f"l{li}.wv"])
-        outs, vals = [], []
-        for h in range(cfg.heads):
-            j0, j1 = h * dh, (h + 1) * dh
-            q = tape.slice_cols(qm, j0, j1)
-            k = tape.slice_cols(km, j0, j1)
-            v = tape.slice_cols(vm, j0, j1)
-            if cfg.elliptical and li >= 1 and cfg.scaling != "identity":
-                m = np.vstack(
-                    [
-                        _metric_rows(
-                            v.value[sl], prev_values[h][sl], cfg.scaling,
-                            cfg.delta, rng=metric_rng,
-                        )
-                        for sl in blocks
-                    ]
-                )
-            else:
-                m = np.ones(dh)
-            outs.append(tape.block_causal_attention(q, k, v, m, temp, batch))
-            vals.append(v.value)
-        merged = tape.concat_cols(outs)
+        values = vm.value.reshape(batch, t_len, cfg.embed_dim)
+        if use_metric and li >= 1:
+            m = _metric_rows(
+                values, prev_values, cfg.heads, cfg.scaling, cfg.delta, rng=metric_rng
+            )
+        else:
+            m = 1.0
+        merged = tape.block_causal_attention(qm, km, vm, m, temp, batch, cfg.heads)
         x = tape.add(x, tape.matmul(merged, params[f"l{li}.wo"]))
         x2 = tape.layer_norm(x, params[f"l{li}.ln2.g"], params[f"l{li}.ln2.b"])
         hidden = tape.relu(
@@ -385,7 +388,7 @@ def _forward_stacked(
         x = tape.add(
             x, tape.add(tape.matmul(hidden, params[f"l{li}.w2"]), params[f"l{li}.b2"])
         )
-        prev_values = vals
+        prev_values = values
 
     xf = tape.layer_norm(x, params["lnf.g"], params["lnf.b"])
     return tape.add(tape.matmul(xf, params["head.w"]), params["head.b"])

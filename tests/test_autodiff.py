@@ -126,36 +126,56 @@ class TestPrimitiveGradients:
         rng = make_rng(30)
         batch, t_len, dim = 2, 5, 3
         rows = batch * t_len
-        m = rng.uniform(0.2, 1.0, (rows, dim))
         temp = 1.7
+        for heads in (1, 2):
+            m = rng.uniform(0.2, 1.0, (rows, heads * dim))
 
-        def build(t, q, k, v):
-            return t.block_causal_attention(q, k, v, m, temp, batch)
+            def build(t, q, k, v, m=m, heads=heads):
+                return t.block_causal_attention(q, k, v, m, temp, batch, heads)
 
-        _fd_check(build, [(rows, dim), (rows, dim), (rows, dim)], seed=31)
+            _fd_check(build, [(rows, heads * dim)] * 3, seed=31 + heads)
 
     def test_block_causal_attention_matches_composed_ops(self):
         from elliptical.attention import causal_mask
 
         rng = make_rng(32)
-        batch, t_len, dim = 3, 4, 2
+        batch, t_len, dim, temp = 3, 4, 2, 1.3
         rows = batch * t_len
-        q0, k0, v0 = (rng.standard_normal((rows, dim)) for _ in range(3))
-        m = rng.uniform(0.5, 1.0, dim)
+        for heads, m in (
+            (1, rng.uniform(0.5, 1.0, dim)),
+            (2, rng.uniform(0.5, 1.0, (rows, 2 * dim))),
+        ):
+            width = heads * dim
+            q0, k0, v0, g0 = (rng.standard_normal((rows, width)) for _ in range(4))
+            m_rows = np.broadcast_to(m, (rows, width))
 
-        tape = GradTape()
-        q, k, v = leaf(q0), leaf(k0), leaf(v0)
-        fused = tape.block_causal_attention(q, k, v, m, 1.3, batch)
-        for b in range(batch):
-            sl = slice(b * t_len, (b + 1) * t_len)
-            t2 = GradTape()
-            qb, kb, vb = leaf(q0[sl]), leaf(k0[sl]), leaf(v0[sl])
-            scores = t2.add_const(
-                t2.div_const(t2.matmul(t2.mul_const(qb, m), t2.transpose(kb)), 1.3),
-                causal_mask(t_len),
-            )
-            out = t2.matmul(t2.softmax_rows(scores), vb)
-            np.testing.assert_allclose(fused.value[sl], out.value, atol=1e-14)
+            tape = GradTape()
+            q, k, v = leaf(q0), leaf(k0), leaf(v0)
+            fused = tape.block_causal_attention(q, k, v, m, temp, batch, heads)
+            backward(tape, tape.sum_all(tape.mul(fused, leaf(g0))))
+            for b in range(batch):
+                sl = slice(b * t_len, (b + 1) * t_len)
+                t2 = GradTape()
+                qb, kb, vb = leaf(q0[sl]), leaf(k0[sl]), leaf(v0[sl])
+                outs = []
+                for h in range(heads):
+                    j0, j1 = h * dim, (h + 1) * dim
+                    qh, kh, vh = (t2.slice_cols(x, j0, j1) for x in (qb, kb, vb))
+                    scores = t2.add_const(
+                        t2.div_const(
+                            t2.matmul(
+                                t2.mul_const(qh, m_rows[sl, j0:j1]), t2.transpose(kh)
+                            ),
+                            temp,
+                        ),
+                        causal_mask(t_len),
+                    )
+                    outs.append(t2.matmul(t2.softmax_rows(scores), vh))
+                out = t2.concat_cols(outs)
+                backward(t2, t2.sum_all(t2.mul(out, leaf(g0[sl]))))
+                np.testing.assert_allclose(fused.value[sl], out.value, atol=1e-14)
+                for whole, part in ((q, qb), (k, kb), (v, vb)):
+                    np.testing.assert_allclose(whole.grad[sl], part.grad, atol=1e-14)
 
     def test_embedding(self):
         ids = np.array([0, 2, 2, 1])

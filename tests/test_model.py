@@ -1,11 +1,16 @@
 """Toy transformer: forward contracts, training behavior, corruption
 harness, diagnostics and checkpoint round-trips."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from elliptical.autodiff import GradTape, backward, leaf
+from elliptical.estimators import prefix_overlayers_raw
+from elliptical.metric import apply_scaling
 from elliptical.model import (
+    METRIC_WARMUP,
     AdamState,
     Corpus,
     InputError,
@@ -25,8 +30,10 @@ from elliptical.model import (
     save_checkpoint,
     synthetic_corpus,
     train,
+    _forward_stacked,
+    _metric_rows,
 )
-from elliptical.numerics import ParameterError, make_rng
+from elliptical.numerics import ParameterError, derive_rng, make_rng
 
 
 def _tiny_cfg(vocab, elliptical=False, scaling="maxscale", seed=0, layers=2):
@@ -150,6 +157,117 @@ class TestForward:
         assert all(m.shape == (cfg.head_dim,) for m in states[0].head_metric)
         assert all(np.all(m == 1.0) for m in states[0].head_metric)
         assert all(m.shape == (16, cfg.head_dim) for m in states[1].head_metric)
+
+
+#: standard plus every scaling mode of the metric-weighted variant
+VARIANTS = (
+    (False, "maxscale"),
+    (True, "maxscale"),
+    (True, "meanscale"),
+    (True, "unscaled"),
+    (True, "identity"),
+    (True, "random"),
+)
+
+
+class TestStackedPath:
+    """Training and perplexity run ``_forward_stacked``; it must reproduce the
+    per-sequence ``forward`` bit for bit."""
+
+    def _trained(self, corpus, elliptical, scaling):
+        cfg = _tiny_cfg(corpus.vocab_size, elliptical, scaling, seed=5, layers=3)
+        return cfg, train(corpus, cfg, TrainParams(steps=3, batch_size=2)).params
+
+    def test_single_sequence_matches_forward_bitwise(self):
+        corpus = synthetic_corpus(16, 600)
+        toks = corpus.tokens[:32]  # longer than METRIC_WARMUP: the metric is live
+        for elliptical, scaling in VARIANTS:
+            cfg, params = self._trained(corpus, elliptical, scaling)
+            ref, states = forward(toks, params, cfg, GradTape())
+            got = _forward_stacked(toks[None], params, cfg, GradTape())
+            assert ref.value.tobytes() == got.value.tobytes(), (elliptical, scaling)
+            live = elliptical and scaling != "identity"
+            assert live == any(np.any(m != 1.0) for m in states[-1].head_metric)
+
+    def test_each_block_of_a_stack_matches_forward_bitwise(self):
+        # random mode is left out: one stream serves the whole stack there
+        corpus = synthetic_corpus(17, 600)
+        stack = corpus.tokens[:96].reshape(3, 32)
+        for elliptical, scaling in VARIANTS[:-1]:
+            cfg, params = self._trained(corpus, elliptical, scaling)
+            got = _forward_stacked(stack, params, cfg, GradTape()).value
+            for b, seq in enumerate(stack):
+                ref, _ = forward(seq, params, cfg, GradTape())
+                assert ref.value.tobytes() == got[b * 32 : (b + 1) * 32].tobytes()
+
+
+class TestMetricRows:
+    def test_matches_per_row_reference_loop_bitwise(self):
+        batch, t_len, heads, dh, delta = 3, METRIC_WARMUP + 6, 2, 4, 0.7
+        rng = make_rng(18)
+        v_curr = rng.standard_normal((batch, t_len, heads * dh))
+        v_prev = rng.standard_normal((batch, t_len, heads * dh))
+        v_prev[1] = v_curr[1]  # no variability in block 1: identity rows
+        for mode in ("maxscale", "meanscale", "unscaled", "identity", "random"):
+            stream, twin = derive_rng(5, 3, 0), derive_rng(5, 3, 0)
+            got = _metric_rows(v_curr, v_prev, heads, mode, delta, rng=stream)
+            ref = np.empty((batch * t_len, heads * dh))
+            for h in range(heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                for b in range(batch):
+                    raw = prefix_overlayers_raw(
+                        v_curr[b][:, cols], v_prev[b][:, cols], delta,
+                        min_samples=METRIC_WARMUP,
+                    )
+                    for t, row in enumerate(raw):
+                        ref[b * t_len + t, cols] = apply_scaling(row, mode, rng=twin).m
+            assert got.tobytes() == ref.tobytes(), mode
+            assert stream.random() == twin.random()  # same number of draws
+            assert np.all(got[t_len : 2 * t_len] == 1.0)
+            for b in range(batch):
+                assert np.all(got[b * t_len : b * t_len + METRIC_WARMUP - 1] == 1.0)
+
+
+class TestStackedPathStructure:
+    """Counts, not timings: a per-row or per-head loop on the training path
+    shows up as extra tape nodes or per-row scaling calls."""
+
+    def test_one_attention_node_per_layer_and_no_per_row_scaling(self, monkeypatch):
+        from elliptical import metric
+        from elliptical.autodiff import GradTape as Tape
+
+        calls: dict[str, int] = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for op in ("block_causal_attention", "slice_cols", "concat_cols"):
+            monkeypatch.setattr(Tape, op, counted(op, getattr(Tape, op)))
+        original = metric.apply_scaling
+        wrapper = counted("apply_scaling", original)
+        for name, module in list(sys.modules.items()):
+            if name == "elliptical" or name.startswith("elliptical."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+
+        corpus = synthetic_corpus(19, 12 * 64)
+        for scaling in ("maxscale", "meanscale"):
+            cfg = ModelConfig(vocab_size=corpus.vocab_size, elliptical=True, scaling=scaling)
+            calls.update(
+                block_causal_attention=0, slice_cols=0, concat_cols=0, apply_scaling=0
+            )
+            train(corpus, cfg, TrainParams(steps=1))
+            assert calls == {
+                "block_causal_attention": cfg.layers,
+                "slice_cols": 0,
+                "concat_cols": 0,
+                "apply_scaling": 0,
+            }, scaling
 
 
 class TestStopGradient:
