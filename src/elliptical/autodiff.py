@@ -83,32 +83,6 @@ class GradTape:
 
         return self._new(a.value * b.value, (a, b), bwd)
 
-    def mul_const(self, a: Tensor, c) -> Tensor:
-        """Multiply by a constant scalar/array; no gradient flows into ``c``."""
-        c = np.asarray(c, dtype=np.float64)
-
-        def bwd(g):
-            _acc(a, g * c)
-
-        return self._new(a.value * c, (a,), bwd)
-
-    def div_const(self, a: Tensor, c: float) -> Tensor:
-        c = float(c)
-
-        def bwd(g):
-            _acc(a, g / c)
-
-        return self._new(a.value / c, (a,), bwd)
-
-    def add_const(self, a: Tensor, c) -> Tensor:
-        """Add a constant array (e.g. an additive attention mask)."""
-        c = np.asarray(c, dtype=np.float64)
-
-        def bwd(g):
-            _acc(a, g)
-
-        return self._new(a.value + c, (a,), bwd)
-
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.value.shape[1] != b.value.shape[0]:
             raise ShapeError(f"matmul: {a.value.shape} @ {b.value.shape}")
@@ -119,12 +93,6 @@ class GradTape:
 
         return self._new(a.value @ b.value, (a, b), bwd)
 
-    def transpose(self, a: Tensor) -> Tensor:
-        def bwd(g):
-            _acc(a, g.T)
-
-        return self._new(np.ascontiguousarray(a.value.T), (a,), bwd)
-
     # -- nonlinearities -----------------------------------------------------
 
     def relu(self, a: Tensor) -> Tensor:
@@ -134,14 +102,6 @@ class GradTape:
             _acc(a, g * mask)
 
         return self._new(np.where(mask, a.value, 0.0), (a,), bwd)
-
-    def softmax_rows(self, a: Tensor) -> Tensor:
-        p = softmax_rows(a.value)
-
-        def bwd(g):
-            _acc(a, p * (g - np.sum(g * p, axis=1, keepdims=True)))
-
-        return self._new(p, (a,), bwd)
 
     def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         """Row-wise normalization followed by a learned affine map."""
@@ -179,23 +139,6 @@ class GradTape:
 
         return self._new(table.value[ids], (table,), bwd)
 
-    def slice_cols(self, a: Tensor, start: int, stop: int) -> Tensor:
-        def bwd(g):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.value)
-            a.grad[:, start:stop] += g
-
-        return self._new(a.value[:, start:stop].copy(), (a,), bwd)
-
-    def concat_cols(self, parts: list[Tensor]) -> Tensor:
-        bounds = np.cumsum([0] + [p.value.shape[1] for p in parts])
-
-        def bwd(g):
-            for p, j0, j1 in zip(parts, bounds[:-1], bounds[1:]):
-                _acc(p, g[:, j0:j1])
-
-        return self._new(np.hstack([p.value for p in parts]), tuple(parts), bwd)
-
     def block_causal_attention(
         self,
         q: Tensor,
@@ -213,9 +156,11 @@ class GradTape:
         within its own rows and each head only within its own columns.  The
         output has the same merged layout.  ``m`` is a constant scale,
         broadcast against the merged queries (per row and column, per column
-        or a scalar) before the dot product; no gradient flows into it.  One
-        tape node covers every block and head of a layer, and both passes are
-        stacked matrix products over (batch, heads, t_len, head_dim).
+        or a scalar) before the dot product; no gradient flows into it.  The
+        node keeps its own copy of ``m``, so a caller may edit its array
+        afterwards.  One tape node covers every block and head of a layer,
+        and both passes are stacked matrix products over (batch, heads,
+        t_len, head_dim).
         """
         rows, width = q.value.shape
         if rows % batch != 0 or width % heads != 0:
@@ -230,7 +175,7 @@ class GradTape:
         def merge(a):
             return a.transpose(0, 2, 1, 3).reshape(rows, width)
 
-        m = np.asarray(m, dtype=np.float64)
+        m = np.array(m, dtype=np.float64)
         qm = split(q.value * m)
         kh, vh = split(k.value), split(v.value)
         scores = np.matmul(qm, kh.swapaxes(-1, -2)) / temperature

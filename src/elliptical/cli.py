@@ -476,13 +476,10 @@ def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
         ],
     )
 
-    tape = model.GradTape()
-    window = eval_tokens[: ckpt.cfg.context + 1]
-    _, states = model.forward(window[:-1], ckpt.params, ckpt.cfg, tape)
-    for st in states:
-        for h, attn in enumerate(st.head_attn):
+    for li, maps in enumerate(report.attention):
+        for h, attn in enumerate(maps):
             scaled = minmax_scale_rows(attn)
-            path = out_dir / f"heatmap_l{st.layer + 1}_h{h}.csv"
+            path = out_dir / f"heatmap_l{li + 1}_h{h}.csv"
             header = ("query",) + tuple(f"key{j}" for j in range(scaled.shape[1]))
             body = [(i,) + tuple(float(x) for x in scaled[i]) for i in range(scaled.shape[0])]
             lines = ["# rows min-max scaled to [0,1]; constant rows map to all zeros"]
@@ -491,7 +488,8 @@ def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
                 lines.append(",".join(_format_value(v) for v in row))
             with open(path, "w", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
-    print(f"diagnose: wrote per-layer metrics and {sum(len(s.head_attn) for s in states)} heatmaps")
+    n_maps = sum(len(maps) for maps in report.attention)
+    print(f"diagnose: wrote per-layer metrics and {n_maps} heatmaps")
     return 0
 
 

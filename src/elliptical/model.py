@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import causal_mask, weighted_kernel
+from .attention import weighted_kernel
 from .autodiff import GradTape, Tensor, backward, leaf
 from .estimators import prefix_overlayers_raw
 from .metric import DEFAULT_FLOOR, SCALING_MODES, scale_rows
@@ -151,20 +151,25 @@ class ModelConfig:
 
 @dataclass
 class AttentionLayerState:
-    """Per-layer forward-pass record used by later layers and diagnostics.
+    """Per-layer forward-pass record used by diagnostics and tests.
 
-    ``estimator_values`` holds the (v_curr, v_prev) copies actually read by
-    the variability estimator (None on layers that ran without a metric);
-    mutating them after the forward pass must not affect gradients.
+    Arrays are (rows, heads * head_dim) in the merged column layout, with
+    head h in columns [h * head_dim, (h + 1) * head_dim); rows run block by
+    block.  They are the forward pass's own arrays, not copies, so treat
+    them as read-only.  ``metric`` is a read-only view of ones on layers
+    that ran without a metric; the attention node keeps its own copy, so
+    editing a recorded metric cannot reach the gradients.
+    ``estimator_values`` holds, per head, the time-major (t_len, batch,
+    head_dim) (v_curr, v_prev) copies the variability estimator read (None
+    on layers without a metric); mutating them must not affect gradients.
     """
 
     layer: int
-    head_values: list[np.ndarray]
+    queries: np.ndarray
+    keys: np.ndarray
+    values: np.ndarray
+    metric: np.ndarray
     estimator_values: list[tuple[np.ndarray, np.ndarray] | None]
-    head_queries: list[np.ndarray]
-    head_keys: list[np.ndarray]
-    head_attn: list[np.ndarray]
-    head_metric: list[np.ndarray]
     representation: np.ndarray
 
 
@@ -209,29 +214,31 @@ def _metric_rows(
     delta: float,
     floor: float = DEFAULT_FLOOR,
     rng: np.random.Generator | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Per-position metric rows for a (batch, t_len, heads * head_dim) stack.
 
     Row t of each block and head only sees that block's and head's value
     rows <= t, which keeps causal decoding honest.  One prefix mean down the
     time axis covers every block and head.  Rows are scaled in (head, block,
     row) order, the order in which random mode draws.  Returns
-    (batch * t_len, heads * head_dim) rows in the merged column layout.
+    (batch * t_len, heads * head_dim) rows in the merged column layout, and
+    the time-major (t_len, batch * heads * head_dim) copies of both value
+    stacks that the estimator read.
     """
     batch, t_len, width = v_curr.shape
     dh = width // heads
 
-    def time_major(a):  # (batch, t_len, width) -> (t_len, batch * width)
-        return a.transpose(1, 0, 2).reshape(t_len, batch * width)
+    def time_major(a):  # (batch, t_len, width) -> a (t_len, batch * width) copy
+        return a.transpose(1, 0, 2).copy().reshape(t_len, batch * width)
 
-    raw = prefix_overlayers_raw(
-        time_major(v_curr), time_major(v_prev), delta, min_samples=METRIC_WARMUP
-    )
+    held = (time_major(v_curr), time_major(v_prev))
+    raw = prefix_overlayers_raw(*held, delta, min_samples=METRIC_WARMUP)
     by_head = raw.reshape(t_len, batch, heads, dh).transpose(2, 1, 0, 3)
     m = scale_rows(by_head.reshape(-1, dh), mode, floor, rng)
-    return m.reshape(heads, batch, t_len, dh).transpose(1, 2, 0, 3).reshape(
+    m = m.reshape(heads, batch, t_len, dh).transpose(1, 2, 0, 3).reshape(
         batch * t_len, width
     )
+    return m, held
 
 
 def forward(
@@ -242,29 +249,42 @@ def forward(
     metric_rng: np.random.Generator | None = None,
     metric_overrides: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> tuple[Tensor, list[AttentionLayerState]]:
-    """Causal forward pass; layer 0 always runs with an identity metric.
+    """Causal forward pass over a (t_len,) sequence or a (batch, t_len) stack.
+
+    Layer 0 always runs with an identity metric.  Each later layer of the
+    metric-weighted variant estimates its metric for every block and head in
+    one call, and every layer runs as one multi-head attention node in which
+    each block attends only within itself, so a block's logits do not depend
+    on the other blocks (random mode aside: one stream draws for the whole
+    stack).  Returns flat (batch * t_len, vocab) logits and one state per
+    layer.
 
     ``metric_overrides`` pins the metric rows of (layer, head) pairs to given
-    constants, which lets tests freeze the metric while differentiating.
-    Each layer's metric is estimated for all heads before overrides apply,
-    so in random mode an override leaves the other heads' draws unchanged.
+    constants, broadcast over blocks, which lets tests freeze the metric
+    while differentiating.  Each layer's metric is estimated for all heads
+    before overrides apply, so in random mode an override leaves the other
+    heads' draws unchanged.
     """
-    tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
-    t_len = tokens.size
-    if t_len < 1 or t_len > cfg.context:
-        raise InputError(f"sequence length {t_len} outside [1, {cfg.context}]")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim not in (1, 2):
+        raise InputError(f"tokens must be 1-D or a 2-D stack, not {tokens.ndim}-D")
+    stack = np.atleast_2d(tokens)
+    batch, t_len = stack.shape
+    if batch < 1 or not 1 <= t_len <= cfg.context:
+        raise InputError(f"token shape {tokens.shape}: need length in [1, {cfg.context}]")
+    if stack.min() < 0 or stack.max() >= cfg.vocab_size:
         raise InputError("token id outside the vocabulary")
     if cfg.scaling == "random" and metric_rng is None:
         metric_rng = derive_rng(cfg.seed, NS_METRIC, _EVAL_METRIC_STREAM)
-
+    overrides = metric_overrides or {}
+    rows, width, dh = batch * t_len, cfg.embed_dim, cfg.head_dim
+    ones = np.broadcast_to(np.float64(1.0), (rows, width))
     x = tape.add(
-        tape.embedding(params["tok_emb"], tokens),
-        tape.embedding(params["pos_emb"], np.arange(t_len)),
+        tape.embedding(params["tok_emb"], stack.reshape(-1)),
+        tape.embedding(params["pos_emb"], np.tile(np.arange(t_len), batch)),
     )
-    mask = causal_mask(t_len)
-    temp = float(np.sqrt(cfg.head_dim))
-    dh = cfg.head_dim
+    temp = float(np.sqrt(dh))
+    use_metric = cfg.elliptical and cfg.scaling != "identity"
     prev_values: np.ndarray | None = None
     states: list[AttentionLayerState] = []
 
@@ -273,41 +293,24 @@ def forward(
         qm = tape.matmul(xn, params[f"l{li}.wq"])
         km = tape.matmul(xn, params[f"l{li}.wk"])
         vm = tape.matmul(xn, params[f"l{li}.wv"])
-        use_metric = cfg.elliptical and li >= 1 and cfg.scaling != "identity"
-        if use_metric:
-            held = (vm.value.copy(), prev_values.copy())
-            m_layer = _metric_rows(
-                held[0][None], held[1][None], cfg.heads, cfg.scaling, cfg.delta,
-                rng=metric_rng,
+        values = vm.value.reshape(batch, t_len, width)
+        m, estimator_values = None, [None] * cfg.heads
+        if use_metric and li >= 1:
+            m, held = _metric_rows(
+                values, prev_values, cfg.heads, cfg.scaling, cfg.delta, rng=metric_rng
             )
-        outs, vals, attns, metrics, est_inputs = [], [], [], [], []
-        qs_rec, ks_rec = [], []
-        for h in range(cfg.heads):
-            j0, j1 = h * dh, (h + 1) * dh
-            q = tape.slice_cols(qm, j0, j1)
-            k = tape.slice_cols(km, j0, j1)
-            v = tape.slice_cols(vm, j0, j1)
-            if metric_overrides is not None and (li, h) in metric_overrides:
-                m = np.asarray(metric_overrides[(li, h)], dtype=np.float64)
-                est_inputs.append(None)
-            elif use_metric:
-                m = m_layer[:, j0:j1]
-                est_inputs.append((held[0][:, j0:j1], held[1][:, j0:j1]))
-            else:
-                m = np.ones(dh)
-                est_inputs.append(None)
-            qs = tape.mul_const(q, m)
-            scores = tape.add_const(
-                tape.div_const(tape.matmul(qs, tape.transpose(k)), temp), mask
-            )
-            attn = tape.softmax_rows(scores)
-            outs.append(tape.matmul(attn, v))
-            vals.append(v.value)
-            attns.append(attn.value.copy())
-            metrics.append(m)
-            qs_rec.append(q.value.copy())
-            ks_rec.append(k.value.copy())
-        merged = tape.concat_cols(outs)
+            cur, prev = (a.reshape(t_len, batch, cfg.heads, dh) for a in held)
+            estimator_values = [(cur[:, :, h], prev[:, :, h]) for h in range(cfg.heads)]
+        pinned = [h for h in range(cfg.heads) if (li, h) in overrides]
+        if pinned:
+            m = np.array(ones if m is None else m)
+            by_head = m.reshape(batch, t_len, cfg.heads, dh)
+            for h in pinned:
+                by_head[:, :, h] = np.asarray(overrides[(li, h)], dtype=np.float64)
+                estimator_values[h] = None
+        merged = tape.block_causal_attention(
+            qm, km, vm, 1.0 if m is None else m, temp, batch, cfg.heads
+        )
         x = tape.add(x, tape.matmul(merged, params[f"l{li}.wo"]))
         x2 = tape.layer_norm(x, params[f"l{li}.ln2.g"], params[f"l{li}.ln2.b"])
         hidden = tape.relu(
@@ -319,79 +322,19 @@ def forward(
         states.append(
             AttentionLayerState(
                 layer=li,
-                head_values=[v.copy() for v in vals],
-                estimator_values=est_inputs,
-                head_queries=qs_rec,
-                head_keys=ks_rec,
-                head_attn=attns,
-                head_metric=metrics,
-                representation=x.value.copy(),
+                queries=qm.value,
+                keys=km.value,
+                values=vm.value,
+                metric=ones if m is None else m,
+                estimator_values=estimator_values,
+                representation=x.value,
             )
-        )
-        prev_values = vm.value
-
-    xf = tape.layer_norm(x, params["lnf.g"], params["lnf.b"])
-    logits = tape.add(tape.matmul(xf, params["head.w"]), params["head.b"])
-    return logits, states
-
-
-def _forward_stacked(
-    inputs: np.ndarray,
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    tape: GradTape,
-    metric_rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Training-path forward over a (batch, t_len) stack of sequences.
-
-    Bit for bit equal to per-sequence :func:`forward` on each sequence
-    (attention stays within each sequence, and metric rows are computed per
-    sequence and head), but each layer runs as stacked matmuls: one metric
-    call and one multi-head attention node per layer.  Returns flat logits of
-    shape (batch * t_len, vocab).
-    """
-    batch, t_len = inputs.shape
-    if t_len < 1 or t_len > cfg.context:
-        raise InputError(f"sequence length {t_len} outside [1, {cfg.context}]")
-    if inputs.min() < 0 or inputs.max() >= cfg.vocab_size:
-        raise InputError("token id outside the vocabulary")
-    if cfg.scaling == "random" and metric_rng is None:
-        metric_rng = derive_rng(cfg.seed, NS_METRIC, _EVAL_METRIC_STREAM)
-    flat = inputs.reshape(-1)
-    pos = np.tile(np.arange(t_len), batch)
-    x = tape.add(
-        tape.embedding(params["tok_emb"], flat),
-        tape.embedding(params["pos_emb"], pos),
-    )
-    temp = float(np.sqrt(cfg.head_dim))
-    use_metric = cfg.elliptical and cfg.scaling != "identity"
-    prev_values: np.ndarray | None = None
-
-    for li in range(cfg.layers):
-        xn = tape.layer_norm(x, params[f"l{li}.ln1.g"], params[f"l{li}.ln1.b"])
-        qm = tape.matmul(xn, params[f"l{li}.wq"])
-        km = tape.matmul(xn, params[f"l{li}.wk"])
-        vm = tape.matmul(xn, params[f"l{li}.wv"])
-        values = vm.value.reshape(batch, t_len, cfg.embed_dim)
-        if use_metric and li >= 1:
-            m = _metric_rows(
-                values, prev_values, cfg.heads, cfg.scaling, cfg.delta, rng=metric_rng
-            )
-        else:
-            m = 1.0
-        merged = tape.block_causal_attention(qm, km, vm, m, temp, batch, cfg.heads)
-        x = tape.add(x, tape.matmul(merged, params[f"l{li}.wo"]))
-        x2 = tape.layer_norm(x, params[f"l{li}.ln2.g"], params[f"l{li}.ln2.b"])
-        hidden = tape.relu(
-            tape.add(tape.matmul(x2, params[f"l{li}.w1"]), params[f"l{li}.b1"])
-        )
-        x = tape.add(
-            x, tape.add(tape.matmul(hidden, params[f"l{li}.w2"]), params[f"l{li}.b2"])
         )
         prev_values = values
 
     xf = tape.layer_norm(x, params["lnf.g"], params["lnf.b"])
-    return tape.add(tape.matmul(xf, params["head.w"]), params["head.b"])
+    logits = tape.add(tape.matmul(xf, params["head.w"]), params["head.b"])
+    return logits, states
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +411,8 @@ def train(
         offsets = rng.integers(0, tokens.size - window + 1, size=tp.batch_size)
         windows = np.stack([tokens[off : off + window] for off in offsets])
         tape = GradTape()
-        logits = _forward_stacked(windows[:, :-1], params, cfg, tape, metric_rng)
+        # drop the layer states at once: backward does not need their copies
+        logits = forward(windows[:, :-1], params, cfg, tape, metric_rng)[0]
         loss = tape.cross_entropy(logits, windows[:, 1:].reshape(-1))
         value = float(loss.value[0, 0])
         if not np.isfinite(value):
@@ -506,30 +450,14 @@ def perplexity(
         toks = corrupt_tokens(toks, corrupt_rate, cfg.vocab_size - 1, rng)
         if corrupt_targets:
             target_stream = toks
+    # every span has the same length: full windows, or one short stream
     window = cfg.context + 1
-    spans = [
-        (start, min(start + window, toks.size))
-        for start in range(0, max(toks.size - window + 1, 1), cfg.context)
-    ]
-    full = [s for s in spans if s[1] - s[0] == window]
-    rest = [s for s in spans if 2 <= s[1] - s[0] < window]
-    total, count = 0.0, 0
-    if full:
-        stack = np.stack([toks[a:b] for a, b in full])
-        tape = GradTape()
-        logits = _forward_stacked(stack[:, :-1], params, cfg, tape)
-        probs = softmax_rows(logits.value)
-        targets = np.stack([target_stream[a + 1 : b] for a, b in full]).reshape(-1)
-        total += float(-np.log(probs[np.arange(targets.size), targets]).sum())
-        count += targets.size
-    for a, b in rest:
-        tape = GradTape()
-        logits, _ = forward(toks[a : b - 1], params, cfg, tape)
-        probs = softmax_rows(logits.value)
-        rows = np.arange(b - a - 1)
-        total += float(-np.log(probs[rows, target_stream[a + 1 : b]]).sum())
-        count += b - a - 1
-    return float(np.exp(total / count))
+    starts = range(0, max(toks.size - window + 1, 1), cfg.context)
+    stack = np.stack([toks[a : a + window] for a in starts])
+    targets = np.stack([target_stream[a + 1 : a + window] for a in starts]).reshape(-1)
+    probs = softmax_rows(forward(stack[:, :-1], params, cfg, GradTape())[0].value)
+    nll = -np.log(probs[np.arange(targets.size), targets]).sum()
+    return float(np.exp(float(nll) / targets.size))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +476,7 @@ class DiagnosticsReport:
     robustness: np.ndarray  # (layers, len(epsilons)) mean ratio per scale
     robustness_sup: float
     epsilons: tuple[float, ...]
+    attention: list[list[np.ndarray]]  # [layer][head] causal attention map
 
 
 def mean_pairwise_cosine(rows: np.ndarray) -> float:
@@ -587,34 +516,33 @@ def diagnose(
 
     Robustness perturbs each layer's recorded per-head queries with Gaussian
     noise at every scale and recomputes that head's attention output with
-    the metric held fixed.
+    the metric held fixed.  The report also carries every head's attention
+    map over the first context window.
     """
     toks = np.asarray(eval_tokens, dtype=np.int64)
     if toks.size < 2:
         raise InputError("need at least two eval tokens")
     window = toks[: min(toks.size, cfg.context + 1)]
-    tape = GradTape()
-    _, states = forward(window[:-1], params, cfg, tape)
-
-    cosines = [mean_pairwise_cosine(st.representation) for st in states]
-    head_dists = [mean_head_distance(st.head_attn) for st in states]
-
-    temp = float(np.sqrt(cfg.head_dim))
+    _, states = forward(window[:-1], params, cfg, GradTape())
+    dh = cfg.head_dim
+    temp = float(np.sqrt(dh))
     ratios = np.zeros((cfg.layers, len(epsilons)))
     sup = 0.0
+    attention = []
     for li, st in enumerate(states):
+        merged = (st.queries, st.keys, st.values, st.metric)
+        per_head = [
+            tuple(a[:, h * dh : (h + 1) * dh] for a in merged) for h in range(cfg.heads)
+        ]
+        bases = [weighted_kernel(*qkvm, temp, causal=True) for qkvm in per_head]
+        attention.append([base.attn for base in bases])
         for si, scale in enumerate(epsilons):
             acc = []
-            for q, k, v, m in zip(
-                st.head_queries, st.head_keys, st.head_values, st.head_metric
-            ):
-                base = weighted_kernel(q, k, v, m, temp, causal=True).h
+            for (q, k, v, m), base in zip(per_head, bases):
                 for _ in range(n_draws):
                     eps = scale * rng.standard_normal(q.shape)
                     moved = weighted_kernel(q + eps, k, v, m, temp, causal=True).h
-                    ratio = float(
-                        np.linalg.norm(moved - base) / np.linalg.norm(eps)
-                    )
+                    ratio = float(np.linalg.norm(moved - base.h) / np.linalg.norm(eps))
                     acc.append(ratio)
                     sup = max(sup, ratio)
             ratios[li, si] = float(np.mean(acc))
@@ -622,13 +550,14 @@ def diagnose(
     ppl_clean = perplexity(params, cfg, toks)
     ppl_corrupt = perplexity(params, cfg, toks, corrupt_rate=corrupt_rate, rng=rng)
     return DiagnosticsReport(
-        cosine_by_layer=cosines,
-        head_distance_by_layer=head_dists,
+        cosine_by_layer=[mean_pairwise_cosine(st.representation) for st in states],
+        head_distance_by_layer=[mean_head_distance(maps) for maps in attention],
         ppl_clean=ppl_clean,
         ppl_corrupt=ppl_corrupt,
         robustness=ratios,
         robustness_sup=sup,
         epsilons=tuple(epsilons),
+        attention=attention,
     )
 
 

@@ -205,6 +205,36 @@ class TestDiagnoseCommand:
         np.testing.assert_allclose(rows[live].max(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(rows.min(axis=1), 0.0, atol=1e-12)
 
+    def test_runs_the_model_on_one_sequence_once(self, tmp_path, monkeypatch):
+        # the heatmaps come from the diagnose report, not from a second pass
+        from elliptical import model
+
+        train_args = [
+            "train-lm", "--set", "out=m", "--set", "steps=2",
+            "--set", "layers=2", "--set", "heads=2", "--set", "head_dim=4",
+            "--set", "embed_dim=8", "--set", "ff_dim=16", "--set", "context=16",
+            "--set", "corpus_length=1024", "--set", "eval_tokens=64",
+            "--set", "batch_size=2",
+        ]
+        assert _run(tmp_path, monkeypatch, *train_args) == 0
+        shapes = []
+        original = model.forward
+
+        def counted(tokens, *args, **kwargs):
+            shapes.append(np.shape(tokens))
+            return original(tokens, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted)
+        code = _run(
+            tmp_path, monkeypatch, "diagnose",
+            "--set", f"checkpoint={tmp_path / 'm' / 'checkpoint.bin'}",
+            "--set", "out=d", "--set", "corpus_length=1024",
+            "--set", "eval_tokens=64", "--set", "epsilons=0.1",
+        )
+        assert code == 0
+        assert [s for s in shapes if len(s) == 1] == [(16,)]
+        assert len(list((tmp_path / "d").glob("heatmap_*.csv"))) == 4
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -30,7 +30,6 @@ from elliptical.model import (
     save_checkpoint,
     synthetic_corpus,
     train,
-    _forward_stacked,
     _metric_rows,
 )
 from elliptical.numerics import ParameterError, derive_rng, make_rng
@@ -106,6 +105,9 @@ class TestForward:
             forward(np.array([corpus.vocab_size]), params, cfg, GradTape())
         with pytest.raises(InputError):
             forward(np.zeros(cfg.context + 1, dtype=int), params, cfg, GradTape())
+        for ambiguous in (np.array(3), np.zeros((2, 3, 4), dtype=int)):
+            with pytest.raises(InputError):
+                forward(ambiguous, params, cfg, GradTape())
 
     def test_single_token_shapes(self):
         cfg = _tiny_cfg(13)
@@ -114,7 +116,11 @@ class TestForward:
         assert logits.value.shape == (1, 13)
         assert len(states) == cfg.layers
         for st in states:
-            for attn in st.head_attn:
+            for a in (st.queries, st.keys, st.values, st.metric, st.representation):
+                assert a.shape == (1, cfg.embed_dim)
+        rep = diagnose(params, cfg, np.array([5, 3]), (0.1,), make_rng(12), n_draws=1)
+        for maps in rep.attention:
+            for attn in maps:
                 np.testing.assert_array_equal(attn, [[1.0]])
 
     def test_fixed_seed_fixed_input_is_bitwise_stable(self):
@@ -154,9 +160,9 @@ class TestForward:
         params = init_params(cfg)
         toks = make_rng(8).integers(0, 13, 16)
         _, states = forward(toks, params, cfg, GradTape())
-        assert all(m.shape == (cfg.head_dim,) for m in states[0].head_metric)
-        assert all(np.all(m == 1.0) for m in states[0].head_metric)
-        assert all(m.shape == (16, cfg.head_dim) for m in states[1].head_metric)
+        assert all(st.metric.shape == (16, cfg.embed_dim) for st in states)
+        assert np.all(states[0].metric == 1.0)
+        assert np.any(states[1].metric != 1.0)  # row 15 has METRIC_WARMUP samples
 
 
 #: standard plus every scaling mode of the metric-weighted variant
@@ -171,8 +177,8 @@ VARIANTS = (
 
 
 class TestStackedPath:
-    """Training and perplexity run ``_forward_stacked``; it must reproduce the
-    per-sequence ``forward`` bit for bit."""
+    """Training and perplexity run ``forward`` on stacks of sequences; each
+    block of a stack must be exactly what ``forward`` gives on it alone."""
 
     def _trained(self, corpus, elliptical, scaling):
         cfg = _tiny_cfg(corpus.vocab_size, elliptical, scaling, seed=5, layers=3)
@@ -184,21 +190,25 @@ class TestStackedPath:
         for elliptical, scaling in VARIANTS:
             cfg, params = self._trained(corpus, elliptical, scaling)
             ref, states = forward(toks, params, cfg, GradTape())
-            got = _forward_stacked(toks[None], params, cfg, GradTape())
+            got, _ = forward(toks[None], params, cfg, GradTape())
             assert ref.value.tobytes() == got.value.tobytes(), (elliptical, scaling)
             live = elliptical and scaling != "identity"
-            assert live == any(np.any(m != 1.0) for m in states[-1].head_metric)
+            assert live == bool(np.any(states[-1].metric != 1.0))
 
     def test_each_block_of_a_stack_matches_forward_bitwise(self):
-        # random mode is left out: one stream serves the whole stack there
+        # random mode is left out: one stream serves the whole stack there.
+        # t_len = 1 is left out: numpy routes a one-row matmul differently,
+        # which can move a stacked block by an ulp.
         corpus = synthetic_corpus(17, 600)
-        stack = corpus.tokens[:96].reshape(3, 32)
         for elliptical, scaling in VARIANTS[:-1]:
             cfg, params = self._trained(corpus, elliptical, scaling)
-            got = _forward_stacked(stack, params, cfg, GradTape()).value
-            for b, seq in enumerate(stack):
-                ref, _ = forward(seq, params, cfg, GradTape())
-                assert ref.value.tobytes() == got[b * 32 : (b + 1) * 32].tobytes()
+            for t_len in range(2, cfg.context + 1):
+                stack = corpus.tokens[: 3 * t_len].reshape(3, t_len)
+                got, _ = forward(stack, params, cfg, GradTape())
+                for b, seq in enumerate(stack):
+                    ref, _ = forward(seq, params, cfg, GradTape())
+                    block = got.value[b * t_len : (b + 1) * t_len]
+                    assert ref.value.tobytes() == block.tobytes(), (scaling, t_len, b)
 
 
 class TestMetricRows:
@@ -210,7 +220,7 @@ class TestMetricRows:
         v_prev[1] = v_curr[1]  # no variability in block 1: identity rows
         for mode in ("maxscale", "meanscale", "unscaled", "identity", "random"):
             stream, twin = derive_rng(5, 3, 0), derive_rng(5, 3, 0)
-            got = _metric_rows(v_curr, v_prev, heads, mode, delta, rng=stream)
+            got, held = _metric_rows(v_curr, v_prev, heads, mode, delta, rng=stream)
             ref = np.empty((batch * t_len, heads * dh))
             for h in range(heads):
                 cols = slice(h * dh, (h + 1) * dh)
@@ -226,6 +236,8 @@ class TestMetricRows:
             assert np.all(got[t_len : 2 * t_len] == 1.0)
             for b in range(batch):
                 assert np.all(got[b * t_len : b * t_len + METRIC_WARMUP - 1] == 1.0)
+            for copy, stack in zip(held, (v_curr, v_prev)):
+                assert np.array_equal(copy, stack.transpose(1, 0, 2).reshape(t_len, -1))
 
 
 class TestStackedPathStructure:
@@ -233,10 +245,10 @@ class TestStackedPathStructure:
     shows up as extra tape nodes or per-row scaling calls."""
 
     def test_one_attention_node_per_layer_and_no_per_row_scaling(self, monkeypatch):
-        from elliptical import metric
-        from elliptical.autodiff import GradTape as Tape
+        from elliptical import metric, model
 
-        calls: dict[str, int] = {}
+        calls = {"block_causal_attention": 0, "apply_scaling": 0}
+        nodes = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -245,8 +257,8 @@ class TestStackedPathStructure:
 
             return wrapper
 
-        for op in ("block_causal_attention", "slice_cols", "concat_cols"):
-            monkeypatch.setattr(Tape, op, counted(op, getattr(Tape, op)))
+        op = GradTape.block_causal_attention
+        monkeypatch.setattr(GradTape, "block_causal_attention", counted(op.__name__, op))
         original = metric.apply_scaling
         wrapper = counted("apply_scaling", original)
         for name, module in list(sys.modules.items()):
@@ -255,50 +267,61 @@ class TestStackedPathStructure:
                     if value is original:
                         monkeypatch.setattr(module, attr, wrapper)
 
+        def counting_backward(tape, loss):
+            nodes.append(len(tape._nodes))
+            backward(tape, loss)
+
+        monkeypatch.setattr(model, "backward", counting_backward)
         corpus = synthetic_corpus(19, 12 * 64)
         for scaling in ("maxscale", "meanscale"):
             cfg = ModelConfig(vocab_size=corpus.vocab_size, elliptical=True, scaling=scaling)
-            calls.update(
-                block_causal_attention=0, slice_cols=0, concat_cols=0, apply_scaling=0
-            )
+            calls.update(block_causal_attention=0, apply_scaling=0)
+            nodes.clear()
             train(corpus, cfg, TrainParams(steps=1))
-            assert calls == {
-                "block_causal_attention": cfg.layers,
-                "slice_cols": 0,
-                "concat_cols": 0,
-                "apply_scaling": 0,
-            }, scaling
+            assert calls == {"block_causal_attention": cfg.layers, "apply_scaling": 0}
+            # 3 embedding nodes, 14 per layer, 3 for the final norm and head, 1 loss
+            assert nodes == [63], scaling
 
 
 class TestStopGradient:
     def test_tampering_estimator_copies_leaves_gradients_unchanged(self):
         corpus = synthetic_corpus(3, 600)
-        cfg = _tiny_cfg(corpus.vocab_size, elliptical=True, layers=3)
-        params = init_params(cfg)
         toks = corpus.tokens[:17]
+        two_heads = _tiny_cfg(corpus.vocab_size, elliptical=True, layers=3)
+        # one head: the attention node reads the value array itself, not a copy
+        one_head = ModelConfig(vocab_size=corpus.vocab_size, layers=3, heads=1,
+                               head_dim=16, embed_dim=16, ff_dim=32, context=32,
+                               elliptical=True)
+        for cfg in (two_heads, one_head):
+            params = init_params(cfg)
+            scaled = []
 
-        def grads(tamper):
-            tape = GradTape()
-            logits, states = forward(toks[:-1], params, cfg, tape)
-            if tamper:
-                for st in states:
-                    for held in st.estimator_values:
-                        if held is not None:
-                            held[0][:] += 97.0
-                            held[1][:] -= 13.0
-            loss = tape.cross_entropy(logits, toks[1:])
-            for p in params.values():
-                p.grad = None
-            backward(tape, loss)
-            return {k: None if p.grad is None else p.grad.copy() for k, p in params.items()}
+            def grads(tamper):
+                tape = GradTape()
+                logits, states = forward(toks[:-1], params, cfg, tape)
+                if tamper:
+                    for st in states:
+                        for held in st.estimator_values:
+                            if held is not None:
+                                held[0][:] += 97.0
+                                held[1][:] -= 13.0
+                        if st.metric.flags.writeable:  # layer 0 holds read-only ones
+                            st.metric *= 3.0
+                            scaled.append(st.layer)
+                loss = tape.cross_entropy(logits, toks[1:])
+                for p in params.values():
+                    p.grad = None
+                backward(tape, loss)
+                return {k: None if p.grad is None else p.grad.copy() for k, p in params.items()}
 
-        clean = grads(tamper=False)
-        tampered = grads(tamper=True)
-        for name in params:
-            if clean[name] is None:
-                assert tampered[name] is None
-            else:
-                assert np.array_equal(clean[name], tampered[name])
+            clean = grads(tamper=False)
+            tampered = grads(tamper=True)
+            assert scaled == [1, 2]
+            for name in params:
+                if clean[name] is None:
+                    assert tampered[name] is None
+                else:
+                    assert np.array_equal(clean[name], tampered[name]), (cfg.heads, name)
 
     def test_backward_matches_fd_with_frozen_metric(self):
         corpus = synthetic_corpus(4, 600)
@@ -310,10 +333,11 @@ class TestStopGradient:
 
         tape = GradTape()
         logits, states = forward(toks[:-1], params, cfg, tape)
+        dh = cfg.head_dim
         overrides = {
-            (li, h): np.array(m, copy=True)
+            (li, h): st.metric[:, h * dh : (h + 1) * dh].copy()
             for li, st in enumerate(states)
-            for h, m in enumerate(st.head_metric)
+            for h in range(cfg.heads)
         }
         loss = tape.cross_entropy(logits, toks[1:])
         for p in params.values():
@@ -451,6 +475,12 @@ class TestDiagnostics:
         assert all(-1.0 <= c <= 1.0 for c in rep.cosine_by_layer)
         assert rep.ppl_clean >= 1.0 and rep.ppl_corrupt >= 1.0
         assert rep.robustness_sup >= rep.robustness.max() - 1e-12
+        assert [len(maps) for maps in rep.attention] == [cfg.heads] * cfg.layers
+        for maps in rep.attention:
+            for attn in maps:
+                assert attn.shape == (cfg.context, cfg.context)
+                np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
+                assert np.all(np.triu(attn, k=1) == 0.0)
 
 
 class TestCheckpoints:
