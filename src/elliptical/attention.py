@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import estimate_overlayers, prefix_overlayers_raw
-from .metric import EllipticalWeights, apply_scaling, scale_rows
+from .estimators import estimate_overlayers
+from .metric import EllipticalWeights, apply_scaling
 from .numerics import ParameterError, ShapeError, as_matrix, as_vector, softmax_rows
 
 
@@ -50,7 +50,7 @@ class AttentionOutput:
     h: np.ndarray
     attn: np.ndarray
     logits: np.ndarray
-    metric: np.ndarray  # (dim,) weights, or (n, dim) rows in the causal path
+    metric: np.ndarray  # the m passed to weighted_kernel
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -134,35 +134,26 @@ def elliptical_attention(
     delta: float,
     rng: np.random.Generator | None = None,
 ) -> AttentionOutput:
-    """Attention whose metric is estimated from the change in values.
+    """Non-causal single-layer attention with a metric estimated from values.
 
-    Raw per-dimension variability comes from the layer-difference estimator
-    on (v, v_prev); ``cfg.weights`` contributes only its scaling mode and
-    floor.  The weight computation is a plain array calculation with no
-    gradient semantics.  In the causal case the estimate for query position
-    t is restricted to value rows <= t so that outputs never depend on later
-    positions, and :func:`~elliptical.metric.scale_rows` scales each row.
-
-    Warm-up: here every causal row uses its prefix from the first position on
-    (``min_samples=1``), so this single-layer operator is the estimator
-    exactly as written and stays informative on inputs of a few rows.  The
-    toy transformer instead keeps the identity metric on the first
-    ``model.METRIC_WARMUP - 1`` (15) positions of every sequence, because in
-    a trained model a mean over so few value differences is mostly noise.
+    One (dim,) metric comes from the layer-difference estimator over all
+    rows of (v, v_prev); ``cfg.weights`` contributes only its scaling mode
+    and floor, and the metric carries no gradient.  Causal models estimate
+    one metric row per position, from its prefix, in ``model.forward``.
     """
-    q, k, v = _check_qkv(q, k, v, cfg.causal)
+    if cfg.causal:
+        raise ParameterError("elliptical_attention is non-causal; use model.forward")
+    q, k, v = _check_qkv(q, k, v, causal=False)
     v_prev = as_matrix(v_prev)
     if v_prev.shape != v.shape:
         raise ShapeError(f"v_prev shape {v_prev.shape} != v shape {v.shape}")
     mode, floor = cfg.weights.mode, cfg.weights.floor
     if mode == "identity":
         m = np.ones(cfg.head_dim)
-    elif cfg.causal:
-        m = scale_rows(prefix_overlayers_raw(v, v_prev, delta), mode, floor, rng)
     else:
         raw = estimate_overlayers(v, v_prev, delta).raw
         m = apply_scaling(raw, mode, floor, rng).m
-    return weighted_kernel(q, k, v, m, cfg.temperature, cfg.causal)
+    return weighted_kernel(q, k, v, m, cfg.temperature, causal=False)
 
 
 def minmax_scale_rows(matrix) -> np.ndarray:

@@ -372,7 +372,13 @@ def _model_config(cfg: dict[str, Any], vocab_size: int) -> model.ModelConfig:
     )
 
 
+def _check_eval_tokens(cfg: dict[str, Any]) -> None:
+    if cfg["eval_tokens"] < 2:  # tokens[-0:] would be the whole corpus
+        raise UsageError("bad value for key 'eval_tokens': need at least 2 tokens")
+
+
 def cmd_train_lm(cfg: dict[str, Any], jobs: int) -> int:
+    _check_eval_tokens(cfg)
     out_dir = resolve_out_dir(cfg["out"])
     write_config_echo(out_dir, cfg)
     corpus = _build_corpus(cfg)
@@ -439,6 +445,7 @@ DIAGNOSE_SCHEMA = {
 
 
 def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
+    _check_eval_tokens(cfg)
     ckpt_path = Path(cfg["checkpoint"])
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint {ckpt_path} does not exist")

@@ -207,32 +207,6 @@ def estimate_overlayers(v_curr, v_prev, delta: float) -> VariabilityEstimate:
     return VariabilityEstimate(raw, "overlayers", delta)
 
 
-def prefix_overlayers_raw(
-    v_curr, v_prev, delta: float, min_samples: int = 1
-) -> np.ndarray:
-    """Per-position variant: row t averages |v_curr - v_prev| over rows <= t.
-
-    Needed wherever outputs at position t may only depend on positions <= t
-    (causal decoding); row t of the result uses only the first t + 1 rows.
-    Rows with fewer than ``min_samples`` positions behind them are zeroed,
-    which downstream scaling turns into the identity metric: a near-empty
-    prefix carries too little signal to estimate variability from.
-    """
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
-    if min_samples < 1:
-        raise ParameterError("min_samples must be at least 1")
-    v_curr = as_matrix(v_curr)
-    v_prev = as_matrix(v_prev)
-    if v_curr.shape != v_prev.shape:
-        raise ShapeError(f"value shapes differ: {v_curr.shape} vs {v_prev.shape}")
-    diffs = np.abs(v_curr - v_prev) / delta
-    counts = np.arange(1, diffs.shape[0] + 1, dtype=np.float64)[:, None]
-    raw = np.cumsum(diffs, axis=0) / counts
-    raw[: min_samples - 1] = 0.0
-    return raw
-
-
 def estimate_consistent(
     f: Callable[[np.ndarray], np.ndarray], sample_points, t: float
 ) -> VariabilityEstimate:

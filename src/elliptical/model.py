@@ -17,7 +17,6 @@ import numpy as np
 
 from .attention import weighted_kernel
 from .autodiff import GradTape, Tensor, backward, leaf
-from .estimators import prefix_overlayers_raw
 from .metric import DEFAULT_FLOOR, SCALING_MODES, scale_rows
 from .numerics import ParameterError, derive_rng, softmax_rows
 
@@ -155,10 +154,9 @@ class AttentionLayerState:
 
     Arrays are (rows, heads * head_dim) in the merged column layout, with
     head h in columns [h * head_dim, (h + 1) * head_dim); rows run block by
-    block.  They are the forward pass's own arrays, not copies, so treat
-    them as read-only.  ``metric`` is a read-only view of ones on layers
-    that ran without a metric; the attention node keeps its own copy, so
-    editing a recorded metric cannot reach the gradients.
+    block.  They are read-only views of the pass's own arrays, except the
+    metric: read-only ones on layers without one, else rows the attention
+    node has copied, so editing them cannot reach the gradients.
     ``estimator_values`` holds, per head, the time-major (t_len, batch,
     head_dim) (v_curr, v_prev) copies the variability estimator read (None
     on layers without a metric); mutating them must not affect gradients.
@@ -202,7 +200,6 @@ def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
 
 #: causal metric warmup: positions with fewer prefix samples than this keep
 #: the identity metric, because a 1-to-15-sample mean is mostly noise
-#: (the single-layer ``attention.elliptical_attention`` uses no warm-up)
 METRIC_WARMUP = 16
 
 
@@ -217,10 +214,11 @@ def _metric_rows(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Per-position metric rows for a (batch, t_len, heads * head_dim) stack.
 
-    Row t of each block and head only sees that block's and head's value
-    rows <= t, which keeps causal decoding honest.  One prefix mean down the
-    time axis covers every block and head.  Rows are scaled in (head, block,
-    row) order, the order in which random mode draws.  Returns
+    Row t of each block and head is mean(|v_curr - v_prev|) / delta over
+    that block's and head's value rows <= t, which keeps causal decoding
+    honest; the first METRIC_WARMUP - 1 rows are zero, which scaling turns
+    into the identity metric.  Rows are scaled in (head, block, row) order,
+    the order in which random mode draws.  Returns
     (batch * t_len, heads * head_dim) rows in the merged column layout, and
     the time-major (t_len, batch * heads * head_dim) copies of both value
     stacks that the estimator read.
@@ -232,7 +230,9 @@ def _metric_rows(
         return a.transpose(1, 0, 2).copy().reshape(t_len, batch * width)
 
     held = (time_major(v_curr), time_major(v_prev))
-    raw = prefix_overlayers_raw(*held, delta, min_samples=METRIC_WARMUP)
+    counts = np.arange(1, t_len + 1, dtype=np.float64)[:, None]
+    raw = np.cumsum(np.abs(held[0] - held[1]) / delta, axis=0) / counts
+    raw[: METRIC_WARMUP - 1] = 0.0
     by_head = raw.reshape(t_len, batch, heads, dh).transpose(2, 1, 0, 3)
     m = scale_rows(by_head.reshape(-1, dh), mode, floor, rng)
     m = m.reshape(heads, batch, t_len, dh).transpose(1, 2, 0, 3).reshape(
@@ -241,13 +241,18 @@ def _metric_rows(
     return m, held
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def forward(
     tokens,
     params: dict[str, Tensor],
     cfg: ModelConfig,
     tape: GradTape,
     metric_rng: np.random.Generator | None = None,
-    metric_overrides: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> tuple[Tensor, list[AttentionLayerState]]:
     """Causal forward pass over a (t_len,) sequence or a (batch, t_len) stack.
 
@@ -258,12 +263,6 @@ def forward(
     on the other blocks (random mode aside: one stream draws for the whole
     stack).  Returns flat (batch * t_len, vocab) logits and one state per
     layer.
-
-    ``metric_overrides`` pins the metric rows of (layer, head) pairs to given
-    constants, broadcast over blocks, which lets tests freeze the metric
-    while differentiating.  Each layer's metric is estimated for all heads
-    before overrides apply, so in random mode an override leaves the other
-    heads' draws unchanged.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim not in (1, 2):
@@ -276,7 +275,6 @@ def forward(
         raise InputError("token id outside the vocabulary")
     if cfg.scaling == "random" and metric_rng is None:
         metric_rng = derive_rng(cfg.seed, NS_METRIC, _EVAL_METRIC_STREAM)
-    overrides = metric_overrides or {}
     rows, width, dh = batch * t_len, cfg.embed_dim, cfg.head_dim
     ones = np.broadcast_to(np.float64(1.0), (rows, width))
     x = tape.add(
@@ -301,13 +299,6 @@ def forward(
             )
             cur, prev = (a.reshape(t_len, batch, cfg.heads, dh) for a in held)
             estimator_values = [(cur[:, :, h], prev[:, :, h]) for h in range(cfg.heads)]
-        pinned = [h for h in range(cfg.heads) if (li, h) in overrides]
-        if pinned:
-            m = np.array(ones if m is None else m)
-            by_head = m.reshape(batch, t_len, cfg.heads, dh)
-            for h in pinned:
-                by_head[:, :, h] = np.asarray(overrides[(li, h)], dtype=np.float64)
-                estimator_values[h] = None
         merged = tape.block_causal_attention(
             qm, km, vm, 1.0 if m is None else m, temp, batch, cfg.heads
         )
@@ -322,12 +313,12 @@ def forward(
         states.append(
             AttentionLayerState(
                 layer=li,
-                queries=qm.value,
-                keys=km.value,
-                values=vm.value,
+                queries=_read_only(qm.value),
+                keys=_read_only(km.value),
+                values=_read_only(vm.value),
                 metric=ones if m is None else m,
                 estimator_values=estimator_values,
-                representation=x.value,
+                representation=_read_only(x.value),
             )
         )
         prev_values = values

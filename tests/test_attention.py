@@ -243,17 +243,12 @@ class TestEllipticalAttention:
             np.testing.assert_allclose(out.h[i], expected, atol=1e-12)
         assert cfg.temperature == pytest.approx(np.sqrt(2.0))
 
-    def test_causal_metric_depends_only_on_prefix(self):
+    def test_causal_config_raises(self):
+        # the causal metric is estimated in model.forward (tests/test_model.py)
         rng = make_rng(14)
-        q, k = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        v, v_prev = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        cfg = self._cfg(3, causal=True)
-        base = elliptical_attention(q, k, v, v_prev, cfg, delta=1.0)
-        v2 = v.copy()
-        v2[4:] += 10.0  # change the tail only
-        moved = elliptical_attention(q, k, v2, v_prev, cfg, delta=1.0)
-        np.testing.assert_array_equal(base.metric[:4], moved.metric[:4])
-        np.testing.assert_array_equal(base.attn[:4, :4], moved.attn[:4, :4])
+        q, k, v, v_prev = (rng.standard_normal((6, 3)) for _ in range(4))
+        with pytest.raises(ParameterError, match="model.forward"):
+            elliptical_attention(q, k, v, v_prev, self._cfg(3, causal=True), delta=1.0)
 
     def test_shape_contracts(self):
         cfg = self._cfg(3)

@@ -73,6 +73,27 @@ class TestUsageErrors:
         assert code == 2
         assert "zap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [0, -5, 1])
+    @pytest.mark.parametrize("command", ["train-lm", "diagnose"])
+    def test_eval_tokens_below_two_exits_2(self, tmp_path, monkeypatch, capsys, command, count):
+        # tokens[-0:] is the whole corpus, and one token leaves nothing to predict
+        tiny = ["--set", "layers=2", "--set", "heads=1", "--set", "head_dim=4",
+                "--set", "embed_dim=4", "--set", "ff_dim=8", "--set", "context=8",
+                "--set", "corpus_length=1024"]
+        if command == "train-lm":
+            args = ["train-lm", "--set", "steps=1", *tiny]
+        else:
+            assert _run(tmp_path, monkeypatch, "train-lm", "--set", "steps=0",
+                        "--set", "out=m", *tiny) == 0
+            args = ["diagnose", "--set", f"checkpoint={tmp_path / 'm' / 'checkpoint.bin'}",
+                    "--set", "corpus_length=1024"]
+        capsys.readouterr()
+        code = _run(tmp_path, monkeypatch, *args, "--set", f"eval_tokens={count}",
+                    "--set", "out=bad")
+        assert code == 2
+        assert "'eval_tokens'" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_missing_checkpoint_is_file_error(self, tmp_path, monkeypatch, capsys):
         code = _run(
             tmp_path, monkeypatch, "diagnose", "--set", "checkpoint=/nonexistent/x.bin"

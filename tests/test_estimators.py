@@ -14,7 +14,6 @@ from elliptical.estimators import (
     noise_drift_slack,
     oracle_variability,
     piecewise_step,
-    prefix_overlayers_raw,
     ranking_catalog,
     separable_sinusoid,
     simulate_layer_pair,
@@ -81,20 +80,6 @@ class TestOverlayersEstimator:
             estimate_overlayers(np.ones((2, 3)), np.ones((3, 2)), 1.0)
         with pytest.raises(ParameterError):
             estimate_overlayers(np.ones((2, 3)), np.ones((2, 3)), 0.0)
-
-    def test_prefix_variant_row_t_uses_first_t_plus_one_rows(self):
-        rng = make_rng(4)
-        a, b = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        rows = prefix_overlayers_raw(a, b, 0.5)
-        for t in range(6):
-            expected = estimate_overlayers(a[: t + 1], b[: t + 1], 0.5).raw
-            np.testing.assert_allclose(rows[t], expected, rtol=1e-12)
-
-    def test_prefix_last_row_matches_full_estimate(self):
-        rng = make_rng(5)
-        a, b = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
-        rows = prefix_overlayers_raw(a, b, 1.0)
-        np.testing.assert_allclose(rows[-1], estimate_overlayers(a, b, 1.0).raw, rtol=1e-12)
 
 
 class TestConsistentEstimator:

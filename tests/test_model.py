@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from elliptical.autodiff import GradTape, backward, leaf
-from elliptical.estimators import prefix_overlayers_raw
+from elliptical.estimators import estimate_overlayers
 from elliptical.metric import apply_scaling
 from elliptical.model import (
     METRIC_WARMUP,
@@ -40,6 +40,12 @@ def _tiny_cfg(vocab, elliptical=False, scaling="maxscale", seed=0, layers=2):
         vocab_size=vocab, layers=layers, heads=2, head_dim=8, embed_dim=16,
         ff_dim=32, context=32, elliptical=elliptical, scaling=scaling, seed=seed,
     )
+
+
+def _one_head_cfg(vocab):
+    # one head: the attention node's head split is a view of the q/k/v arrays
+    return ModelConfig(vocab_size=vocab, layers=3, heads=1, head_dim=16, embed_dim=16,
+                       ff_dim=32, context=32, elliptical=True)
 
 
 class TestConfig:
@@ -225,12 +231,11 @@ class TestMetricRows:
             for h in range(heads):
                 cols = slice(h * dh, (h + 1) * dh)
                 for b in range(batch):
-                    raw = prefix_overlayers_raw(
-                        v_curr[b][:, cols], v_prev[b][:, cols], delta,
-                        min_samples=METRIC_WARMUP,
-                    )
-                    for t, row in enumerate(raw):
-                        ref[b * t_len + t, cols] = apply_scaling(row, mode, rng=twin).m
+                    total = np.zeros(dh)  # running sum of |v_curr - v_prev| / delta
+                    for t in range(t_len):
+                        total = total + np.abs(v_curr[b, t, cols] - v_prev[b, t, cols]) / delta
+                        raw = total / (t + 1) if t >= METRIC_WARMUP - 1 else np.zeros(dh)
+                        ref[b * t_len + t, cols] = apply_scaling(raw, mode, rng=twin).m
             assert got.tobytes() == ref.tobytes(), mode
             assert stream.random() == twin.random()  # same number of draws
             assert np.all(got[t_len : 2 * t_len] == 1.0)
@@ -238,6 +243,27 @@ class TestMetricRows:
                 assert np.all(got[b * t_len : b * t_len + METRIC_WARMUP - 1] == 1.0)
             for copy, stack in zip(held, (v_curr, v_prev)):
                 assert np.array_equal(copy, stack.transpose(1, 0, 2).reshape(t_len, -1))
+
+    def test_row_t_uses_first_t_plus_one_rows(self):
+        # unscaled mode returns the raw estimate (all of it above the floor here)
+        batch, t_len, heads, dh, delta = 2, METRIC_WARMUP + 8, 2, 3, 0.5
+        rng = make_rng(4)
+        v_curr, v_prev = (rng.standard_normal((batch, t_len, heads * dh)) for _ in range(2))
+        got, _ = _metric_rows(v_curr, v_prev, heads, "unscaled", delta)
+        for b in range(batch):
+            for h in range(heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                for t in range(METRIC_WARMUP - 1, t_len):
+                    prefix = (v_curr[b, : t + 1, cols], v_prev[b, : t + 1, cols])
+                    expected = estimate_overlayers(*prefix, delta).raw
+                    np.testing.assert_allclose(got[b * t_len + t, cols], expected, rtol=1e-12)
+
+    def test_last_row_matches_full_estimate(self):
+        rng = make_rng(5)
+        v_curr, v_prev = (rng.standard_normal((1, METRIC_WARMUP + 4, 2)) for _ in range(2))
+        got, _ = _metric_rows(v_curr, v_prev, 1, "unscaled", 1.0)
+        expected = estimate_overlayers(v_curr[0], v_prev[0], 1.0).raw
+        np.testing.assert_allclose(got[-1], expected, rtol=1e-12)
 
 
 class TestStackedPathStructure:
@@ -288,11 +314,7 @@ class TestStopGradient:
         corpus = synthetic_corpus(3, 600)
         toks = corpus.tokens[:17]
         two_heads = _tiny_cfg(corpus.vocab_size, elliptical=True, layers=3)
-        # one head: the attention node reads the value array itself, not a copy
-        one_head = ModelConfig(vocab_size=corpus.vocab_size, layers=3, heads=1,
-                               head_dim=16, embed_dim=16, ff_dim=32, context=32,
-                               elliptical=True)
-        for cfg in (two_heads, one_head):
+        for cfg in (two_heads, _one_head_cfg(corpus.vocab_size)):
             params = init_params(cfg)
             scaled = []
 
@@ -323,32 +345,48 @@ class TestStopGradient:
                 else:
                     assert np.array_equal(clean[name], tampered[name]), (cfg.heads, name)
 
-    def test_backward_matches_fd_with_frozen_metric(self):
+    def test_recorded_arrays_are_read_only(self):
+        corpus = synthetic_corpus(3, 600)
+        cfg = _one_head_cfg(corpus.vocab_size)
+        _, states = forward(corpus.tokens[:17], init_params(cfg), cfg, GradTape())
+        for st in states:
+            for name in ("queries", "keys", "values", "representation"):
+                with pytest.raises(ValueError):
+                    getattr(st, name)[0, 0] = 1.0
+
+    def test_backward_matches_fd_with_frozen_metric(self, monkeypatch):
+        from elliptical import model
+
         corpus = synthetic_corpus(4, 600)
         cfg = ModelConfig(vocab_size=corpus.vocab_size, layers=2, heads=2,
                           head_dim=4, embed_dim=8, ff_dim=16, context=16,
                           elliptical=True, seed=4)
         params = init_params(cfg)
-        toks = corpus.tokens[:9]
+        toks = corpus.tokens[: cfg.context + 1]  # the last row is past the warm-up
 
         tape = GradTape()
         logits, states = forward(toks[:-1], params, cfg, tape)
-        dh = cfg.head_dim
-        overrides = {
-            (li, h): st.metric[:, h * dh : (h + 1) * dh].copy()
-            for li, st in enumerate(states)
-            for h in range(cfg.heads)
-        }
+        frozen = [st.metric.copy() for st in states[1:]]  # layers that estimate one
+        assert np.any(frozen[0] != 1.0)
         loss = tape.cross_entropy(logits, toks[1:])
         for p in params.values():
             p.grad = None
         backward(tape, loss)
 
+        estimate, pending = model._metric_rows, []
+
+        def frozen_rows(*args, **kwargs):  # the metric at params, not at the bumped copy
+            return pending.pop(0), estimate(*args, **kwargs)[1]
+
+        monkeypatch.setattr(model, "_metric_rows", frozen_rows)
+
         def frozen_loss(values, name):
             trial = {k: leaf(v if k != name else values) for k, v in
                      ((k, p.value) for k, p in params.items())}
             t = GradTape()
-            lg, _ = forward(toks[:-1], trial, cfg, t, metric_overrides=overrides)
+            pending[:] = frozen
+            lg, _ = forward(toks[:-1], trial, cfg, t)
+            assert not pending
             return float(t.cross_entropy(lg, toks[1:]).value[0, 0])
 
         rng = make_rng(9)
