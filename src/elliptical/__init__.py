@@ -34,8 +34,8 @@ from .metric import (
     scale_rows,
 )
 from .model import ModelConfig, TrainParams, corrupt_tokens, diagnose, forward, train
-from .numerics import finite_diff_jacobian, make_rng, matmul, softmax_rows
-from .nwlab import NWDataset, nw_estimate, run_sparse_mse_experiment
+from .numerics import finite_diff_jacobian, make_rng, softmax_rows
+from .nwlab import NWDataset, nw_estimate_batch, run_sparse_mse_experiment
 
 __all__ = [
     "AttentionConfig",
@@ -60,8 +60,7 @@ __all__ = [
     "make_rng",
     "masa",
     "masa_jacobian",
-    "matmul",
-    "nw_estimate",
+    "nw_estimate_batch",
     "oracle_variability",
     "robustness_bound",
     "run_sparse_mse_experiment",

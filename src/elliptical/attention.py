@@ -21,28 +21,21 @@ from .numerics import ParameterError, ShapeError, as_matrix, as_vector, softmax_
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Shared knobs for the attention kernels.
-
-    ``temperature`` defaults to sqrt(head_dim); it stays there even when the
-    metric rescales the logits.
-    """
+    """Shared knobs for the attention kernels."""
 
     head_dim: int
     weights: EllipticalWeights
-    temperature: float | None = None
-    causal: bool = False
 
     def __post_init__(self):
-        temp = self.temperature
-        if temp is None:
-            temp = float(np.sqrt(self.head_dim))
-            object.__setattr__(self, "temperature", temp)
-        if temp <= 0:
-            raise ParameterError("temperature must be positive")
         if self.weights.dim != self.head_dim:
             raise ShapeError(
                 f"weights have dim {self.weights.dim}, head_dim is {self.head_dim}"
             )
+
+    @property
+    def temperature(self) -> float:
+        """sqrt(head_dim); it stays there even when the metric rescales the logits."""
+        return float(np.sqrt(self.head_dim))
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,6 @@ class AttentionOutput:
     h: np.ndarray
     attn: np.ndarray
     logits: np.ndarray
-    metric: np.ndarray  # the m passed to weighted_kernel
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -73,10 +65,10 @@ def weighted_kernel(
     if causal:
         logits = logits + causal_mask(q.shape[0])
     attn = softmax_rows(logits)
-    return AttentionOutput(h=attn @ v, attn=attn, logits=logits, metric=m)
+    return AttentionOutput(h=attn @ v, attn=attn, logits=logits)
 
 
-def _check_qkv(q, k, v, causal: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = as_matrix(q)
     k = as_matrix(k)
     v = as_matrix(v)
@@ -84,17 +76,15 @@ def _check_qkv(q, k, v, causal: bool) -> tuple[np.ndarray, np.ndarray, np.ndarra
         raise ShapeError(f"query dim {q.shape[1]} != key dim {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"{k.shape[0]} keys vs {v.shape[0]} values")
-    if causal and q.shape[0] != k.shape[0]:
-        raise ShapeError("causal masking requires one query per key position")
     return q, k, v
 
 
 def standard_attention(q, k, v, cfg: AttentionConfig) -> AttentionOutput:
     """Plain scaled dot-product attention; requires identity weights."""
-    q, k, v = _check_qkv(q, k, v, cfg.causal)
+    q, k, v = _check_qkv(q, k, v)
     if not np.all(cfg.weights.m == 1.0):
         raise ParameterError("standard attention requires identity weights")
-    return weighted_kernel(q, k, v, np.ones(cfg.head_dim), cfg.temperature, cfg.causal)
+    return weighted_kernel(q, k, v, np.ones(cfg.head_dim), cfg.temperature, causal=False)
 
 
 def masa(q, keys, w: EllipticalWeights) -> np.ndarray:
@@ -141,9 +131,7 @@ def elliptical_attention(
     and floor, and the metric carries no gradient.  Causal models estimate
     one metric row per position, from its prefix, in ``model.forward``.
     """
-    if cfg.causal:
-        raise ParameterError("elliptical_attention is non-causal; use model.forward")
-    q, k, v = _check_qkv(q, k, v, causal=False)
+    q, k, v = _check_qkv(q, k, v)
     v_prev = as_matrix(v_prev)
     if v_prev.shape != v.shape:
         raise ShapeError(f"v_prev shape {v_prev.shape} != v shape {v.shape}")

@@ -13,16 +13,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 import numpy as np
 from scipy import stats
 
 from . import estimators, model, nwlab, verification
 from .attention import minmax_scale_rows
-from .numerics import derive_rng
+from .numerics import ParameterError, derive_rng
 
 _NS_BENCH = 41
 
@@ -59,6 +59,28 @@ class Option:
     parse: Callable[[str], Any]
     default: Any = None
     required: bool = False
+
+
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: _parse_str}
+
+
+def _options(cls, skip: tuple[str, ...] = ()) -> dict[str, Option]:
+    """One option per dataclass field: the parser follows the field's type and
+    the default is the field's; a field without a default is a required key."""
+    types = get_type_hints(cls)
+    return {
+        f.name: Option(_PARSERS[types[f.name]], required=True)
+        if f.default is MISSING
+        else Option(_PARSERS[types[f.name]], f.default)
+        for f in fields(cls)
+        if f.name not in skip
+    }
+
+
+def _build(cls, cfg: dict[str, Any], **given):
+    """``cls`` from the config keys that name its fields; ``given`` wins."""
+    kwargs = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+    return cls(**{**kwargs, **given})
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -125,9 +147,13 @@ def write_config_echo(out_dir: Path, cfg: dict[str, Any]) -> None:
     (out_dir / "config_echo.txt").write_text("\n".join(lines) + "\n")
 
 
-def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    """Fixed CSV dialect: mandatory header, comma separator, LF endings."""
-    lines = [",".join(header)]
+def write_csv(
+    path: Path, header: tuple[str, ...], rows: list[tuple], comment: str | None = None
+) -> None:
+    """Fixed CSV dialect: optional ``# comment`` line, mandatory header, comma
+    separator, LF endings."""
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_format_value(v) for v in row))
     with open(path, "w", newline="\n") as fh:
@@ -165,17 +191,7 @@ def cmd_nw_sparse(cfg: dict[str, Any], jobs: int) -> int:
     write_config_echo(out_dir, cfg)
     truth = _nw_truth(cfg["truth"], cfg["dim"])
     result = nwlab.run_sparse_mse_experiment(
-        nwlab.SparseMSEConfig(
-            truth=truth,
-            n=cfg["n"],
-            n_queries=cfg["n_queries"],
-            noise_std=cfg["noise_std"],
-            seeds=cfg["seeds"],
-            seed=cfg["seed"],
-            weights_source=cfg["weights_source"],
-            scaling=cfg["scaling"],
-        ),
-        jobs=jobs,
+        _build(nwlab.SparseMSEConfig, cfg, truth=truth), jobs=jobs
     )
     rows = []
     for s in range(cfg["seeds"]):
@@ -224,18 +240,7 @@ EDGE_SCHEMA = {
 def cmd_edge_preserve(cfg: dict[str, Any], jobs: int) -> int:
     out_dir = resolve_out_dir(cfg["out"])
     write_config_echo(out_dir, cfg)
-    result = nwlab.run_edge_preservation_experiment(
-        nwlab.EdgeConfig(
-            n=cfg["n"],
-            seeds=cfg["seeds"],
-            seed=cfg["seed"],
-            noise_std=cfg["noise_std"],
-            query_offset=cfg["query_offset"],
-            est_t=cfg["est_t"],
-            est_points=cfg["est_points"],
-        ),
-        jobs=jobs,
-    )
+    result = nwlab.run_edge_preservation_experiment(_build(nwlab.EdgeConfig, cfg), jobs=jobs)
     rows = []
     for s in range(cfg["seeds"]):
         rows.append(("edge-preserve", "euclidean", s, cfg["n"], 0.0, "estimate_distance", float(result.per_seed_euclidean[s])))
@@ -313,26 +318,19 @@ def cmd_estimator_bench(cfg: dict[str, Any], jobs: int) -> int:
 # train-lm.
 # ---------------------------------------------------------------------------
 
-TRAIN_SCHEMA = {
-    "steps": Option(int, required=True),
+CORPUS_SCHEMA = {
     "corpus": Option(_parse_str, "synthetic"),  # synthetic | alternating | file
     "corpus_file": Option(_parse_str, ""),
     "corpus_length": Option(int, 8192),
     "corpus_symbols": Option(int, 12),
     "corpus_order": Option(int, 2),
+}
+
+TRAIN_SCHEMA = {
+    **CORPUS_SCHEMA,
+    **_options(model.ModelConfig, skip=("vocab_size",)),
+    **_options(model.TrainParams),
     "eval_tokens": Option(int, 1024),
-    "layers": Option(int, 4),
-    "heads": Option(int, 2),
-    "head_dim": Option(int, 16),
-    "embed_dim": Option(int, 32),
-    "ff_dim": Option(int, 64),
-    "context": Option(int, 64),
-    "elliptical": Option(_parse_bool, False),
-    "scaling": Option(_parse_str, "maxscale"),
-    "delta": Option(float, 1.0),
-    "seed": Option(int, 0),
-    "lr": Option(float, 3e-4),
-    "batch_size": Option(int, 8),
     "corrupt": Option(_parse_bool, False),
     "corrupt_rate": Option(float, 0.025),
     "resume": Option(_parse_str, ""),
@@ -356,22 +354,6 @@ def _build_corpus(cfg: dict[str, Any]) -> model.Corpus:
     raise UsageError(f"bad value for key 'corpus': {kind!r}")
 
 
-def _model_config(cfg: dict[str, Any], vocab_size: int) -> model.ModelConfig:
-    return model.ModelConfig(
-        vocab_size=vocab_size,
-        layers=cfg["layers"],
-        heads=cfg["heads"],
-        head_dim=cfg["head_dim"],
-        embed_dim=cfg["embed_dim"],
-        ff_dim=cfg["ff_dim"],
-        context=cfg["context"],
-        elliptical=cfg["elliptical"],
-        scaling=cfg["scaling"],
-        delta=cfg["delta"],
-        seed=cfg["seed"],
-    )
-
-
 def _check_eval_tokens(cfg: dict[str, Any]) -> None:
     if cfg["eval_tokens"] < 2:  # tokens[-0:] would be the whole corpus
         raise UsageError("bad value for key 'eval_tokens': need at least 2 tokens")
@@ -387,8 +369,8 @@ def cmd_train_lm(cfg: dict[str, Any], jobs: int) -> int:
     eval_tokens = corpus.tokens[corpus.tokens.size - eval_count :]
     train_corpus = model.Corpus(train_tokens, corpus.charset)
 
-    mcfg = _model_config(cfg, corpus.vocab_size)
-    tp = model.TrainParams(steps=cfg["steps"], lr=cfg["lr"], batch_size=cfg["batch_size"])
+    mcfg = _build(model.ModelConfig, cfg, vocab_size=corpus.vocab_size)
+    tp = _build(model.TrainParams, cfg)
     if cfg["resume"]:
         ckpt_path = Path(cfg["resume"])
         if not ckpt_path.exists():
@@ -431,11 +413,7 @@ def cmd_train_lm(cfg: dict[str, Any], jobs: int) -> int:
 
 DIAGNOSE_SCHEMA = {
     "checkpoint": Option(_parse_str, required=True),
-    "corpus": Option(_parse_str, "synthetic"),
-    "corpus_file": Option(_parse_str, ""),
-    "corpus_length": Option(int, 8192),
-    "corpus_symbols": Option(int, 12),
-    "corpus_order": Option(int, 2),
+    **CORPUS_SCHEMA,
     "eval_tokens": Option(int, 512),
     "epsilons": Option(_parse_str, "0.01,0.1,1.0"),
     "corrupt_rate": Option(float, 0.025),
@@ -486,15 +464,12 @@ def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
     for li, maps in enumerate(report.attention):
         for h, attn in enumerate(maps):
             scaled = minmax_scale_rows(attn)
-            path = out_dir / f"heatmap_l{li + 1}_h{h}.csv"
-            header = ("query",) + tuple(f"key{j}" for j in range(scaled.shape[1]))
-            body = [(i,) + tuple(float(x) for x in scaled[i]) for i in range(scaled.shape[0])]
-            lines = ["# rows min-max scaled to [0,1]; constant rows map to all zeros"]
-            lines.append(",".join(header))
-            for row in body:
-                lines.append(",".join(_format_value(v) for v in row))
-            with open(path, "w", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+            write_csv(
+                out_dir / f"heatmap_l{li + 1}_h{h}.csv",
+                ("query",) + tuple(f"key{j}" for j in range(scaled.shape[1])),
+                [(i,) + tuple(float(x) for x in row) for i, row in enumerate(scaled)],
+                comment="rows min-max scaled to [0,1]; constant rows map to all zeros",
+            )
     n_maps = sum(len(maps) for maps in report.attention)
     print(f"diagnose: wrote per-layer metrics and {n_maps} heatmaps")
     return 0
@@ -563,6 +538,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"file error: {exc}", file=sys.stderr)
+        return 1
+    except (ParameterError, model.InputError, model.TrainingError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -25,8 +25,6 @@ from .numerics import (
     finite_diff_jacobian,
 )
 
-ESTIMATOR_KINDS = ("overlayers", "consistent", "oracle")
-
 _NS_CONSISTENCY = 31
 
 
@@ -35,12 +33,8 @@ class VariabilityEstimate:
     """Raw (pre-scaling) per-dimension variability estimates."""
 
     raw: np.ndarray
-    estimator: str
-    delta_or_t: float
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATOR_KINDS:
-            raise ParameterError(f"unknown estimator kind {self.estimator!r}")
         raw = np.asarray(self.raw, dtype=np.float64)
         if raw.ndim != 1 or not np.all(np.isfinite(raw)) or np.any(raw < 0):
             raise ParameterError("raw estimates must be finite nonnegative 1-D")
@@ -204,7 +198,7 @@ def estimate_overlayers(v_curr, v_prev, delta: float) -> VariabilityEstimate:
     if v_curr.shape != v_prev.shape:
         raise ShapeError(f"value shapes differ: {v_curr.shape} vs {v_prev.shape}")
     raw = np.mean(np.abs(v_curr - v_prev), axis=0) / delta
-    return VariabilityEstimate(raw, "overlayers", delta)
+    return VariabilityEstimate(raw)
 
 
 def estimate_consistent(
@@ -231,7 +225,7 @@ def estimate_consistent(
         if not (np.all(np.isfinite(up)) and np.all(np.isfinite(um))):
             raise EvaluationError("predictor produced non-finite values")
         raw[i] = np.mean(np.sum(np.abs(up - um), axis=1)) / (2.0 * t)
-    return VariabilityEstimate(raw, "consistent", t)
+    return VariabilityEstimate(raw)
 
 
 def oracle_variability(
@@ -250,7 +244,7 @@ def oracle_variability(
         jac = finite_diff_jacobian(lambda v: f(v), x, h)
         raw += np.sum(np.abs(jac), axis=0)
     raw /= n_mc
-    return VariabilityEstimate(raw, "oracle", h)
+    return VariabilityEstimate(raw)
 
 
 @dataclass(frozen=True)

@@ -52,18 +52,14 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Corpus:
-    """Token stream plus its character inventory and the reserved swap token."""
+    """Token stream plus its character inventory."""
 
     tokens: np.ndarray
     charset: str
 
     @property
-    def generic_id(self) -> int:
-        return len(self.charset)
-
-    @property
     def vocab_size(self) -> int:
-        # one extra slot for the generic corruption token
+        # one extra slot, id len(charset), for the generic corruption token
         return len(self.charset) + 1
 
 
@@ -333,13 +329,16 @@ def forward(
 # ---------------------------------------------------------------------------
 
 
+#: Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainParams:
     steps: int
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 8
 
 
@@ -353,13 +352,13 @@ class AdamState:
 
     def step(self, params: dict[str, Tensor], tp: TrainParams) -> None:
         self.t += 1
-        c1 = 1.0 - tp.beta1**self.t
-        c2 = 1.0 - tp.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for name, p in params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            self.m[name] = tp.beta1 * self.m[name] + (1.0 - tp.beta1) * g
-            self.v[name] = tp.beta2 * self.v[name] + (1.0 - tp.beta2) * g * g
-            p.value -= tp.lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + tp.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
+            p.value -= tp.lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -466,7 +465,6 @@ class DiagnosticsReport:
     ppl_corrupt: float
     robustness: np.ndarray  # (layers, len(epsilons)) mean ratio per scale
     robustness_sup: float
-    epsilons: tuple[float, ...]
     attention: list[list[np.ndarray]]  # [layer][head] causal attention map
 
 
@@ -547,7 +545,6 @@ def diagnose(
         ppl_corrupt=ppl_corrupt,
         robustness=ratios,
         robustness_sup=sup,
-        epsilons=tuple(epsilons),
         attention=attention,
     )
 
@@ -582,23 +579,34 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a file that is not one, or is cut short, raises a
+    ``ParameterError`` that names it."""
     with open(path, "rb") as fh:
-        if fh.readline().decode().strip() != _CKPT_MAGIC:
+        if fh.readline().strip() != _CKPT_MAGIC.encode():
             raise ParameterError(f"{path} is not a model checkpoint")
-        header = json.loads(fh.readline().decode())
+        try:
+            header = json.loads(fh.readline())
+            cfg = ModelConfig(**header["config"])
+            step, adam_t = header["step"], header["adam_t"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParameterError(f"{path}: malformed checkpoint header ({exc})") from None
         tables: dict[str, dict[str, np.ndarray]] = {"p": {}, "m": {}, "v": {}}
-        while True:
-            line = fh.readline()
-            if not line:
-                break
-            kind, name, rows, cols = line.decode().split()
-            rows, cols = int(rows), int(cols)
-            buf = fh.read(rows * cols * 8)
-            tables[kind][name] = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
-    cfg = ModelConfig(**header["config"])
+        while line := fh.readline():
+            try:
+                kind, name, rows, cols = line.decode().split()
+                table, shape = tables[kind], (int(rows), int(cols))
+            except (ValueError, KeyError):
+                raise ParameterError(f"{path}: malformed table header {line[:40]!r}") from None
+            size = 8 * shape[0] * shape[1]
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ParameterError(f"{path}: payload of {kind} {name} is cut short")
+            table[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    if not tables["p"] or not tables["p"].keys() == tables["m"].keys() == tables["v"].keys():
+        raise ParameterError(f"{path}: tables are missing; the file is cut short")
     params = {name: leaf(arr) for name, arr in tables["p"].items()}
     opt = AdamState(params)
     opt.m = tables["m"]
     opt.v = tables["v"]
-    opt.t = header["adam_t"]
-    return Checkpoint(cfg=cfg, step=header["step"], params=params, opt=opt)
+    opt.t = adam_t
+    return Checkpoint(cfg=cfg, step=step, params=params, opt=opt)

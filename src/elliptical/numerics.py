@@ -27,19 +27,9 @@ class EvaluationError(ArithmeticError):
     """A user-supplied function returned NaN or infinity."""
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Return ``data`` as a finite 2-D float64 array (row-major).
-
-    With ``rows``/``cols`` given, flat input is reshaped and the shape is
-    enforced; entries must be finite.
-    """
+def as_matrix(data) -> np.ndarray:
+    """Return ``data`` as a finite 2-D float64 array (row-major)."""
     a = np.array(data, dtype=np.float64, order="C")
-    if rows is not None or cols is not None:
-        if rows is None or cols is None:
-            raise ShapeError("rows and cols must be given together")
-        if a.size != rows * cols:
-            raise ShapeError(f"cannot shape {a.size} entries into {rows}x{cols}")
-        a = a.reshape(rows, cols)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
@@ -47,28 +37,12 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndar
     return a
 
 
-def as_vector(data, length: int | None = None) -> np.ndarray:
-    """Return ``data`` as a finite 1-D float64 array of optional fixed length."""
+def as_vector(data) -> np.ndarray:
+    """Return ``data`` as a finite, flattened 1-D float64 array."""
     v = np.asarray(data, dtype=np.float64).reshape(-1)
-    if length is not None and v.size != length:
-        raise ShapeError(f"expected a vector of length {length}, got {v.size}")
     if not np.all(np.isfinite(v)):
         raise ShapeError("vector entries must be finite")
     return v
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense product with an explicit conformability check.
-
-    Accumulates in float64 regardless of input dtype.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .estimators import (
     uniform_sampler,
 )
 from .metric import EllipticalWeights, apply_scaling, identity_weights
-from .numerics import ParameterError, ShapeError, as_matrix, as_vector, derive_rng
+from .numerics import ParameterError, ShapeError, as_matrix, derive_rng
 
 _NS_SPARSE = 11
 _NS_EDGE = 12
@@ -114,21 +114,6 @@ def nw_estimate_batch(
     kernel = np.exp(logits)
     kernel /= kernel.sum(axis=1, keepdims=True)
     return kernel @ data.values
-
-
-def nw_estimate(query, data: NWDataset, bandwidth: float, w: EllipticalWeights) -> np.ndarray:
-    """Single-query convenience wrapper around :func:`nw_estimate_batch`."""
-    query = as_vector(query)
-    return nw_estimate_batch(query[None, :], data, bandwidth, w)[0]
-
-
-def nw_predictor(data: NWDataset, bandwidth: float, w: EllipticalWeights):
-    """The fitted regression function as a plain batch-callable predictor."""
-
-    def predict(points: np.ndarray) -> np.ndarray:
-        return nw_estimate_batch(points, data, bandwidth, w)
-
-    return predict
 
 
 def cross_validate_bandwidth(

@@ -101,26 +101,24 @@ class TestStandardAttention:
 
 
 class TestCausalMasking:
+    # the masked kernel that diagnose runs on each head of a causal model
     def test_strictly_upper_triangle_is_zero(self):
         rng = make_rng(4)
-        cfg = AttentionConfig(head_dim=3, weights=identity_weights(3), causal=True)
         n = 6
-        out = standard_attention(
-            rng.standard_normal((n, 3)), rng.standard_normal((n, 3)),
-            rng.standard_normal((n, 3)), cfg,
-        )
+        q, k, v = (rng.standard_normal((n, 3)) for _ in range(3))
+        out = weighted_kernel(q, k, v, np.ones(3), float(np.sqrt(3.0)), causal=True)
         for i in range(n):
             assert np.all(out.attn[i, i + 1 :] == 0.0)
             assert out.attn[i, : i + 1].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_prefix_rows_unchanged_by_extension(self):
         rng = make_rng(5)
-        cfg = AttentionConfig(head_dim=3, weights=identity_weights(3), causal=True)
         q = rng.standard_normal((7, 3))
         k = rng.standard_normal((7, 3))
         v = rng.standard_normal((7, 3))
-        short = standard_attention(q[:4], k[:4], v[:4], cfg)
-        full = standard_attention(q, k, v, cfg)
+        m = np.array([1.0, 0.5, 0.25])
+        short = weighted_kernel(q[:4], k[:4], v[:4], m, float(np.sqrt(3.0)), causal=True)
+        full = weighted_kernel(q, k, v, m, float(np.sqrt(3.0)), causal=True)
         np.testing.assert_allclose(full.attn[:4, :4], short.attn, atol=1e-12)
         np.testing.assert_allclose(full.h[:4], short.h, atol=1e-12)
 
@@ -200,11 +198,9 @@ class TestMasaJacobian:
 
 
 class TestEllipticalAttention:
-    def _cfg(self, d, mode="maxscale", causal=False):
+    def _cfg(self, d, mode="maxscale"):
         return AttentionConfig(
-            head_dim=d,
-            weights=apply_scaling(np.ones(d), mode, rng=make_rng(0)),
-            causal=causal,
+            head_dim=d, weights=apply_scaling(np.ones(d), mode, rng=make_rng(0))
         )
 
     def test_equal_value_layers_reduce_to_standard(self):
@@ -242,13 +238,6 @@ class TestEllipticalAttention:
             expected = weights @ v
             np.testing.assert_allclose(out.h[i], expected, atol=1e-12)
         assert cfg.temperature == pytest.approx(np.sqrt(2.0))
-
-    def test_causal_config_raises(self):
-        # the causal metric is estimated in model.forward (tests/test_model.py)
-        rng = make_rng(14)
-        q, k, v, v_prev = (rng.standard_normal((6, 3)) for _ in range(4))
-        with pytest.raises(ParameterError, match="model.forward"):
-            elliptical_attention(q, k, v, v_prev, self._cfg(3, causal=True), delta=1.0)
 
     def test_shape_contracts(self):
         cfg = self._cfg(3)

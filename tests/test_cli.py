@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 
 from elliptical.cli import (
+    COMMANDS,
     Option,
     UsageError,
+    _parse_bool,
+    _parse_str,
     load_config,
     main,
     parse_config_text,
 )
+
+#: a small model for commands that only need a checkpoint or a quick failure
+TINY = ["--set", "layers=2", "--set", "heads=1", "--set", "head_dim=4",
+        "--set", "embed_dim=4", "--set", "ff_dim=8", "--set", "context=8",
+        "--set", "corpus_length=1024"]
 
 
 def _run(tmp_path, monkeypatch, *argv):
@@ -62,6 +70,65 @@ class TestConfigParsing:
             load_config({"n": Option(int, required=True)}, Args())
 
 
+_S, _B = _parse_str, _parse_bool
+_CORPUS = {
+    "corpus": (_S, "synthetic"), "corpus_file": (_S, ""), "corpus_length": (int, 8192),
+    "corpus_symbols": (int, 12), "corpus_order": (int, 2),
+}
+#: every key of every subcommand as (parser, default); a default of None
+#: marks a required key
+SCHEMAS = {
+    "nw-sparse": {
+        "n": (int, None), "dim": (int, 5), "seeds": (int, 20), "seed": (int, 0),
+        "noise_std": (float, 0.3), "n_queries": (int, 500),
+        "weights_source": (_S, "oracle"), "scaling": (_S, "maxscale"),
+        "truth": (_S, "sparse"), "out": (_S, "out/nw-sparse"),
+    },
+    "edge-preserve": {
+        "n": (int, None), "seeds": (int, 20), "seed": (int, 0), "noise_std": (float, 0.3),
+        "query_offset": (float, 0.3), "est_t": (float, 0.1), "est_points": (int, 2000),
+        "out": (_S, "out/edge-preserve"),
+    },
+    "estimator-bench": {
+        "seeds": (int, 20), "seed": (int, 0), "n": (int, 2048), "delta": (float, 1.0),
+        "noise_std": (float, 0.01), "out": (_S, "out/estimator-bench"),
+    },
+    "train-lm": {
+        **_CORPUS, "steps": (int, None), "eval_tokens": (int, 1024), "layers": (int, 4),
+        "heads": (int, 2), "head_dim": (int, 16), "embed_dim": (int, 32),
+        "ff_dim": (int, 64), "context": (int, 64), "elliptical": (_B, False),
+        "scaling": (_S, "maxscale"), "delta": (float, 1.0), "seed": (int, 0),
+        "lr": (float, 3e-4), "batch_size": (int, 8), "corrupt": (_B, False),
+        "corrupt_rate": (float, 0.025), "resume": (_S, ""), "out": (_S, "out/train-lm"),
+    },
+    "diagnose": {
+        **_CORPUS, "checkpoint": (_S, None), "eval_tokens": (int, 512),
+        "epsilons": (_S, "0.01,0.1,1.0"), "corrupt_rate": (float, 0.025),
+        "seed": (int, 0), "out": (_S, "out/diagnose"),
+    },
+    "verify": {"seed": (int, 0), "kappa_offset": (float, 0.0), "out": (_S, "out/verify")},
+}
+
+
+class TestSchemas:
+    @pytest.mark.parametrize("command", sorted(SCHEMAS))
+    def test_keys_parsers_and_defaults_are_pinned(self, command):
+        # train-lm keys come from ModelConfig and TrainParams fields, so a new
+        # field shows up here as a CLI change
+        schema = COMMANDS[command][0]
+        got = {
+            key: (opt.parse, None if opt.required else opt.default)
+            for key, opt in schema.items()
+        }
+        assert got == SCHEMAS[command]
+        for key, opt in schema.items():
+            assert opt.required == (SCHEMAS[command][key][1] is None), key
+            assert type(opt.default) is type(SCHEMAS[command][key][1]), key
+
+    def test_every_command_is_pinned(self):
+        assert sorted(COMMANDS) == sorted(SCHEMAS)
+
+
 class TestUsageErrors:
     def test_missing_required_key_exits_2(self, tmp_path, monkeypatch, capsys):
         code = _run(tmp_path, monkeypatch, "nw-sparse")
@@ -77,14 +144,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["train-lm", "diagnose"])
     def test_eval_tokens_below_two_exits_2(self, tmp_path, monkeypatch, capsys, command, count):
         # tokens[-0:] is the whole corpus, and one token leaves nothing to predict
-        tiny = ["--set", "layers=2", "--set", "heads=1", "--set", "head_dim=4",
-                "--set", "embed_dim=4", "--set", "ff_dim=8", "--set", "context=8",
-                "--set", "corpus_length=1024"]
         if command == "train-lm":
-            args = ["train-lm", "--set", "steps=1", *tiny]
+            args = ["train-lm", "--set", "steps=1", *TINY]
         else:
             assert _run(tmp_path, monkeypatch, "train-lm", "--set", "steps=0",
-                        "--set", "out=m", *tiny) == 0
+                        "--set", "out=m", *TINY) == 0
             args = ["diagnose", "--set", f"checkpoint={tmp_path / 'm' / 'checkpoint.bin'}",
                     "--set", "corpus_length=1024"]
         capsys.readouterr()
@@ -100,6 +164,46 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "file error" in capsys.readouterr().err
+
+
+def _damaged_checkpoint(tmp_path, damage):
+    assert main(["train-lm", "--set", "steps=0", "--set", "out=m", *TINY]) == 0
+    path = tmp_path / "m" / "checkpoint.bin"
+    path.write_bytes(damage(path.read_bytes()))
+    return ["diagnose", "--set", f"checkpoint={path}", "--set", "corpus_length=1024"]
+
+
+def _short_corpus(tmp_path):
+    (tmp_path / "short.txt").write_text("hello world")  # 11 characters
+    return ["train-lm", "--set", "steps=1", *TINY, "--set", "corpus=file",
+            "--set", f"corpus_file={tmp_path / 'short.txt'}"]
+
+
+#: bad inputs that are not config syntax errors: each names its cause on one
+#: line and exits 1
+FAILURE_PROBES = {
+    "truncated-checkpoint": lambda tmp: _damaged_checkpoint(tmp, lambda b: b[:-100]),
+    "checkpoint-bad-magic": lambda tmp: _damaged_checkpoint(tmp, lambda b: b"NOT A CKPT\n" + b),
+    "checkpoint-is-directory": lambda tmp: ["diagnose", "--set", f"checkpoint={tmp}"],
+    "corpus-too-short": _short_corpus,
+    "heads-mismatch": lambda tmp: ["train-lm", "--set", "steps=1", *TINY, "--set", "heads=3"],
+    "bad-scaling": lambda tmp: ["train-lm", "--set", "steps=1", *TINY, "--set", "scaling=bogus"],
+    "diverging-lr": lambda tmp: ["train-lm", "--set", "steps=3", *TINY, "--set", "lr=1e9"],
+    "too-few-seeds": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=2",
+                                  "--set", "n_queries=20", "--set", "dim=2"],
+}
+
+
+class TestCleanFailures:
+    @pytest.mark.parametrize("probe", sorted(FAILURE_PROBES))
+    def test_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys, probe):
+        monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
+        argv = FAILURE_PROBES[probe](tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestVerifyCommand:

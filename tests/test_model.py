@@ -565,6 +565,28 @@ class TestCheckpoints:
         assert pa.read_bytes() == pb.read_bytes()
 
 
+    def test_damaged_file_raises_naming_it(self, tmp_path):
+        cfg = _tiny_cfg(13)
+        params = init_params(cfg)
+        good = tmp_path / "good.bin"
+        save_checkpoint(good, params, cfg, AdamState(params), 0)
+        data = good.read_bytes()
+        # every table header start (a cut there drops whole tables), plus
+        # cuts inside headers and payloads
+        cuts = [i for i in range(1, len(data)) if data[i - 1 : i + 2] in (b"\np ", b"\nm ", b"\nv ")]
+        cuts += list(range(0, len(data), 97))
+        bad = tmp_path / "bad.bin"
+        for cut in cuts:
+            bad.write_bytes(data[:cut])
+            with pytest.raises(ParameterError, match="bad.bin"):
+                load_checkpoint(bad)
+        lines = data.split(b"\n", 2)
+        for garbled in (b"{not json", b'{"step": 0}', lines[1].replace(b'"heads": 2', b'"heads": 3')):
+            bad.write_bytes(b"\n".join([lines[0], garbled, lines[2]]))
+            with pytest.raises(ParameterError, match="bad.bin"):
+                load_checkpoint(bad)
+
+
 class TestAdam:
     def test_moments_update_toward_gradient(self):
         params = {"w": leaf(np.zeros((1, 2)))}

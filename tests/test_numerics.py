@@ -1,4 +1,4 @@
-"""Array plumbing: matmul contracts, softmax stability, the finite-difference
+"""Array plumbing: finite matrices, softmax stability, the finite-difference
 oracle, and counter-based randomness."""
 
 import numpy as np
@@ -14,56 +14,16 @@ from elliptical.numerics import (
     derive_rng,
     finite_diff_jacobian,
     make_rng,
-    matmul,
     softmax_rows,
 )
 
 
 class TestAsMatrix:
-    def test_reshapes_flat_data(self):
-        m = as_matrix([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], rows=2, cols=3)
-        assert m.shape == (2, 3)
-        assert m[1, 0] == 4.0
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            as_matrix([1.0, 2.0, 3.0], rows=2, cols=2)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ShapeError):
             as_matrix([[1.0, np.nan]])
         with pytest.raises(ShapeError):
             as_matrix([[np.inf, 1.0]])
-
-
-class TestMatmul:
-    def test_identity_is_neutral(self):
-        a = make_rng(0).standard_normal((4, 4))
-        assert np.array_equal(matmul(np.eye(4), a), a)
-
-    def test_hand_product(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-        assert np.array_equal(out, [[3.0], [7.0]])
-
-    def test_zero_annihilates(self):
-        a = make_rng(1).standard_normal((3, 5))
-        assert np.all(matmul(np.zeros((2, 3)), a) == 0.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_associativity(self, seed):
-        rng = make_rng(seed)
-        dims = rng.integers(1, 7, size=4)
-        a = rng.standard_normal((dims[0], dims[1]))
-        b = rng.standard_normal((dims[1], dims[2]))
-        c = rng.standard_normal((dims[2], dims[3]))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-12)
 
 
 class TestSoftmaxRows:

@@ -20,9 +20,7 @@ from elliptical.nwlab import (
     SparseMSEConfig,
     check_lipschitz_transfer,
     cross_validate_bandwidth,
-    nw_estimate,
     nw_estimate_batch,
-    nw_predictor,
     run_edge_preservation_experiment,
     run_sparse_mse_experiment,
     sample_dataset,
@@ -32,6 +30,11 @@ from elliptical.nwlab import (
 def _toy_dataset(rng, n=40, dim=2, noise=0.1):
     truth = separable_sinusoid(np.ones(dim), np.ones(dim))
     return sample_dataset(truth, n, noise, rng)
+
+
+def nw_estimate(query, data, bandwidth, w):
+    """One query through the batch estimator."""
+    return nw_estimate_batch(np.asarray(query, dtype=float)[None, :], data, bandwidth, w)[0]
 
 
 class TestNWEstimate:
@@ -96,19 +99,21 @@ class TestNWEstimate:
         with pytest.raises(ParameterError):
             nw_estimate([0.0, 0.0], data, 0.0, identity_weights(2))
 
-    def test_predictor_wrapper_matches_batch(self):
+    def test_one_row_queries_match_batch(self):
         rng = make_rng(3)
         data = _toy_dataset(rng)
         queries = rng.uniform(-2, 2, (9, 2))
-        pred = nw_predictor(data, 0.5, identity_weights(2))
-        np.testing.assert_array_equal(
-            pred(queries), nw_estimate_batch(queries, data, 0.5, identity_weights(2))
-        )
+        batch = nw_estimate_batch(queries, data, 0.5, identity_weights(2))
+        for q, row in zip(queries, batch):
+            np.testing.assert_allclose(nw_estimate(q, data, 0.5, identity_weights(2)), row,
+                                       rtol=1e-13, atol=1e-15)
 
     def test_consistent_estimator_composes_with_predictor(self):
         rng = make_rng(4)
         data = _toy_dataset(rng, n=100, noise=0.05)
-        pred = nw_predictor(data, 0.3, identity_weights(2))
+        def pred(points):
+            return nw_estimate_batch(points, data, 0.3, identity_weights(2))
+
         est = estimate_consistent(pred, rng.uniform(-2, 2, (64, 2)), t=0.1)
         assert est.raw.shape == (2,)
         assert np.all(est.raw >= 0.0)
