@@ -5,7 +5,8 @@ value vectors between consecutive layers.
 
 All variants share one kernel in which the query matrix is scaled by the
 relevance weights before the dot product, so forcing the weights to ones
-reproduces the plain form bit for bit.
+reproduces the plain form bit for bit.  The kernel also runs on stacks;
+``split_heads``/``merge_heads`` alone know the model's merged-head layout.
 """
 
 from __future__ import annotations
@@ -47,9 +48,23 @@ class AttentionOutput:
 
 def causal_mask(n: int) -> np.ndarray:
     """Additive mask: 0 on and below the diagonal, -inf strictly above."""
-    mask = np.zeros((n, n))
-    mask[np.triu_indices(n, k=1)] = -np.inf
-    return mask
+    return np.triu(np.full((n, n), -np.inf), k=1)
+
+
+def split_heads(a: np.ndarray, batch: int, heads: int) -> np.ndarray:
+    """(batch * t_len, heads * head_dim) -> a (batch, heads, t_len, head_dim) copy,
+    never a view, even with one head.  Head h of the merged layout is columns
+    [h * head_dim, (h + 1) * head_dim); block b is rows [b * t_len, (b + 1) * t_len)."""
+    rows, width = a.shape
+    if rows % batch != 0 or width % heads != 0:
+        raise ShapeError("stacked rows and columns must divide into blocks and heads")
+    return a.reshape(batch, rows // batch, heads, width // heads).transpose(0, 2, 1, 3).copy()
+
+
+def merge_heads(a: np.ndarray) -> np.ndarray:
+    """(batch, heads, t_len, head_dim) -> (batch * t_len, heads * head_dim)."""
+    batch, heads, t_len, dh = a.shape
+    return a.swapaxes(1, 2).reshape(batch * t_len, heads * dh)
 
 
 def weighted_kernel(
@@ -60,20 +75,23 @@ def weighted_kernel(
     temperature: float,
     causal: bool,
 ) -> AttentionOutput:
-    """softmax((q * m) @ k' / temperature) @ v; ``m`` broadcasts over rows."""
-    logits = ((q * m) @ k.T) / temperature
+    """softmax((q * m) @ k' / temperature) @ v on (t_len, d) matrices or on
+    (..., t_len, d) stacks whose leading axes broadcast; ``m`` broadcasts against ``q``."""
+    logits = np.matmul(q * m, k.swapaxes(-1, -2)) / temperature
     if causal:
-        logits = logits + causal_mask(q.shape[0])
-    attn = softmax_rows(logits)
-    return AttentionOutput(h=attn @ v, attn=attn, logits=logits)
+        logits += causal_mask(q.shape[-2])
+    attn = softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
+    return AttentionOutput(h=np.matmul(attn, v), attn=attn, logits=logits)
 
 
-def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_qkv(q, k, v, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = as_matrix(q)
     k = as_matrix(k)
     v = as_matrix(v)
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query dim {q.shape[1]} != key dim {k.shape[1]}")
+    if not q.shape[1] == k.shape[1] == cfg.head_dim:
+        raise ShapeError(
+            f"query dim {q.shape[1]}, key dim {k.shape[1]} and head_dim {cfg.head_dim} differ"
+        )
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"{k.shape[0]} keys vs {v.shape[0]} values")
     return q, k, v
@@ -81,7 +99,7 @@ def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def standard_attention(q, k, v, cfg: AttentionConfig) -> AttentionOutput:
     """Plain scaled dot-product attention; requires identity weights."""
-    q, k, v = _check_qkv(q, k, v)
+    q, k, v = _check_qkv(q, k, v, cfg)
     if not np.all(cfg.weights.m == 1.0):
         raise ParameterError("standard attention requires identity weights")
     return weighted_kernel(q, k, v, np.ones(cfg.head_dim), cfg.temperature, causal=False)
@@ -131,7 +149,7 @@ def elliptical_attention(
     and floor, and the metric carries no gradient.  Causal models estimate
     one metric row per position, from its prefix, in ``model.forward``.
     """
-    q, k, v = _check_qkv(q, k, v)
+    q, k, v = _check_qkv(q, k, v, cfg)
     v_prev = as_matrix(v_prev)
     if v_prev.shape != v.shape:
         raise ShapeError(f"v_prev shape {v_prev.shape} != v shape {v.shape}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .attention import merge_heads, split_heads, weighted_kernel
 from .numerics import ParameterError, ShapeError, softmax_rows
 
 _LN_EPS = 1e-5
@@ -151,48 +152,34 @@ class GradTape:
     ) -> Tensor:
         """Fused multi-head causal attention over ``batch`` equal-length sequences.
 
-        Inputs are stacked (batch * t_len, heads * head_dim) with head h in
-        columns [h * head_dim, (h + 1) * head_dim); block b attends only
-        within its own rows and each head only within its own columns.  The
-        output has the same merged layout.  ``m`` is a constant scale,
-        broadcast against the merged queries (per row and column, per column
-        or a scalar) before the dot product; no gradient flows into it.  The
-        node keeps its own copy of ``m``, so a caller may edit its array
-        afterwards.  One tape node covers every block and head of a layer,
-        and both passes are stacked matrix products over (batch, heads,
-        t_len, head_dim).
+        Inputs are stacked (batch * t_len, heads * head_dim) in the merged
+        layout of ``attention.split_heads``; block b attends only within its
+        own rows and each head only within its own columns.  The output has
+        the same merged layout.  ``m`` is a constant scale, broadcast against
+        the merged queries (per row and column, per column or a scalar)
+        before the dot product; no gradient flows into it.  The node keeps
+        its own copy of ``m``, so a caller may edit its array afterwards.
+        One tape node covers every block and head of a layer: the forward
+        pass is one stacked ``weighted_kernel`` call, and the backward pass
+        is stacked matrix products over (batch, heads, t_len, head_dim).
         """
-        rows, width = q.value.shape
-        if rows % batch != 0 or width % heads != 0:
-            raise ShapeError("stacked rows and columns must divide into blocks and heads")
-        t_len, dh = rows // batch, width // heads
-
-        def split(a):  # (batch * t_len, heads * dh) -> (batch, heads, t_len, dh)
-            return np.ascontiguousarray(
-                a.reshape(batch, t_len, heads, dh).transpose(0, 2, 1, 3)
-            )
-
-        def merge(a):
-            return a.transpose(0, 2, 1, 3).reshape(rows, width)
-
         m = np.array(m, dtype=np.float64)
-        qm = split(q.value * m)
-        kh, vh = split(k.value), split(v.value)
-        scores = np.matmul(qm, kh.swapaxes(-1, -2)) / temperature
-        scores += np.triu(np.full((t_len, t_len), -np.inf), k=1)  # causal mask
-        probs = softmax_rows(scores.reshape(-1, t_len)).reshape(scores.shape)
+        qm = split_heads(q.value * m, batch, heads)
+        kh, vh = split_heads(k.value, batch, heads), split_heads(v.value, batch, heads)
+        fwd = weighted_kernel(qm, kh, vh, 1.0, temperature, causal=True)  # qm is pre-scaled
+        probs = fwd.attn
 
         def bwd(g):
-            gh = split(g)
+            gh = split_heads(g, batch, heads)
             gv = np.matmul(probs.swapaxes(-1, -2), gh)
             gp = np.matmul(gh, vh.swapaxes(-1, -2))
             gs = probs * (gp - np.sum(gp * probs, axis=-1, keepdims=True))
             gs /= temperature
-            _acc(q, merge(np.matmul(gs, kh)) * m)
-            _acc(k, merge(np.matmul(gs.swapaxes(-1, -2), qm)))
-            _acc(v, merge(gv))
+            _acc(q, merge_heads(np.matmul(gs, kh)) * m)
+            _acc(k, merge_heads(np.matmul(gs.swapaxes(-1, -2), qm)))
+            _acc(v, merge_heads(gv))
 
-        return self._new(merge(np.matmul(probs, vh)), (q, k, v), bwd)
+        return self._new(merge_heads(fwd.h), (q, k, v), bwd)
 
     # -- reductions and losses ----------------------------------------------
 

@@ -188,7 +188,6 @@ def _nw_truth(kind: str, dim: int):
 
 def cmd_nw_sparse(cfg: dict[str, Any], jobs: int) -> int:
     out_dir = resolve_out_dir(cfg["out"])
-    write_config_echo(out_dir, cfg)
     truth = _nw_truth(cfg["truth"], cfg["dim"])
     result = nwlab.run_sparse_mse_experiment(
         _build(nwlab.SparseMSEConfig, cfg, truth=truth), jobs=jobs
@@ -239,7 +238,6 @@ EDGE_SCHEMA = {
 
 def cmd_edge_preserve(cfg: dict[str, Any], jobs: int) -> int:
     out_dir = resolve_out_dir(cfg["out"])
-    write_config_echo(out_dir, cfg)
     result = nwlab.run_edge_preservation_experiment(_build(nwlab.EdgeConfig, cfg), jobs=jobs)
     rows = []
     for s in range(cfg["seeds"]):
@@ -274,7 +272,6 @@ BENCH_SCHEMA = {
 
 def cmd_estimator_bench(cfg: dict[str, Any], jobs: int) -> int:
     out_dir = resolve_out_dir(cfg["out"])
-    write_config_echo(out_dir, cfg)
     catalog = estimators.ranking_catalog()
     sampler = estimators.uniform_sampler(-np.pi, np.pi, catalog.dim)
     rows = []
@@ -362,7 +359,6 @@ def _check_eval_tokens(cfg: dict[str, Any]) -> None:
 def cmd_train_lm(cfg: dict[str, Any], jobs: int) -> int:
     _check_eval_tokens(cfg)
     out_dir = resolve_out_dir(cfg["out"])
-    write_config_echo(out_dir, cfg)
     corpus = _build_corpus(cfg)
     eval_count = min(cfg["eval_tokens"], corpus.tokens.size // 4)
     train_tokens = corpus.tokens[: corpus.tokens.size - eval_count]
@@ -422,21 +418,28 @@ DIAGNOSE_SCHEMA = {
 }
 
 
+def _parse_epsilons(text: str) -> tuple[float, ...]:
+    try:
+        scales = tuple(float(x) for x in text.split(",") if x)
+    except ValueError:
+        scales = ()
+    if not scales or not all(0.0 < s < np.inf for s in scales):  # NaN fails too
+        raise UsageError(f"bad value for key 'epsilons': {text!r}; need finite, positive scales")
+    return scales
+
+
 def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
     _check_eval_tokens(cfg)
+    epsilons = _parse_epsilons(cfg["epsilons"])
     ckpt_path = Path(cfg["checkpoint"])
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint {ckpt_path} does not exist")
     out_dir = resolve_out_dir(cfg["out"])
-    write_config_echo(out_dir, cfg)
     ckpt = model.load_checkpoint(ckpt_path)
     corpus_cfg = dict(cfg)
     corpus_cfg["seed"] = ckpt.cfg.seed  # eval stream follows the trained model
     corpus = _build_corpus(corpus_cfg)
     eval_tokens = corpus.tokens[-cfg["eval_tokens"] :]
-    epsilons = tuple(float(x) for x in cfg["epsilons"].split(",") if x)
-    if not epsilons:
-        raise UsageError("bad value for key 'epsilons': need at least one scale")
     rng = derive_rng(cfg["seed"], model.NS_EVAL, 2)
     report = model.diagnose(
         ckpt.params, ckpt.cfg, eval_tokens, epsilons, rng, corrupt_rate=cfg["corrupt_rate"]
@@ -488,7 +491,6 @@ VERIFY_SCHEMA = {
 
 def cmd_verify(cfg: dict[str, Any], jobs: int) -> int:
     out_dir = resolve_out_dir(cfg["out"])
-    write_config_echo(out_dir, cfg)
     results = verification.run_all_suites(seed=cfg["seed"], kappa_offset=cfg["kappa_offset"])
     rows = [(r.name, int(r.passed), r.slack, r.detail) for r in results]
     write_csv(out_dir / "verify.csv", ("suite", "passed", "slack", "detail"), rows)
@@ -532,7 +534,10 @@ def main(argv: list[str] | None = None) -> int:
     schema, runner = COMMANDS[args.command]
     try:
         cfg = load_config(schema, args)
-        return runner(cfg, max(1, args.jobs))
+        code = runner(cfg, max(1, args.jobs))
+        # only a run that finished echoes its config, beside its outputs
+        write_config_echo(resolve_out_dir(cfg["out"]), cfg)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import weighted_kernel
+from .attention import merge_heads, split_heads, weighted_kernel
 from .autodiff import GradTape, Tensor, backward, leaf
-from .metric import DEFAULT_FLOOR, SCALING_MODES, scale_rows
-from .numerics import ParameterError, derive_rng, softmax_rows
+from .metric import SCALING_MODES, scale_rows
+from .numerics import ParameterError, derive_rng, softmax_rows, unit_rows
 
 NS_INIT = 1
 NS_BATCH = 2
@@ -153,9 +153,9 @@ class AttentionLayerState:
     block.  They are read-only views of the pass's own arrays, except the
     metric: read-only ones on layers without one, else rows the attention
     node has copied, so editing them cannot reach the gradients.
-    ``estimator_values`` holds, per head, the time-major (t_len, batch,
-    head_dim) (v_curr, v_prev) copies the variability estimator read (None
-    on layers without a metric); mutating them must not affect gradients.
+    ``estimator_values`` holds, per head, the (batch, t_len, head_dim)
+    (v_curr, v_prev) copies the variability estimator read (None on layers
+    without a metric); mutating them must not affect gradients.
     """
 
     layer: int
@@ -205,7 +205,6 @@ def _metric_rows(
     heads: int,
     mode: str,
     delta: float,
-    floor: float = DEFAULT_FLOOR,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Per-position metric rows for a (batch, t_len, heads * head_dim) stack.
@@ -216,25 +215,17 @@ def _metric_rows(
     into the identity metric.  Rows are scaled in (head, block, row) order,
     the order in which random mode draws.  Returns
     (batch * t_len, heads * head_dim) rows in the merged column layout, and
-    the time-major (t_len, batch * heads * head_dim) copies of both value
-    stacks that the estimator read.
+    the (batch, heads, t_len, head_dim) copies of both value stacks that the
+    estimator read.
     """
     batch, t_len, width = v_curr.shape
-    dh = width // heads
-
-    def time_major(a):  # (batch, t_len, width) -> a (t_len, batch * width) copy
-        return a.transpose(1, 0, 2).copy().reshape(t_len, batch * width)
-
-    held = (time_major(v_curr), time_major(v_prev))
+    held = tuple(split_heads(a.reshape(-1, width), batch, heads) for a in (v_curr, v_prev))
     counts = np.arange(1, t_len + 1, dtype=np.float64)[:, None]
-    raw = np.cumsum(np.abs(held[0] - held[1]) / delta, axis=0) / counts
-    raw[: METRIC_WARMUP - 1] = 0.0
-    by_head = raw.reshape(t_len, batch, heads, dh).transpose(2, 1, 0, 3)
-    m = scale_rows(by_head.reshape(-1, dh), mode, floor, rng)
-    m = m.reshape(heads, batch, t_len, dh).transpose(1, 2, 0, 3).reshape(
-        batch * t_len, width
-    )
-    return m, held
+    raw = np.cumsum(np.abs(held[0] - held[1]) / delta, axis=2) / counts
+    raw[:, :, : METRIC_WARMUP - 1] = 0.0
+    by_head = raw.swapaxes(0, 1)
+    m = scale_rows(by_head.reshape(-1, by_head.shape[-1]), mode, rng=rng)
+    return merge_heads(m.reshape(by_head.shape).swapaxes(0, 1)), held
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -271,13 +262,13 @@ def forward(
         raise InputError("token id outside the vocabulary")
     if cfg.scaling == "random" and metric_rng is None:
         metric_rng = derive_rng(cfg.seed, NS_METRIC, _EVAL_METRIC_STREAM)
-    rows, width, dh = batch * t_len, cfg.embed_dim, cfg.head_dim
+    rows, width = batch * t_len, cfg.embed_dim
     ones = np.broadcast_to(np.float64(1.0), (rows, width))
     x = tape.add(
         tape.embedding(params["tok_emb"], stack.reshape(-1)),
         tape.embedding(params["pos_emb"], np.tile(np.arange(t_len), batch)),
     )
-    temp = float(np.sqrt(dh))
+    temp = float(np.sqrt(cfg.head_dim))
     use_metric = cfg.elliptical and cfg.scaling != "identity"
     prev_values: np.ndarray | None = None
     states: list[AttentionLayerState] = []
@@ -293,8 +284,7 @@ def forward(
             m, held = _metric_rows(
                 values, prev_values, cfg.heads, cfg.scaling, cfg.delta, rng=metric_rng
             )
-            cur, prev = (a.reshape(t_len, batch, cfg.heads, dh) for a in held)
-            estimator_values = [(cur[:, :, h], prev[:, :, h]) for h in range(cfg.heads)]
+            estimator_values = [(held[0][:, h], held[1][:, h]) for h in range(cfg.heads)]
         merged = tape.block_causal_attention(
             qm, km, vm, 1.0 if m is None else m, temp, batch, cfg.heads
         )
@@ -473,8 +463,7 @@ def mean_pairwise_cosine(rows: np.ndarray) -> float:
     n = rows.shape[0]
     if n < 2:
         return 1.0
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    unit = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
+    unit = unit_rows(rows)
     sims = unit @ unit.T
     return float(sims[np.triu_indices(n, k=1)].mean())
 
@@ -492,6 +481,10 @@ def mean_head_distance(attn_mats: list[np.ndarray]) -> float:
     return float(np.mean(dists))
 
 
+#: Gaussian query perturbations per head and scale in ``diagnose``
+N_DRAWS = 8
+
+
 def diagnose(
     params: dict[str, Tensor],
     cfg: ModelConfig,
@@ -499,41 +492,36 @@ def diagnose(
     epsilons: tuple[float, ...],
     rng: np.random.Generator,
     corrupt_rate: float = 0.025,
-    n_draws: int = 8,
 ) -> DiagnosticsReport:
     """Collapse, head-redundancy and query-perturbation diagnostics.
 
-    Robustness perturbs each layer's recorded per-head queries with Gaussian
-    noise at every scale and recomputes that head's attention output with
-    the metric held fixed.  The report also carries every head's attention
-    map over the first context window.
+    Robustness perturbs each layer's recorded per-head queries with N_DRAWS
+    Gaussian draws at every scale and recomputes the attention output with
+    the metric held fixed, in one kernel call per scale.  The report also
+    carries every head's attention map over the first context window.
     """
     toks = np.asarray(eval_tokens, dtype=np.int64)
     if toks.size < 2:
         raise InputError("need at least two eval tokens")
     window = toks[: min(toks.size, cfg.context + 1)]
     _, states = forward(window[:-1], params, cfg, GradTape())
-    dh = cfg.head_dim
-    temp = float(np.sqrt(dh))
+    temp = float(np.sqrt(cfg.head_dim))
     ratios = np.zeros((cfg.layers, len(epsilons)))
     sup = 0.0
     attention = []
     for li, st in enumerate(states):
         merged = (st.queries, st.keys, st.values, st.metric)
-        per_head = [
-            tuple(a[:, h * dh : (h + 1) * dh] for a in merged) for h in range(cfg.heads)
-        ]
-        bases = [weighted_kernel(*qkvm, temp, causal=True) for qkvm in per_head]
-        attention.append([base.attn for base in bases])
+        # (heads, 1, t_len, head_dim): the draws broadcast along axis 1
+        q, k, v, m = (split_heads(a, 1, cfg.heads).swapaxes(0, 1) for a in merged)
+        base = weighted_kernel(q, k, v, m, temp, causal=True)
+        attention.append(list(base.attn[:, 0]))
         for si, scale in enumerate(epsilons):
-            acc = []
-            for (q, k, v, m), base in zip(per_head, bases):
-                for _ in range(n_draws):
-                    eps = scale * rng.standard_normal(q.shape)
-                    moved = weighted_kernel(q + eps, k, v, m, temp, causal=True).h
-                    ratio = float(np.linalg.norm(moved - base.h) / np.linalg.norm(eps))
-                    acc.append(ratio)
-                    sup = max(sup, ratio)
+            eps = scale * rng.standard_normal((cfg.heads, N_DRAWS, *q.shape[2:]))
+            shift = weighted_kernel(q + eps, k, v, m, temp, causal=True).h - base.h
+            # one ratio per (head, draw) matrix, head by head as the draws ran
+            pairs = zip(shift.reshape(-1, *q.shape[2:]), eps.reshape(-1, *q.shape[2:]))
+            acc = [float(np.linalg.norm(a) / np.linalg.norm(e)) for a, e in pairs]
+            sup = max(sup, *acc)
             ratios[li, si] = float(np.mean(acc))
 
     ppl_clean = perplexity(params, cfg, toks)

@@ -61,6 +61,12 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=1, keepdims=True)
 
 
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Scale each row (last axis) to unit Euclidean norm; zero rows stay zero."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
+
+
 def finite_diff_jacobian(
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,

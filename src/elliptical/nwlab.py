@@ -20,7 +20,7 @@ from .estimators import (
     uniform_sampler,
 )
 from .metric import EllipticalWeights, apply_scaling, identity_weights
-from .numerics import ParameterError, ShapeError, as_matrix, derive_rng
+from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, softmax_rows, unit_rows
 
 _NS_SPARSE = 11
 _NS_EDGE = 12
@@ -110,10 +110,7 @@ def nw_estimate_batch(
     if queries.shape[1] != data.keys.shape[1] or w.dim != queries.shape[1]:
         raise ShapeError("query, key and weight dimensions must agree")
     logits = -_weighted_sq_dists(queries, data.keys, w.m) / (2.0 * bandwidth**2)
-    logits -= logits.max(axis=1, keepdims=True)
-    kernel = np.exp(logits)
-    kernel /= kernel.sum(axis=1, keepdims=True)
-    return kernel @ data.values
+    return softmax_rows(logits) @ data.values
 
 
 def cross_validate_bandwidth(
@@ -288,14 +285,8 @@ class EdgeResult:
     piece_distance: float
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
-
-
 def _edge_distance(data, w, bandwidth, q1, q2) -> float:
-    est = nw_estimate_batch(np.vstack([q1, q2]), data, bandwidth, w)
-    est = _normalize_rows(est)
+    est = unit_rows(nw_estimate_batch(np.vstack([q1, q2]), data, bandwidth, w))
     return float(np.linalg.norm(est[0] - est[1]))
 
 
@@ -333,8 +324,8 @@ def run_edge_preservation_experiment(cfg: EdgeConfig, jobs: int = 1) -> EdgeResu
     rows = _map_seeds(lambda s: _edge_one_seed(cfg, q1, q2, s), cfg.seeds, jobs)
     euc = np.asarray([r[0] for r in rows])
     ell = np.asarray([r[1] for r in rows])
-    f1 = _normalize_rows(truth(q1)[None, :])[0]
-    f2 = _normalize_rows(truth(q2)[None, :])[0]
+    f1 = unit_rows(truth(q1)[None, :])[0]
+    f2 = unit_rows(truth(q2)[None, :])[0]
     return EdgeResult(
         euclidean_mean=float(np.mean(euc)),
         elliptical_mean=float(np.mean(ell)),

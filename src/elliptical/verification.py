@@ -11,7 +11,7 @@ import numpy as np
 
 from .attention import AttentionConfig, elliptical_attention, masa, masa_jacobian, standard_attention
 from .metric import apply_scaling, compute_kappa, identity_weights, robustness_bound
-from .numerics import derive_rng, finite_diff_jacobian
+from .numerics import derive_rng, finite_diff_jacobian, softmax_rows
 
 _NS_VERIFY = 21
 
@@ -85,11 +85,7 @@ def suite_robustness_bound(
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         norms = np.exp(rng.uniform(np.log(1e-3), np.log(1.0), n_eps))
         eps = dirs * norms[:, None]
-        logits = (q + eps) @ (keys * w.m).T
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        moved = probs @ values
+        moved = softmax_rows((q + eps) @ (keys * w.m).T) @ values
         ratios = np.linalg.norm(moved - base[None, :], axis=1) / norms
         worst = max(worst, float(np.max(ratios - bound)))
     return SuiteResult(

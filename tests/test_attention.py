@@ -12,7 +12,9 @@ from elliptical.attention import (
     elliptical_attention,
     masa,
     masa_jacobian,
+    merge_heads,
     minmax_scale_rows,
+    split_heads,
     standard_attention,
     weighted_kernel,
 )
@@ -128,6 +130,47 @@ class TestCausalMasking:
         assert np.all(np.isneginf(m[np.triu_indices(3, k=1)]))
 
 
+class TestStackedKernel:
+    """The fused training op and diagnose call the kernel on (block, head)
+    stacks; each slice must be the 2-D call on that slice, bit for bit."""
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_each_block_and_head_matches_the_matrix_call(self, causal):
+        rng = make_rng(40)
+        batch, heads, t_len, dim, temp = 3, 2, 7, 4, 1.9
+        q, k, v = (rng.standard_normal((batch, heads, t_len, dim)) for _ in range(3))
+        for m in (rng.uniform(0.2, 1.0, (batch, heads, t_len, dim)), 1.0):
+            out = weighted_kernel(q, k, v, m, temp, causal=causal)
+            for b in range(batch):
+                for h in range(heads):
+                    mh = m if np.isscalar(m) else m[b, h]
+                    ref = weighted_kernel(q[b, h], k[b, h], v[b, h], mh, temp, causal=causal)
+                    for name in ("logits", "attn", "h"):
+                        got = getattr(out, name)[b, h]
+                        assert got.tobytes() == getattr(ref, name).tobytes(), (b, h, name)
+
+
+class TestHeadLayout:
+    def test_split_then_merge_is_identity(self):
+        a = make_rng(42).standard_normal((3 * 5, 2 * 4))
+        heads = split_heads(a, 3, 2)
+        assert heads.shape == (3, 2, 5, 4)
+        assert np.array_equal(heads[1, 1], a[5:10, 4:8])
+        assert merge_heads(heads).tobytes() == a.tobytes()
+
+    def test_split_always_copies(self):
+        for heads in (1, 2):  # one head: the transpose alone would be a view
+            a = np.zeros((6, 4))
+            split = split_heads(a, 2, heads)
+            assert split.flags.c_contiguous and not np.shares_memory(split, a)
+
+    def test_indivisible_shapes_rejected(self):
+        with pytest.raises(ShapeError):
+            split_heads(np.zeros((5, 4)), 2, 2)
+        with pytest.raises(ShapeError):
+            split_heads(np.zeros((6, 5)), 2, 2)
+
+
 class TestMasa:
     def test_zero_query_is_uniform(self):
         rng = make_rng(6)
@@ -238,6 +281,15 @@ class TestEllipticalAttention:
             expected = weights @ v
             np.testing.assert_allclose(out.h[i], expected, atol=1e-12)
         assert cfg.temperature == pytest.approx(np.sqrt(2.0))
+
+    def test_head_dim_must_match_query_width(self):
+        # a 1-wide config on 4-wide q/k/v would run at temperature 1, not 2
+        q, k, v = (make_rng(14).standard_normal((3, 4)) for _ in range(3))
+        cfg = AttentionConfig(head_dim=1, weights=identity_weights(1))
+        with pytest.raises(ShapeError, match="head_dim"):
+            standard_attention(q, k, v, cfg)
+        with pytest.raises(ShapeError, match="head_dim"):
+            elliptical_attention(q, k, v, v.copy(), cfg, delta=1.0)
 
     def test_shape_contracts(self):
         cfg = self._cfg(3)

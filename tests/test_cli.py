@@ -158,6 +158,21 @@ class TestUsageErrors:
         assert "'eval_tokens'" in capsys.readouterr().err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("epsilons", ["abc", "0", "nan"])
+    def test_bad_epsilons_exit_2(self, tmp_path, monkeypatch, capsys, epsilons):
+        # a zero scale makes 0/0 ratios, and a NaN scale leaves no finite softmax row
+        assert _run(tmp_path, monkeypatch, "train-lm", "--set", "steps=0",
+                    "--set", "out=m", *TINY) == 0
+        capsys.readouterr()
+        code = _run(tmp_path, monkeypatch, "diagnose",
+                    "--set", f"checkpoint={tmp_path / 'm' / 'checkpoint.bin'}",
+                    "--set", "corpus_length=1024", "--set", f"epsilons={epsilons}",
+                    "--set", "out=bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'epsilons'" in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
     def test_missing_checkpoint_is_file_error(self, tmp_path, monkeypatch, capsys):
         code = _run(
             tmp_path, monkeypatch, "diagnose", "--set", "checkpoint=/nonexistent/x.bin"
@@ -204,6 +219,17 @@ class TestCleanFailures:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+    def test_failed_run_leaves_the_directory_unchanged(self, tmp_path, monkeypatch):
+        # a run that fails must not touch a finished run's files, its config echo included
+        monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
+        assert main(["train-lm", "--set", "steps=1", *TINY, "--set", "out=run"]) == 0
+        before = _snapshot(tmp_path / "run")
+        assert "config_echo.txt" in before
+        diverging = ["train-lm", "--set", "steps=3", *TINY, "--set", "lr=1e9", "--set", "out=run"]
+        assert main(diverging) == 1
+        assert _snapshot(tmp_path / "run") == before
 
 
 class TestVerifyCommand:

@@ -124,7 +124,7 @@ class TestForward:
         for st in states:
             for a in (st.queries, st.keys, st.values, st.metric, st.representation):
                 assert a.shape == (1, cfg.embed_dim)
-        rep = diagnose(params, cfg, np.array([5, 3]), (0.1,), make_rng(12), n_draws=1)
+        rep = diagnose(params, cfg, np.array([5, 3]), (0.1,), make_rng(12))
         for maps in rep.attention:
             for attn in maps:
                 np.testing.assert_array_equal(attn, [[1.0]])
@@ -242,7 +242,8 @@ class TestMetricRows:
             for b in range(batch):
                 assert np.all(got[b * t_len : b * t_len + METRIC_WARMUP - 1] == 1.0)
             for copy, stack in zip(held, (v_curr, v_prev)):
-                assert np.array_equal(copy, stack.transpose(1, 0, 2).reshape(t_len, -1))
+                by_head = stack.reshape(batch, t_len, heads, dh).transpose(0, 2, 1, 3)
+                assert np.array_equal(copy, by_head)
 
     def test_row_t_uses_first_t_plus_one_rows(self):
         # unscaled mode returns the raw estimate (all of it above the floor here)
@@ -266,32 +267,37 @@ class TestMetricRows:
         np.testing.assert_allclose(got[-1], expected, rtol=1e-12)
 
 
+def _counted(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def _count_everywhere(monkeypatch, calls, original):
+    """Count calls to ``original`` under every name the package binds it to."""
+    wrapper = _counted(calls, original)
+    for name, module in list(sys.modules.items()):
+        if name == "elliptical" or name.startswith("elliptical."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
 class TestStackedPathStructure:
-    """Counts, not timings: a per-row or per-head loop on the training path
-    shows up as extra tape nodes or per-row scaling calls."""
+    """Counts, not timings: a per-row, per-head or per-draw loop shows up as
+    extra tape nodes, per-row scaling calls or extra kernel calls."""
 
     def test_one_attention_node_per_layer_and_no_per_row_scaling(self, monkeypatch):
-        from elliptical import metric, model
+        from elliptical import attention, metric, model
 
-        calls = {"block_causal_attention": 0, "apply_scaling": 0}
+        calls = {"block_causal_attention": 0, "apply_scaling": 0, "weighted_kernel": 0}
         nodes = []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
+        _count_everywhere(monkeypatch, calls, metric.apply_scaling)
+        _count_everywhere(monkeypatch, calls, attention.weighted_kernel)
         op = GradTape.block_causal_attention
-        monkeypatch.setattr(GradTape, "block_causal_attention", counted(op.__name__, op))
-        original = metric.apply_scaling
-        wrapper = counted("apply_scaling", original)
-        for name, module in list(sys.modules.items()):
-            if name == "elliptical" or name.startswith("elliptical."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
+        monkeypatch.setattr(GradTape, "block_causal_attention", _counted(calls, op))
 
         def counting_backward(tape, loss):
             nodes.append(len(tape._nodes))
@@ -301,12 +307,28 @@ class TestStackedPathStructure:
         corpus = synthetic_corpus(19, 12 * 64)
         for scaling in ("maxscale", "meanscale"):
             cfg = ModelConfig(vocab_size=corpus.vocab_size, elliptical=True, scaling=scaling)
-            calls.update(block_causal_attention=0, apply_scaling=0)
+            calls.update(dict.fromkeys(calls, 0))
             nodes.clear()
             train(corpus, cfg, TrainParams(steps=1))
-            assert calls == {"block_causal_attention": cfg.layers, "apply_scaling": 0}
+            # the fused op's forward pass is the one kernel call of each layer
+            assert calls == {"block_causal_attention": cfg.layers, "apply_scaling": 0,
+                             "weighted_kernel": cfg.layers}
             # 3 embedding nodes, 14 per layer, 3 for the final norm and head, 1 loss
             assert nodes == [63], scaling
+
+    def test_diagnose_calls_the_kernel_once_per_layer_and_scale(self, monkeypatch):
+        from elliptical import model
+
+        corpus = synthetic_corpus(20, 600)
+        cfg = _tiny_cfg(corpus.vocab_size, elliptical=True, layers=3)
+        calls = {"weighted_kernel": 0}
+        # diagnose's own calls only: forward's go through the fused op
+        monkeypatch.setattr(model, "weighted_kernel", _counted(calls, model.weighted_kernel))
+        epsilons = (0.01, 0.1, 1.0)
+        rep = diagnose(init_params(cfg), cfg, corpus.tokens[-200:], epsilons, make_rng(3))
+        # one call for every head's base map, then one per scale for every draw
+        assert calls["weighted_kernel"] == cfg.layers * (1 + len(epsilons))
+        assert rep.robustness.shape == (cfg.layers, len(epsilons))
 
 
 class TestStopGradient:
@@ -504,9 +526,7 @@ class TestDiagnostics:
         corpus = synthetic_corpus(11, 900)
         cfg = _tiny_cfg(corpus.vocab_size, elliptical=True)
         res = train(corpus, cfg, TrainParams(steps=20, batch_size=4))
-        rep = diagnose(
-            res.params, cfg, corpus.tokens[-300:], (0.1, 1.0), make_rng(11), n_draws=2
-        )
+        rep = diagnose(res.params, cfg, corpus.tokens[-300:], (0.1, 1.0), make_rng(11))
         assert len(rep.cosine_by_layer) == cfg.layers
         assert len(rep.head_distance_by_layer) == cfg.layers
         assert rep.robustness.shape == (cfg.layers, 2)
@@ -519,6 +539,50 @@ class TestDiagnostics:
                 assert attn.shape == (cfg.context, cfg.context)
                 np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
                 assert np.all(np.triu(attn, k=1) == 0.0)
+
+
+class TestDiagnoseReference:
+    """The batched robustness loop against a per-(head, draw) reference loop:
+    same draws, one 2-D kernel call per head and draw, same bits."""
+
+    def test_robustness_and_maps_match_per_head_loop_bitwise(self):
+        from elliptical.attention import weighted_kernel
+        from elliptical.model import N_DRAWS
+
+        corpus = synthetic_corpus(21, 900)
+        for cfg in (_tiny_cfg(corpus.vocab_size, elliptical=True, layers=3),
+                    _one_head_cfg(corpus.vocab_size)):
+            params = train(corpus, cfg, TrainParams(steps=4, batch_size=2)).params
+            toks = corpus.tokens[-200:]
+            epsilons = (0.01, 0.3, 1.0)
+            rep = diagnose(params, cfg, toks, epsilons, make_rng(8))
+
+            rng = make_rng(8)
+            _, states = forward(toks[: cfg.context], params, cfg, GradTape())
+            dh, temp = cfg.head_dim, float(np.sqrt(cfg.head_dim))
+            ratios = np.zeros((cfg.layers, len(epsilons)))
+            sup = 0.0
+            for li, st in enumerate(states):
+                per_head = [
+                    tuple(a[:, h * dh : (h + 1) * dh]
+                          for a in (st.queries, st.keys, st.values, st.metric))
+                    for h in range(cfg.heads)
+                ]
+                bases = [weighted_kernel(*qkvm, temp, causal=True) for qkvm in per_head]
+                for h, base in enumerate(bases):
+                    assert rep.attention[li][h].tobytes() == base.attn.tobytes()
+                for si, scale in enumerate(epsilons):
+                    acc = []
+                    for (q, k, v, m), base in zip(per_head, bases):
+                        for _ in range(N_DRAWS):
+                            eps = scale * rng.standard_normal(q.shape)
+                            moved = weighted_kernel(q + eps, k, v, m, temp, causal=True).h
+                            ratio = float(np.linalg.norm(moved - base.h) / np.linalg.norm(eps))
+                            acc.append(ratio)
+                            sup = max(sup, ratio)
+                    ratios[li, si] = float(np.mean(acc))
+            assert rep.robustness.tobytes() == ratios.tobytes(), cfg.heads
+            assert rep.robustness_sup == sup, cfg.heads
 
 
 class TestCheckpoints:
