@@ -77,10 +77,15 @@ def weighted_kernel(
 ) -> AttentionOutput:
     """softmax((q * m) @ k' / temperature) @ v on (t_len, d) matrices or on
     (..., t_len, d) stacks whose leading axes broadcast; ``m`` broadcasts against ``q``."""
-    logits = np.matmul(q * m, k.swapaxes(-1, -2)) / temperature
+    logits = np.matmul(q * m, k.swapaxes(-1, -2))
+    logits /= temperature
+    n = logits.shape[-1]
+    keep = None
     if causal:
-        logits += causal_mask(q.shape[-2])
-    attn = softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
+        mask = causal_mask(n)
+        logits += mask  # the logits keep their -inf entries; softmax skips them
+        keep = np.broadcast_to(mask == 0, logits.shape).reshape(-1, n)
+    attn = softmax_rows(logits.reshape(-1, n), where=keep).reshape(logits.shape)
     return AttentionOutput(h=np.matmul(attn, v), attn=attn, logits=logits)
 
 

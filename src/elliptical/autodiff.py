@@ -102,31 +102,32 @@ class GradTape:
         def bwd(g):
             _acc(a, g * mask)
 
-        return self._new(np.where(mask, a.value, 0.0), (a,), bwd)
+        out = np.maximum(a.value, 0.0)
+        out += 0.0  # np.maximum may keep -0.0; np.where(a > 0, a, 0.0) gave +0.0
+        return self._new(out, (a,), bwd)
 
     def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         """Row-wise normalization followed by a learned affine map."""
         n = x.value.shape[1]
-        mu = x.value.mean(axis=1, keepdims=True)
-        xc = x.value - mu
-        inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + _LN_EPS)
-        xhat = xc * inv
+        # sum / n is numpy's own mean, bit for bit, without its Python overhead
+        xhat = x.value - x.value.sum(axis=1, keepdims=True) / n
+        inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / n + _LN_EPS)
+        xhat *= inv
 
         def bwd(g):
             _acc(gain, (g * xhat).sum(axis=0, keepdims=True))
             _acc(bias, g.sum(axis=0, keepdims=True))
             gh = g * gain.value
-            _acc(
-                x,
-                inv
-                * (
-                    gh
-                    - gh.mean(axis=1, keepdims=True)
-                    - xhat * (gh * xhat).sum(axis=1, keepdims=True) / n
-                ),
-            )
+            proj = xhat * (gh * xhat).sum(axis=1, keepdims=True)
+            proj /= n
+            gh -= gh.sum(axis=1, keepdims=True) / n
+            gh -= proj
+            gh *= inv
+            _acc(x, gh)
 
-        return self._new(xhat * gain.value + bias.value, (x, gain, bias), bwd)
+        out = xhat * gain.value
+        out += bias.value
+        return self._new(out, (x, gain, bias), bwd)
 
     # -- indexing -----------------------------------------------------------
 
@@ -172,8 +173,9 @@ class GradTape:
         def bwd(g):
             gh = split_heads(g, batch, heads)
             gv = np.matmul(probs.swapaxes(-1, -2), gh)
-            gp = np.matmul(gh, vh.swapaxes(-1, -2))
-            gs = probs * (gp - np.sum(gp * probs, axis=-1, keepdims=True))
+            gs = np.matmul(gh, vh.swapaxes(-1, -2))  # d(loss)/d(probs), then in place
+            gs -= np.sum(gs * probs, axis=-1, keepdims=True)
+            gs *= probs
             gs /= temperature
             _acc(q, merge_heads(np.matmul(gs, kh)) * m)
             _acc(k, merge_heads(np.matmul(gs.swapaxes(-1, -2), qm)))

@@ -135,11 +135,10 @@ def _format_value(value: Any) -> str:
 
 
 def resolve_out_dir(out: str) -> Path:
+    """The output path; the first write makes it, so a run that fails first leaves none."""
     root = os.environ.get("ELLIPTICAL_OUT", ".")
     path = Path(out)
-    out_dir = path if path.is_absolute() else Path(root) / path
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    return path if path.is_absolute() else Path(root) / path
 
 
 def write_config_echo(out_dir: Path, cfg: dict[str, Any]) -> None:
@@ -156,6 +155,7 @@ def write_csv(
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_format_value(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -378,6 +378,7 @@ def cmd_train_lm(cfg: dict[str, Any], jobs: int) -> int:
     else:
         result = model.train(train_corpus, mcfg, tp)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     model.save_checkpoint(out_dir / "checkpoint.bin", result.params, mcfg, result.opt, result.steps_done)
     first_step = result.steps_done - cfg["steps"]
     write_csv(
@@ -439,6 +440,8 @@ def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
     corpus_cfg = dict(cfg)
     corpus_cfg["seed"] = ckpt.cfg.seed  # eval stream follows the trained model
     corpus = _build_corpus(corpus_cfg)
+    if corpus.vocab_size != ckpt.cfg.vocab_size:
+        raise ParameterError(f"corpus vocab_size {corpus.vocab_size} != checkpoint's {ckpt.cfg.vocab_size}")
     eval_tokens = corpus.tokens[-cfg["eval_tokens"] :]
     rng = derive_rng(cfg["seed"], model.NS_EVAL, 2)
     report = model.diagnose(
@@ -464,6 +467,8 @@ def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
         ],
     )
 
+    for stale in out_dir.glob("heatmap_l*_h*.csv"):  # an earlier run's, maybe more heads
+        stale.unlink()
     for li, maps in enumerate(report.attention):
         for h, attn in enumerate(maps):
             scaled = minmax_scale_rows(attn)

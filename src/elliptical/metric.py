@@ -95,26 +95,28 @@ def scale_rows(
         raise ParameterError("raw variability estimates must be nonnegative")
     m = np.ones_like(raw)
     top = raw.max(axis=1, keepdims=True, initial=0.0)
-    live = top[:, 0] > 0  # a row with any positive entry
+    live = top > 0  # (n, 1): a row with any positive entry
     if mode == "identity" or not live.any():
         return m
-    r = raw[live]
-    if mode == "maxscale":
-        m[live] = np.maximum(r / top[live], floor)
-    elif mode == "meanscale":
-        m[live] = np.maximum(r / r.mean(axis=1, keepdims=True), floor)
-    elif mode == "unscaled":
-        m[live] = np.maximum(r, floor)
-    else:  # random
+    if mode == "random":
+        # gather the live rows: the draws are made for them alone, in row order
         if rng is None:
             raise ParameterError("random scaling mode requires an rng")
-        u = rng.uniform(0.0, 1.0, r.shape)
+        u = rng.uniform(0.0, 1.0, (int(live.sum()), raw.shape[1]))
         u_top = u.max(axis=1, keepdims=True)
         drawn = u_top[:, 0] > 0  # an all-zero draw keeps the identity row
         rows = np.ones_like(u)
         rows[drawn] = np.maximum(u[drawn] / u_top[drawn], floor)
-        m[live] = rows
-    return m
+        m[live[:, 0]] = rows
+        return m
+    # dead rows are never written, so they keep their ones
+    if mode == "maxscale":
+        np.divide(raw, top, out=m, where=live)
+    elif mode == "meanscale":
+        np.divide(raw, raw.mean(axis=1, keepdims=True), out=m, where=live)
+    else:  # unscaled
+        np.copyto(m, raw, where=live)
+    return np.maximum(m, floor, out=m)
 
 
 def mahalanobis_distance(q, k, w: EllipticalWeights) -> float:

@@ -333,22 +333,45 @@ class TrainParams:
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators."""
+    """Per-parameter first/second moment accumulators in flat buffers, so a
+    step is a few in-place ufunc calls.  ``m`` and ``v`` map each name to its
+    view of a buffer: write into the views, never rebind them."""
 
     def __init__(self, params: dict[str, Tensor]):
-        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        sizes = [p.value.size for p in params.values()]
+        self._m, self._v, self._g = (np.zeros(sum(sizes)) for _ in range(3))
+        cuts = np.cumsum(sizes)[:-1]
+        self.m, self.v, self._g_views = (
+            {k: part.reshape(p.shape) for (k, p), part in zip(params.items(), np.split(buf, cuts))}
+            for buf in (self._m, self._v, self._g)
+        )
         self.t = 0
 
     def step(self, params: dict[str, Tensor], tp: TrainParams) -> None:
+        if params.keys() != self.m.keys():
+            raise ParameterError("Adam step needs the parameters its state was built for")
         self.t += 1
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
         for name, p in params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
-            p.value -= tp.lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + ADAM_EPS)
+            self._g_views[name][...] = 0.0 if p.grad is None else p.grad
+        # the operation order of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g
+        # and p -= lr * (m / c1) / (sqrt(v / c2) + eps), bit for bit
+        g, m, v = self._g, self._m, self._v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        tmp = (1.0 - ADAM_BETA2) * g
+        tmp *= g
+        v *= ADAM_BETA2
+        v += tmp
+        update = np.divide(m, c1, out=g)  # the gradient is spent: reuse its buffer
+        update *= tp.lr
+        den = np.divide(v, c2, out=tmp)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        update /= den
+        for name, p in params.items():
+            p.value -= self._g_views[name]
 
 
 @dataclass
@@ -593,8 +616,11 @@ def load_checkpoint(path) -> Checkpoint:
     if not tables["p"] or not tables["p"].keys() == tables["m"].keys() == tables["v"].keys():
         raise ParameterError(f"{path}: tables are missing; the file is cut short")
     params = {name: leaf(arr) for name, arr in tables["p"].items()}
+    if any(tables[kind][k].shape != p.shape for kind in "mv" for k, p in params.items()):
+        raise ParameterError(f"{path}: moment tables do not match the parameter shapes")
     opt = AdamState(params)
-    opt.m = tables["m"]
-    opt.v = tables["v"]
+    for name in params:
+        opt.m[name][...] = tables["m"][name]
+        opt.v[name][...] = tables["v"][name]
     opt.t = adam_t
     return Checkpoint(cfg=cfg, step=step, params=params, opt=opt)

@@ -4,7 +4,7 @@ the central-difference oracle, plus the hand cases for simple losses."""
 import numpy as np
 import pytest
 
-from elliptical.autodiff import GradTape, backward, leaf
+from elliptical.autodiff import _LN_EPS, GradTape, backward, leaf
 from elliptical.numerics import ParameterError, finite_diff_jacobian, make_rng
 
 VJP_RTOL = 1e-4
@@ -185,6 +185,49 @@ class TestPrimitiveGradients:
 
         fd = finite_diff_jacobian(scalar, base.reshape(-1)).reshape(3, 4)
         np.testing.assert_allclose(table.grad, fd, rtol=VJP_RTOL, atol=1e-7)
+
+
+class TestKernelPins:
+    """Each op's fast form against the expression it replaced, bit for bit."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
+    def test_relu_matches_where_form_on_zeros_subnormals_and_negatives(self):
+        sub = np.finfo(np.float64).smallest_subnormal
+        edge = [-0.0, 0.0, sub, -sub, 7 * sub, -7 * sub, np.finfo(np.float64).tiny,
+                -1.0, 2.5, -1e308, 1e308]
+        a = np.concatenate([edge, make_rng(41).standard_normal(53)]).reshape(8, 8)
+        out = GradTape().relu(leaf(a)).value
+        assert np.array_equal(self._bits(out), self._bits(np.where(a > 0, a, 0.0)))
+
+    def test_layer_norm_matches_mean_form_bitwise(self):
+        rng = make_rng(42)
+        for rows, n in ((512, 32), (64, 48), (30, 7)):
+            x = 3.0 * rng.standard_normal((rows, n)) + 1.5
+            gain, bias = rng.standard_normal((1, n)), rng.standard_normal((1, n))
+            g = rng.standard_normal((rows, n))
+            # the old forward and backward expressions
+            xc = x - x.mean(axis=1, keepdims=True)
+            inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + _LN_EPS)
+            xhat = xc * inv
+            gh = g * gain
+            old = {
+                "out": xhat * gain + bias,
+                "x": inv * (gh - gh.mean(axis=1, keepdims=True)
+                            - xhat * (gh * xhat).sum(axis=1, keepdims=True) / n),
+                "gain": (g * xhat).sum(axis=0, keepdims=True),
+                "bias": g.sum(axis=0, keepdims=True),
+            }
+            tape = GradTape()
+            leaves = {"x": leaf(x), "gain": leaf(gain), "bias": leaf(bias)}
+            out = tape.layer_norm(leaves["x"], leaves["gain"], leaves["bias"])
+            # d(sum(out * g))/d(out) is 1.0 * g, which is g exactly
+            backward(tape, tape.sum_all(tape.mul(out, leaf(g))))
+            assert np.array_equal(self._bits(out.value), self._bits(old["out"]))
+            for name, t in leaves.items():
+                assert np.array_equal(self._bits(t.grad), self._bits(old[name])), name
 
 
 class TestTapeMechanics:

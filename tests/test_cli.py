@@ -194,6 +194,13 @@ def _short_corpus(tmp_path):
             "--set", f"corpus_file={tmp_path / 'short.txt'}"]
 
 
+def _vocab_mismatch(tmp_path):
+    assert main(["train-lm", "--set", "steps=2", "--set", "out=m", *TINY]) == 0  # vocab 13
+    (tmp_path / "short.txt").write_text("hello world")  # vocab 9
+    return ["diagnose", "--set", f"checkpoint={tmp_path / 'm' / 'checkpoint.bin'}",
+            "--set", "corpus=file", "--set", f"corpus_file={tmp_path / 'short.txt'}"]
+
+
 #: bad inputs that are not config syntax errors: each names its cause on one
 #: line and exits 1
 FAILURE_PROBES = {
@@ -204,6 +211,7 @@ FAILURE_PROBES = {
     "heads-mismatch": lambda tmp: ["train-lm", "--set", "steps=1", *TINY, "--set", "heads=3"],
     "bad-scaling": lambda tmp: ["train-lm", "--set", "steps=1", *TINY, "--set", "scaling=bogus"],
     "diverging-lr": lambda tmp: ["train-lm", "--set", "steps=3", *TINY, "--set", "lr=1e9"],
+    "corpus-vocab-mismatch": _vocab_mismatch,
     "too-few-seeds": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=2",
                                   "--set", "n_queries=20", "--set", "dim=2"],
 }
@@ -230,6 +238,13 @@ class TestCleanFailures:
         diverging = ["train-lm", "--set", "steps=3", *TINY, "--set", "lr=1e9", "--set", "out=run"]
         assert main(diverging) == 1
         assert _snapshot(tmp_path / "run") == before
+
+
+    def test_failed_run_into_a_fresh_directory_leaves_none(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
+        diverging = ["train-lm", "--set", "steps=3", *TINY, "--set", "lr=1e9", "--set", "out=fresh"]
+        assert main(diverging) == 1
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestVerifyCommand:
@@ -385,6 +400,19 @@ class TestDiagnoseCommand:
         assert code == 0
         assert [s for s in shapes if len(s) == 1] == [(16,)]
         assert len(list((tmp_path / "d").glob("heatmap_*.csv"))) == 4
+
+
+    def test_rerun_with_fewer_heads_removes_stale_heatmaps(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
+        for heads in (2, 1):
+            train = ["train-lm", "--set", "steps=0", *TINY, "--set", f"heads={heads}",
+                     "--set", f"embed_dim={4 * heads}", "--set", f"out=m{heads}"]
+            assert main(train) == 0
+            diag = ["diagnose", "--set", f"checkpoint={tmp_path / f'm{heads}' / 'checkpoint.bin'}",
+                    "--set", "corpus_length=1024", "--set", "epsilons=0.1", "--set", "out=d"]
+            assert main(diag) == 0
+            maps = sorted(p.name for p in (tmp_path / "d").glob("heatmap_*.csv"))
+            assert maps == [f"heatmap_l{li}_h{h}.csv" for li in (1, 2) for h in range(heads)]
 
 
 class TestDeterminism:

@@ -1,0 +1,142 @@
+"""Bit-identity oracle: sha256 digests of everything a tiny training run,
+its evaluation and its diagnostics produce, for the standard model and the
+metric-weighted model in all five scaling modes, with one and two heads.
+
+A kernel or refactor change that claims "same bits" must leave every digest
+here unchanged.  The expected values pin this machine's numpy/OpenBLAS
+build: another BLAS, or another numpy, may round a matrix product
+differently and move them without any change to the code.  A change that
+moves bits on purpose records the new digests and says so.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from elliptical.model import (
+    Corpus,
+    ModelConfig,
+    TrainParams,
+    diagnose,
+    perplexity,
+    synthetic_corpus,
+    train,
+)
+from elliptical.numerics import derive_rng
+
+VARIANTS = ("standard", "maxscale", "meanscale", "unscaled", "identity", "random")
+
+#: (variant, heads) -> sha256 of (training, evaluation, diagnostics)
+EXPECTED = {
+    ("standard", 1): (
+        "40223538e97d99b7aad9ad9951713f06f3623f39dbdc4472331e2278e8511099",
+        "e1233ef93c0980de5c937a440f66da69fc4f20581fe89c2524425256562f7588",
+        "6674184089e968ca50c1d0609cd982a7965c23025d3cdc734d63a45c775c335a",
+    ),
+    ("standard", 2): (
+        "c374146b65512f4a181bba2d5b1f3065f75b0cc54cf8980eead05b8cc0dc4371",
+        "f655a00c855086d03b392bbf117e7fba29acfef2388a7c62773a39984d72c30f",
+        "eb0561b29b4eb9ccd92e901d437a5fa486036de9c92b3a5f4ef61c1af66548aa",
+    ),
+    ("maxscale", 1): (
+        "bc52aabdd639bb07be04772cc47abea06b6d91f6dada1abf9d84ef4cfc346a15",
+        "d3caa52acc2fe337a02d518a8f95895f2c6e1b15ddef05c7fe48c00786edf5a1",
+        "764958af3456557312466578e046b1631d9dfdd2d640f5f96a1528c9597f364e",
+    ),
+    ("maxscale", 2): (
+        "9bc8862568b0620acbf4e4c63eeedd2791dd43bfca077e4ba8077bf1547ae45c",
+        "4646e5fbe13f4710888f1a41ed64d57d8256b1c3ade432a91b4f89ed6f7def1a",
+        "ba2f62a776c1cbe3747861e46979ab576e87e1cfca23d5229fcb958a9d1827e6",
+    ),
+    ("meanscale", 1): (
+        "58098c8f3c28a40e0f4b8c6919fc1648bdfcfe6e337f5bb03745791395ba23bf",
+        "3badaa5872d17f0c9e9a5297bd451b649e4cde3a5b45e7b30f1367f8aae34601",
+        "1884d5333263131d3fd8f4849be5619597741d4b9911cbfab06f25160f9888d4",
+    ),
+    ("meanscale", 2): (
+        "4fe142b40cb056c8f579ed47d6dbd3c63784d73e221939e0625d838c230f99c0",
+        "4b90321208d46247dd5d43558e4f2c1b9e00f8f12fe5d8e395868d9cec564763",
+        "9bd530980069c1d6cb0e18c05ecfa414bc9d343119c2488e53ac364d53aa0839",
+    ),
+    ("unscaled", 1): (
+        "748511c256adf1180eb7814a20269ca1486c7e5f9a9492400afd96bf2860b764",
+        "d766196d85753047f8d677ab147c4b2f0af520889727d9c372fb07dd020ece22",
+        "1a01cda28320ccd65aaa8b94a9acc0f9d7a3aa8326b9d62e99d2dcffba8f1a9a",
+    ),
+    ("unscaled", 2): (
+        "3f8acbcecd8b85caf725474ccc8ce877ea2a56c7c96d52c30d900ef8b9ca1d01",
+        "85301069db9d50a3eabf9d355e8a71eb26c998d747c101f0a8e01e1be108b8f5",
+        "2d062000ec89b9e92b38dc817beeb81eb861f73973ee166bc80d6e9d79033451",
+    ),
+    ("identity", 1): (
+        "40223538e97d99b7aad9ad9951713f06f3623f39dbdc4472331e2278e8511099",
+        "e1233ef93c0980de5c937a440f66da69fc4f20581fe89c2524425256562f7588",
+        "6674184089e968ca50c1d0609cd982a7965c23025d3cdc734d63a45c775c335a",
+    ),
+    ("identity", 2): (
+        "c374146b65512f4a181bba2d5b1f3065f75b0cc54cf8980eead05b8cc0dc4371",
+        "f655a00c855086d03b392bbf117e7fba29acfef2388a7c62773a39984d72c30f",
+        "eb0561b29b4eb9ccd92e901d437a5fa486036de9c92b3a5f4ef61c1af66548aa",
+    ),
+    ("random", 1): (
+        "fa9ca740592f75afe08ee6e7327c01d9a4579c9d62c6359fe6105c1b7ae6f8fc",
+        "83764855c5ad9d119003a1fc6b961eceaadefb606bc88ef475b46cfbe0c5c023",
+        "8a4535e00dc0e95dfbf8995ef74487307c933414e484936b1060c4bb4b208b2f",
+    ),
+    ("random", 2): (
+        "f1496d0313abc46b1524d90f13d1b7056a5dbed65f0336ca9d20d8931828ffcd",
+        "8b3f98c4cb34c30bc6fbb2f7bc297fd91a5d924ed9aefe7164f47fc8177e6528",
+        "f74cace2fd079a8fcb2d4ae425b8456b50398572d13572c678f3018aee277409",
+    ),
+}
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _digests(variant: str, heads: int) -> tuple[str, str, str]:
+    corpus = synthetic_corpus(21, 600)
+    cfg = ModelConfig(
+        vocab_size=corpus.vocab_size, layers=3, heads=heads, head_dim=16 // heads,
+        embed_dim=16, ff_dim=32, context=24, elliptical=variant != "standard",
+        scaling="maxscale" if variant == "standard" else variant, seed=3,
+    )
+    train_tokens, eval_tokens = corpus.tokens[:-100], corpus.tokens[-100:]
+    res = train(Corpus(train_tokens, corpus.charset), cfg, TrainParams(steps=12, lr=3e-3, batch_size=3))
+    names = sorted(res.params)
+    training = _sha(
+        res.losses,
+        *(res.params[k].value for k in names),
+        *(res.opt.m[k] for k in names),
+        *(res.opt.v[k] for k in names),
+    )
+    evaluation = _sha(
+        perplexity(res.params, cfg, eval_tokens),
+        perplexity(res.params, cfg, eval_tokens, 0.1, derive_rng(3, 9, 0)),
+        perplexity(res.params, cfg, eval_tokens, 0.1, derive_rng(3, 9, 1), corrupt_targets=False),
+    )
+    report = diagnose(res.params, cfg, eval_tokens, (0.01, 0.1, 1.0), derive_rng(3, 9, 2))
+    diagnostics = _sha(
+        report.cosine_by_layer,
+        report.head_distance_by_layer,
+        report.ppl_clean,
+        report.ppl_corrupt,
+        report.robustness,
+        report.robustness_sup,
+        *(a for maps in report.attention for a in maps),
+    )
+    return training, evaluation, diagnostics
+
+
+@pytest.mark.parametrize("heads", (1, 2))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_outputs_match_pinned_digests(variant, heads):
+    got = _digests(variant, heads)
+    assert got == EXPECTED[(variant, heads)], (
+        "training, evaluation or diagnostics bits moved: " + repr(got)
+    )

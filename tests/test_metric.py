@@ -14,6 +14,7 @@ from elliptical.metric import (
     identity_weights,
     mahalanobis_distance,
     robustness_bound,
+    scale_rows,
 )
 from elliptical.numerics import ParameterError, ShapeError, make_rng
 
@@ -74,6 +75,34 @@ class TestApplyScaling:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ParameterError):
             apply_scaling([1.0], "minscale")
+
+
+class TestScaleRows:
+    def test_matches_gather_scatter_form_bitwise(self):
+        # the old form: gather the rows with a positive entry, scale, scatter back
+        rng = make_rng(7)
+        raw = rng.uniform(0.0, 3.0, (40, 6))
+        raw[::3] = 0.0
+        raw[1, :5] = 0.0
+        live = raw.max(axis=1) > 0
+        r = raw[live]
+        olds = {
+            "maxscale": r / r.max(axis=1, keepdims=True),
+            "meanscale": r / r.mean(axis=1, keepdims=True),
+            "unscaled": r,
+        }
+        for mode, scaled in olds.items():
+            old = np.ones_like(raw)
+            old[live] = np.maximum(scaled, 1e-6)
+            assert np.array_equal(scale_rows(raw, mode, 1e-6), old), mode
+
+    def test_random_draws_for_live_rows_in_row_order(self):
+        raw = np.zeros((5, 3))
+        raw[[1, 3]] = [[1.0, 2.0, 0.5], [0.1, 0.0, 0.0]]
+        m = scale_rows(raw, "random", rng=make_rng(9))
+        u = make_rng(9).uniform(0.0, 1.0, (2, 3))
+        assert np.array_equal(m[[1, 3]], np.maximum(u / u.max(axis=1, keepdims=True), 1e-6))
+        assert np.all(m[[0, 2, 4]] == 1.0)
 
 
 class TestEllipticalWeightsInvariants:

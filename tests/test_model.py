@@ -10,6 +10,9 @@ from elliptical.autodiff import GradTape, backward, leaf
 from elliptical.estimators import estimate_overlayers
 from elliptical.metric import apply_scaling
 from elliptical.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     METRIC_WARMUP,
     AdamState,
     Corpus,
@@ -659,3 +662,64 @@ class TestAdam:
         opt.step(params, TrainParams(steps=1, lr=0.1))
         assert params["w"].value[0, 0] < 0.0
         assert params["w"].value[0, 1] > 0.0
+
+    @staticmethod
+    def _params_and_grads(seed, steps):
+        rng = make_rng(seed)
+        shapes = {"w": (3, 4), "b": (1, 4), "e": (5, 2)}
+        params = {k: leaf(rng.standard_normal(s)) for k, s in shapes.items()}
+        # "b" has no gradient on every other step, as an unused parameter would
+        grads = [
+            {k: None if k == "b" and t % 2 else rng.standard_normal(s) for k, s in shapes.items()}
+            for t in range(steps)
+        ]
+        return params, grads
+
+    def test_flat_step_matches_per_parameter_loop_bitwise(self):
+        params, grads = self._params_and_grads(51, 6)
+        ref = {k: p.value.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+        opt, tp = AdamState(params), TrainParams(steps=1, lr=0.01)
+        for t, step_grads in enumerate(grads, 1):
+            for k, p in params.items():
+                p.grad = step_grads[k]
+            opt.step(params, tp)
+            # the per-parameter update that the flat buffers replaced
+            c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+            for k in ref:
+                g = step_grads[k] if step_grads[k] is not None else np.zeros_like(ref[k])
+                ref_m[k] = ADAM_BETA1 * ref_m[k] + (1.0 - ADAM_BETA1) * g
+                ref_v[k] = ADAM_BETA2 * ref_v[k] + (1.0 - ADAM_BETA2) * g * g
+                ref[k] -= tp.lr * (ref_m[k] / c1) / (np.sqrt(ref_v[k] / c2) + ADAM_EPS)
+            for k in ref:
+                assert np.array_equal(params[k].value, ref[k]), k
+                assert np.array_equal(opt.m[k], ref_m[k]) and np.array_equal(opt.v[k], ref_v[k]), k
+
+    def test_step_after_load_checkpoint_matches_uninterrupted_bitwise(self, tmp_path):
+        cfg = _tiny_cfg(13)
+        runs = []
+        for resumed in (False, True):
+            params, grads = self._params_and_grads(52, 6)
+            params = {**init_params(cfg), **params}
+            opt, tp = AdamState(params), TrainParams(steps=1, lr=0.01)
+            for t, step_grads in enumerate(grads):
+                if resumed and t == 3:
+                    save_checkpoint(tmp_path / "c.bin", params, cfg, opt, t)
+                    ckpt = load_checkpoint(tmp_path / "c.bin")
+                    params, opt = ckpt.params, ckpt.opt
+                for k, p in params.items():
+                    p.grad = step_grads.get(k)
+                opt.step(params, tp)
+            runs.append((params, opt))
+        (pa, oa), (pb, ob) = runs
+        assert oa.t == ob.t == 6
+        for k in pa:
+            assert np.array_equal(pa[k].value, pb[k].value), k
+            assert np.array_equal(oa.m[k], ob.m[k]) and np.array_equal(oa.v[k], ob.v[k]), k
+
+    def test_step_rejects_other_parameters(self):
+        params = {"w": leaf(np.zeros((1, 2)))}
+        opt = AdamState(params)
+        with pytest.raises(ParameterError):
+            opt.step({"u": leaf(np.zeros((1, 2)))}, TrainParams(steps=1))

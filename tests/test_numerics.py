@@ -46,6 +46,28 @@ class TestSoftmaxRows:
         assert out[0, 1] == 0.0
         assert abs(out[0].sum() - 1.0) < 1e-12
 
+    def test_where_mask_matches_additive_inf_mask_bitwise(self):
+        # the old masked path: -inf above the diagonal, then exp of every entry
+        rng = make_rng(4)
+        t_len = 7
+        z = rng.uniform(-30.0, 30.0, (3 * t_len, t_len))
+        keep = np.tile(np.tri(t_len, dtype=bool), (3, 1))  # row 0 of a block: one live entry
+        keep[4] = np.arange(t_len) == t_len - 1  # one live entry, in the last column
+        masked = np.where(keep, z, -np.inf)
+        e = np.exp(masked - np.max(masked, axis=1, keepdims=True))
+        old = e / np.sum(e, axis=1, keepdims=True)
+        for logits in (z, masked):  # weighted_kernel passes logits that keep their -inf
+            new = softmax_rows(logits, where=keep)
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+        assert np.all(old[::t_len, 0] == 1.0) and old[4, -1] == 1.0
+        e = np.exp(z - np.max(z, axis=1, keepdims=True))
+        assert np.array_equal(softmax_rows(z), e / np.sum(e, axis=1, keepdims=True))
+
+    def test_row_without_a_live_entry_raises(self):
+        keep = np.array([[True, False], [False, False]])
+        with pytest.raises(ParameterError):
+            softmax_rows(np.zeros((2, 2)), where=keep)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_rows_are_distributions(self, seed):
