@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
 import numpy as np
-from scipy import stats
 
 from . import estimators, model, nwlab, verification
 from .attention import minmax_scale_rows
@@ -97,13 +96,21 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def _read_text(path: Path, error: type[Exception]) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``error`` naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_config(schema: dict[str, Option], args: argparse.Namespace) -> dict[str, Any]:
     raw: dict[str, str] = {}
     if args.config is not None:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file {path} does not exist")
-        raw.update(parse_config_text(path.read_text()))
+        raw.update(parse_config_text(_read_text(path, UsageError)))
     for item in args.set:
         if "=" not in item:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
@@ -271,6 +278,8 @@ BENCH_SCHEMA = {
 
 
 def cmd_estimator_bench(cfg: dict[str, Any], jobs: int) -> int:
+    from scipy import stats  # here, not at module level: it is the package's slowest import
+
     out_dir = resolve_out_dir(cfg["out"])
     catalog = estimators.ranking_catalog()
     sampler = estimators.uniform_sampler(-np.pi, np.pi, catalog.dim)
@@ -347,7 +356,7 @@ def _build_corpus(cfg: dict[str, Any]) -> model.Corpus:
         path = Path(cfg["corpus_file"])
         if not cfg["corpus_file"] or not path.exists():
             raise FileNotFoundError(f"corpus file {cfg['corpus_file']!r} does not exist")
-        return model.corpus_from_text(path.read_text(encoding="utf-8"))
+        return model.corpus_from_text(_read_text(path, model.InputError))
     raise UsageError(f"bad value for key 'corpus': {kind!r}")
 
 

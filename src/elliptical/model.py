@@ -10,7 +10,9 @@ through the metric.
 
 from __future__ import annotations
 
+import bisect
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -79,15 +81,16 @@ def synthetic_corpus(
     rng = derive_rng(seed, NS_CORPUS, 0)
     n_states = n_symbols**order
     probs = softmax_rows(2.5 * rng.standard_normal((n_states, n_symbols)))
-    cum = np.cumsum(probs, axis=1)
-    draws = rng.random(length)
-    tokens = np.empty(length, dtype=np.int64)
+    # plain floats and bisect_left: np.searchsorted's side="left" rule on the
+    # same float64 values, without a numpy call per token
+    cum = np.cumsum(probs, axis=1).tolist()
+    symbols = []
     state = 0
-    for t in range(length):
-        sym = int(np.searchsorted(cum[state], draws[t]))
-        tokens[t] = sym
+    for draw in rng.random(length).tolist():
+        sym = bisect.bisect_left(cum[state], draw)
+        symbols.append(sym)
         state = (state * n_symbols + sym) % n_states
-    return Corpus(tokens, "abcdefghijklmnopqrstuvwxyz"[:n_symbols])
+    return Corpus(np.array(symbols, dtype=np.int64), "abcdefghijklmnopqrstuvwxyz"[:n_symbols])
 
 
 def alternating_corpus(length: int = 2048) -> Corpus:
@@ -167,31 +170,36 @@ class AttentionLayerState:
     representation: np.ndarray
 
 
+#: parameter initialisers: a constant fill, or None for a scaled Gaussian draw
+_ONES, _ZEROS, _DRAW = 1.0, 0.0, None
+
+
+def param_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, int], float | None]]:
+    """(name, shape, initialiser) of every parameter, in init_params' draw order."""
+    e, f, v = cfg.embed_dim, cfg.ff_dim, cfg.vocab_size
+    table = [("tok_emb", (v, e), _DRAW), ("pos_emb", (cfg.context, e), _DRAW)]
+    for li in range(cfg.layers):
+        table += [(f"l{li}.ln1.g", (1, e), _ONES), (f"l{li}.ln1.b", (1, e), _ZEROS)]
+        table += [(f"l{li}.{name}", (e, e), _DRAW) for name in ("wq", "wk", "wv", "wo")]
+        table += [
+            (f"l{li}.ln2.g", (1, e), _ONES), (f"l{li}.ln2.b", (1, e), _ZEROS),
+            (f"l{li}.w1", (e, f), _DRAW), (f"l{li}.b1", (1, f), _ZEROS),
+            (f"l{li}.w2", (f, e), _DRAW), (f"l{li}.b2", (1, e), _ZEROS),
+        ]
+    table += [
+        ("lnf.g", (1, e), _ONES), ("lnf.b", (1, e), _ZEROS),
+        ("head.w", (e, v), _DRAW), ("head.b", (1, v), _ZEROS),
+    ]
+    return table
+
+
 def init_params(cfg: ModelConfig) -> dict[str, Tensor]:
     """Fresh parameter leaves, deterministic in cfg.seed."""
     rng = derive_rng(cfg.seed, NS_INIT, 0)
-    scale = 0.02
-    e, f, v = cfg.embed_dim, cfg.ff_dim, cfg.vocab_size
-    params: dict[str, Tensor] = {
-        "tok_emb": leaf(scale * rng.standard_normal((v, e))),
-        "pos_emb": leaf(scale * rng.standard_normal((cfg.context, e))),
+    return {
+        name: leaf(0.02 * rng.standard_normal(shape) if fill is _DRAW else np.full(shape, fill))
+        for name, shape, fill in param_table(cfg)
     }
-    for li in range(cfg.layers):
-        params[f"l{li}.ln1.g"] = leaf(np.ones((1, e)))
-        params[f"l{li}.ln1.b"] = leaf(np.zeros((1, e)))
-        for name in ("wq", "wk", "wv", "wo"):
-            params[f"l{li}.{name}"] = leaf(scale * rng.standard_normal((e, e)))
-        params[f"l{li}.ln2.g"] = leaf(np.ones((1, e)))
-        params[f"l{li}.ln2.b"] = leaf(np.zeros((1, e)))
-        params[f"l{li}.w1"] = leaf(scale * rng.standard_normal((e, f)))
-        params[f"l{li}.b1"] = leaf(np.zeros((1, f)))
-        params[f"l{li}.w2"] = leaf(scale * rng.standard_normal((f, e)))
-        params[f"l{li}.b2"] = leaf(np.zeros((1, e)))
-    params["lnf.g"] = leaf(np.ones((1, e)))
-    params["lnf.b"] = leaf(np.zeros((1, e)))
-    params["head.w"] = leaf(scale * rng.standard_normal((e, v)))
-    params["head.b"] = leaf(np.zeros((1, v)))
-    return params
 
 
 #: causal metric warmup: positions with fewer prefix samples than this keep
@@ -569,16 +577,27 @@ def diagnose(
 def save_checkpoint(
     path, params: dict[str, Tensor], cfg: ModelConfig, opt: AdamState, step: int
 ) -> None:
+    """Write a checkpoint atomically: a sibling temporary file, then one
+    ``os.replace``, so a write that fails leaves any earlier file at ``path``
+    as it was."""
     header = {"config": asdict(cfg), "step": step, "adam_t": opt.t}
-    with open(path, "wb") as fh:
-        fh.write((_CKPT_MAGIC + "\n").encode())
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        for kind, table in (("p", {k: p.value for k, p in params.items()}),
-                            ("m", opt.m), ("v", opt.v)):
-            for name in sorted(table):
-                arr = np.ascontiguousarray(table[name], dtype="<f8")
-                fh.write(f"{kind} {name} {arr.shape[0]} {arr.shape[1]}\n".encode())
-                fh.write(arr.tobytes())
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write((_CKPT_MAGIC + "\n").encode())
+            fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
+            for kind, table in (("p", {k: p.value for k, p in params.items()}),
+                                ("m", opt.m), ("v", opt.v)):
+                for name in sorted(table):
+                    arr = np.ascontiguousarray(table[name], dtype="<f8")
+                    fh.write(f"{kind} {name} {arr.shape[0]} {arr.shape[1]}\n".encode())
+                    fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -590,7 +609,8 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a file that is not one, or is cut short, raises a
+    """Read a checkpoint; a file that is not one, is cut short, or holds a
+    table whose name or shape differs from what its config builds raises a
     ``ParameterError`` that names it."""
     with open(path, "rb") as fh:
         if fh.readline().strip() != _CKPT_MAGIC.encode():
@@ -599,6 +619,7 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(fh.readline())
             cfg = ModelConfig(**header["config"])
             step, adam_t = header["step"], header["adam_t"]
+            shapes = {name: shape for name, shape, _ in param_table(cfg)}
         except (ValueError, KeyError, TypeError) as exc:
             raise ParameterError(f"{path}: malformed checkpoint header ({exc})") from None
         tables: dict[str, dict[str, np.ndarray]] = {"p": {}, "m": {}, "v": {}}
@@ -608,16 +629,22 @@ def load_checkpoint(path) -> Checkpoint:
                 table, shape = tables[kind], (int(rows), int(cols))
             except (ValueError, KeyError):
                 raise ParameterError(f"{path}: malformed table header {line[:40]!r}") from None
+            # checked before the read, so a corrupt size never sizes a buffer
+            if shapes.get(name) != shape:
+                want = "no such table" if name not in shapes else f"shape {shapes[name]}"
+                raise ParameterError(
+                    f"{path}: table {kind} {name} has shape {shape}; its config builds {want}"
+                )
             size = 8 * shape[0] * shape[1]
             buf = fh.read(size)
             if len(buf) != size:
                 raise ParameterError(f"{path}: payload of {kind} {name} is cut short")
             table[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    if not tables["p"] or not tables["p"].keys() == tables["m"].keys() == tables["v"].keys():
-        raise ParameterError(f"{path}: tables are missing; the file is cut short")
+    for kind, table in tables.items():
+        missing = sorted(shapes.keys() - table.keys())
+        if missing:
+            raise ParameterError(f"{path}: table {kind} {missing[0]}, which its config builds, is missing")
     params = {name: leaf(arr) for name, arr in tables["p"].items()}
-    if any(tables[kind][k].shape != p.shape for kind in "mv" for k, p in params.items()):
-        raise ParameterError(f"{path}: moment tables do not match the parameter shapes")
     opt = AdamState(params)
     for name in params:
         opt.m[name][...] = tables["m"][name]

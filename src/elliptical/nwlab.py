@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .estimators import (
     SyntheticFunction,
@@ -246,6 +245,8 @@ def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int = 1) -> SparseMSER
     if np.allclose(ell, euc):
         p = 1.0  # identical samples carry no directional evidence
     else:
+        from scipy import stats  # here, not at module level: it is the package's slowest import
+
         p = float(stats.ttest_rel(ell, euc, alternative="less").pvalue)
     return SparseMSEResult(
         euclidean=_report("euclidean", bw_e, euc, cfg.n, cfg.seeds),

@@ -201,10 +201,34 @@ def _vocab_mismatch(tmp_path):
             "--set", "corpus=file", "--set", f"corpus_file={tmp_path / 'short.txt'}"]
 
 
+def _header_edit(old: bytes, new: bytes):
+    """A checkpoint damage that changes one config value in the JSON header."""
+    def damage(data: bytes) -> bytes:
+        magic, header, rest = data.split(b"\n", 2)
+        assert old in header
+        return b"\n".join([magic, header.replace(old, new), rest])
+    return damage
+
+
+def _random_bytes_corpus(tmp_path):
+    (tmp_path / "noise.bin").write_bytes(np.random.default_rng(0).bytes(4096))
+    return ["train-lm", "--set", "steps=1", *TINY, "--set", "corpus=file",
+            "--set", f"corpus_file={tmp_path / 'noise.bin'}"]
+
+
 #: bad inputs that are not config syntax errors: each names its cause on one
 #: line and exits 1
 FAILURE_PROBES = {
     "truncated-checkpoint": lambda tmp: _damaged_checkpoint(tmp, lambda b: b[:-100]),
+    # a header that disagrees with the tables: the config has a layer, a
+    # context length or a hidden width the weights do not
+    "checkpoint-header-layers": lambda tmp: _damaged_checkpoint(
+        tmp, _header_edit(b'"layers": 2', b'"layers": 3')),
+    "checkpoint-header-context": lambda tmp: _damaged_checkpoint(
+        tmp, _header_edit(b'"context": 8', b'"context": 12')),
+    "checkpoint-header-ff-dim": lambda tmp: _damaged_checkpoint(
+        tmp, _header_edit(b'"ff_dim": 8', b'"ff_dim": 6')),
+    "corpus-not-utf8": _random_bytes_corpus,
     "checkpoint-bad-magic": lambda tmp: _damaged_checkpoint(tmp, lambda b: b"NOT A CKPT\n" + b),
     "checkpoint-is-directory": lambda tmp: ["diagnose", "--set", f"checkpoint={tmp}"],
     "corpus-too-short": _short_corpus,
@@ -228,6 +252,15 @@ class TestCleanFailures:
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error: ") and "Traceback" not in err
 
+
+    def test_config_file_not_utf8_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 0\n\xff\n")
+        code = _run(tmp_path, monkeypatch, "verify", "--config", str(bad))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("usage error: ") and str(bad) in err
 
     def test_failed_run_leaves_the_directory_unchanged(self, tmp_path, monkeypatch):
         # a run that fails must not touch a finished run's files, its config echo included

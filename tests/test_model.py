@@ -1,11 +1,16 @@
 """Toy transformer: forward contracts, training behavior, corruption
 harness, diagnostics and checkpoint round-trips."""
 
+import errno
+import io
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elliptical import model
 from elliptical.autodiff import GradTape, backward, leaf
 from elliptical.estimators import estimate_overlayers
 from elliptical.metric import apply_scaling
@@ -14,6 +19,7 @@ from elliptical.model import (
     ADAM_BETA2,
     ADAM_EPS,
     METRIC_WARMUP,
+    NS_CORPUS,
     AdamState,
     Corpus,
     InputError,
@@ -29,13 +35,14 @@ from elliptical.model import (
     load_checkpoint,
     mean_head_distance,
     mean_pairwise_cosine,
+    param_table,
     perplexity,
     save_checkpoint,
     synthetic_corpus,
     train,
     _metric_rows,
 )
-from elliptical.numerics import ParameterError, derive_rng, make_rng
+from elliptical.numerics import ParameterError, derive_rng, make_rng, softmax_rows
 
 
 def _tiny_cfg(vocab, elliptical=False, scaling="maxscale", seed=0, layers=2):
@@ -69,6 +76,25 @@ class TestCorpora:
         assert np.array_equal(a.tokens, b.tokens)
         assert a.vocab_size == len(a.charset) + 1
         assert a.tokens.max() < len(a.charset)
+
+    @pytest.mark.parametrize("n_symbols", [2, 12, 26])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_synthetic_corpus_matches_searchsorted_loop(self, n_symbols, order):
+        for seed, length in ((0, 1), (1, 257), (9, 3000)):
+            # the per-token np.searchsorted loop the list-and-bisect form replaced
+            rng = derive_rng(seed, NS_CORPUS, 0)
+            n_states = n_symbols**order
+            cum = np.cumsum(softmax_rows(2.5 * rng.standard_normal((n_states, n_symbols))), axis=1)
+            draws = rng.random(length)
+            ref = np.empty(length, dtype=np.int64)
+            state = 0
+            for t in range(length):
+                sym = int(np.searchsorted(cum[state], draws[t]))
+                ref[t] = sym
+                state = (state * n_symbols + sym) % n_states
+            tokens = synthetic_corpus(seed, length, n_symbols, order).tokens
+            assert tokens.dtype == ref.dtype and tokens.shape == ref.shape
+            assert np.array_equal(tokens, ref), (seed, length)
 
     def test_alternating_corpus(self):
         c = alternating_corpus(10)
@@ -654,6 +680,94 @@ class TestCheckpoints:
                 load_checkpoint(bad)
 
 
+    def test_header_that_disagrees_with_tables_names_the_first_table(self, tmp_path):
+        cfg = _tiny_cfg(13)
+        params = init_params(cfg)
+        good = tmp_path / "good.bin"
+        save_checkpoint(good, params, cfg, AdamState(params), 0)
+        magic, header, rest = good.read_bytes().split(b"\n", 2)
+        bad = tmp_path / "bad.bin"
+        for old, new, table in (
+            (b'"layers": 2', b'"layers": 3', "table p l2.b1, which its config builds, is missing"),
+            (b'"layers": 2', b'"layers": 1', "table p l1.b1 has shape (1, 32); its config builds no such"),
+            (b'"context": 32', b'"context": 48', "table p pos_emb has shape (32, 16); its config builds shape (48, 16)"),
+            (b'"ff_dim": 32', b'"ff_dim": 24', "table p l0.b1 has shape (1, 32); its config builds shape (1, 24)"),
+        ):
+            bad.write_bytes(b"\n".join([magic, header.replace(old, new), rest]))
+            with pytest.raises(ParameterError, match="bad.bin") as info:
+                load_checkpoint(bad)
+            assert table in str(info.value)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        cfg = _tiny_cfg(13)
+        params = init_params(cfg)
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, params, cfg, AdamState(params), 0)
+        before = path.read_bytes()
+
+        class DiskFull(io.FileIO):
+            # the device fills up once half the old file's size is written
+            def write(self, b):
+                if self.tell() + len(b) > len(before) // 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(b)
+
+        monkeypatch.setattr(model, "open", lambda f, mode: DiskFull(f, "w"), raising=False)
+        params["tok_emb"].value += 1.0
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, params, cfg, AdamState(params), 5)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.bin"]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_file_loads_whole_or_raises(self, fuzz_checkpoint, data):
+        blob, header_bytes, path = fuzz_checkpoint
+        if data.draw(st.booleans(), label="cut"):
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            # half the flips land in the magic line and JSON header, half in
+            # the table headers, which hold five times as many bytes
+            region = data.draw(st.sampled_from(header_bytes), label="region")
+            pos = data.draw(st.sampled_from(region), label="byte")
+            bit = data.draw(st.integers(0, 7), label="bit")
+            damaged = bytearray(blob)
+            damaged[pos] ^= 1 << bit
+            damaged = bytes(damaged)
+        path.write_bytes(damaged)
+        try:
+            ckpt = load_checkpoint(path)
+        except ParameterError as exc:
+            assert str(path) in str(exc)
+            return
+        want = {name: shape for name, shape, _ in param_table(ckpt.cfg)}
+        assert {k: p.shape for k, p in ckpt.params.items()} == want
+        assert {k: a.shape for k, a in ckpt.opt.m.items()} == want
+        assert {k: a.shape for k, a in ckpt.opt.v.items()} == want
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """A tiny trained checkpoint's bytes, the offsets of every byte that is
+    not table payload (those of the magic line and JSON header, and those of
+    the table headers), and a path to write damaged copies to."""
+    cfg = ModelConfig(vocab_size=5, layers=2, heads=1, head_dim=2, embed_dim=2,
+                      ff_dim=3, context=4, elliptical=True)
+    res = train(Corpus(np.arange(64) % 4, "abcd"), cfg, TrainParams(steps=2, batch_size=2))
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.bin"
+    save_checkpoint(path, res.params, cfg, res.opt, res.steps_done)
+    blob = path.read_bytes()
+    pos = blob.index(b"\n", blob.index(b"\n") + 1) + 1  # after the magic line and JSON header
+    head, tables = list(range(pos)), []
+    while pos < len(blob):
+        end = blob.index(b"\n", pos) + 1
+        tables += range(pos, end)
+        _, _, rows, cols = blob[pos:end].split()
+        pos = end + 8 * int(rows) * int(cols)
+    return blob, (head, tables), path.with_name("damaged.bin")
+
+
 class TestAdam:
     def test_moments_update_toward_gradient(self):
         params = {"w": leaf(np.zeros((1, 2)))}
@@ -664,13 +778,15 @@ class TestAdam:
         assert params["w"].value[0, 1] > 0.0
 
     @staticmethod
-    def _params_and_grads(seed, steps):
+    def _params_and_grads(seed, steps, shapes=None):
         rng = make_rng(seed)
-        shapes = {"w": (3, 4), "b": (1, 4), "e": (5, 2)}
+        shapes = shapes or {"w": (3, 4), "b": (1, 4), "e": (5, 2)}
         params = {k: leaf(rng.standard_normal(s)) for k, s in shapes.items()}
-        # "b" has no gradient on every other step, as an unused parameter would
+        # the second parameter has no gradient on every other step, as an
+        # unused parameter would
+        unused = list(shapes)[1]
         grads = [
-            {k: None if k == "b" and t % 2 else rng.standard_normal(s) for k, s in shapes.items()}
+            {k: None if k == unused and t % 2 else rng.standard_normal(s) for k, s in shapes.items()}
             for t in range(steps)
         ]
         return params, grads
@@ -700,8 +816,9 @@ class TestAdam:
         cfg = _tiny_cfg(13)
         runs = []
         for resumed in (False, True):
-            params, grads = self._params_and_grads(52, 6)
-            params = {**init_params(cfg), **params}
+            # a checkpoint holds only the tables its config builds
+            shapes = {name: shape for name, shape, _ in param_table(cfg)}
+            params, grads = self._params_and_grads(52, 6, shapes)
             opt, tp = AdamState(params), TrainParams(steps=1, lr=0.01)
             for t, step_grads in enumerate(grads):
                 if resumed and t == 3:
@@ -709,7 +826,7 @@ class TestAdam:
                     ckpt = load_checkpoint(tmp_path / "c.bin")
                     params, opt = ckpt.params, ckpt.opt
                 for k, p in params.items():
-                    p.grad = step_grads.get(k)
+                    p.grad = step_grads[k]
                 opt.step(params, tp)
             runs.append((params, opt))
         (pa, oa), (pb, ob) = runs

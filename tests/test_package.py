@@ -1,4 +1,10 @@
-"""Public surface: every exported name resolves."""
+"""Public surface: every exported name resolves, and importing the package
+stays cheap."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import elliptical
 
@@ -13,3 +19,17 @@ def test_star_import():
     namespace: dict = {}
     exec("from elliptical import *", namespace)
     assert set(elliptical.__all__) <= set(namespace)
+
+
+def test_import_loads_no_scipy():
+    # scipy.stats is most of a cold start; only nw-sparse and estimator-bench
+    # need it, and they import it where they call it
+    code = (
+        "import sys, elliptical, elliptical.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(elliptical.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
