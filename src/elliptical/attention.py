@@ -150,20 +150,20 @@ def elliptical_attention(
     """Non-causal single-layer attention with a metric estimated from values.
 
     One (dim,) metric comes from the layer-difference estimator over all
-    rows of (v, v_prev); ``cfg.weights`` contributes only its scaling mode
-    and floor, and the metric carries no gradient.  Causal models estimate
-    one metric row per position, from its prefix, in ``model.forward``.
+    rows of (v, v_prev); ``cfg.weights`` contributes only its scaling mode,
+    and the metric carries no gradient.  Causal models estimate one metric
+    row per position, from its prefix, in ``model.forward``.
     """
     q, k, v = _check_qkv(q, k, v, cfg)
     v_prev = as_matrix(v_prev)
     if v_prev.shape != v.shape:
         raise ShapeError(f"v_prev shape {v_prev.shape} != v shape {v.shape}")
-    mode, floor = cfg.weights.mode, cfg.weights.floor
+    mode = cfg.weights.mode
     if mode == "identity":
         m = np.ones(cfg.head_dim)
     else:
         raw = estimate_overlayers(v, v_prev, delta).raw
-        m = apply_scaling(raw, mode, floor, rng).m
+        m = apply_scaling(raw, mode, rng=rng).m
     return weighted_kernel(q, k, v, m, cfg.temperature, causal=False)
 
 

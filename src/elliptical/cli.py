@@ -172,14 +172,9 @@ def write_csv(
 # ---------------------------------------------------------------------------
 
 NW_SPARSE_SCHEMA = {
+    **_options(nwlab.SparseMSEConfig, skip=("truth",)),
     "n": Option(int, required=True),
     "dim": Option(int, 5),
-    "seeds": Option(int, 20),
-    "seed": Option(int, 0),
-    "noise_std": Option(float, 0.3),
-    "n_queries": Option(int, 500),
-    "weights_source": Option(_parse_str, "oracle"),
-    "scaling": Option(_parse_str, "maxscale"),
     "truth": Option(_parse_str, "sparse"),  # sparse | equal
     "out": Option(_parse_str, "out/nw-sparse"),
 }
@@ -232,13 +227,8 @@ def cmd_nw_sparse(cfg: dict[str, Any], jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 EDGE_SCHEMA = {
+    **_options(nwlab.EdgeConfig),
     "n": Option(int, required=True),
-    "seeds": Option(int, 20),
-    "seed": Option(int, 0),
-    "noise_std": Option(float, 0.3),
-    "query_offset": Option(float, 0.3),
-    "est_t": Option(float, 0.1),
-    "est_points": Option(int, 2000),
     "out": Option(_parse_str, "out/edge-preserve"),
 }
 
@@ -498,14 +488,13 @@ def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
 
 VERIFY_SCHEMA = {
     "seed": Option(int, 0),
-    "kappa_offset": Option(float, 0.0),  # test hook: nonzero must break the jacobian suite
     "out": Option(_parse_str, "out/verify"),
 }
 
 
 def cmd_verify(cfg: dict[str, Any], jobs: int) -> int:
     out_dir = resolve_out_dir(cfg["out"])
-    results = verification.run_all_suites(seed=cfg["seed"], kappa_offset=cfg["kappa_offset"])
+    results = verification.run_all_suites(seed=cfg["seed"])
     rows = [(r.name, int(r.passed), r.slack, r.detail) for r in results]
     write_csv(out_dir / "verify.csv", ("suite", "passed", "slack", "detail"), rows)
     for r in results:

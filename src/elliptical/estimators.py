@@ -110,13 +110,14 @@ def separable_sinusoid(amplitudes, frequencies, phases=None) -> SyntheticFunctio
     )
 
 
-def ranking_catalog(dim: int = 6) -> SyntheticFunction:
-    """Separable target with well-separated per-coordinate variabilities.
+def ranking_catalog() -> SyntheticFunction:
+    """Separable six-dimensional target with well-separated per-coordinate
+    variabilities.
 
     The canonical instance for checking that estimators recover the ranking
     of coordinate-wise variability.
     """
-    return separable_sinusoid(np.linspace(0.25, 1.5, dim), np.ones(dim))
+    return separable_sinusoid(np.linspace(0.25, 1.5, 6), np.ones(6))
 
 
 def sparse_sinusoid(dim: int, active, amplitudes, frequencies) -> SyntheticFunction:
@@ -153,17 +154,15 @@ def sparse_sinusoid(dim: int, active, amplitudes, frequencies) -> SyntheticFunct
     )
 
 
-def piecewise_step(
-    low_value, high_value, coord: int = 0, threshold: float = 0.0, dim: int = 2
-) -> SyntheticFunction:
-    """Two constant pieces split along one coordinate; derivative is 0 a.e."""
+def piecewise_step(low_value, high_value, coord: int = 0, dim: int = 2) -> SyntheticFunction:
+    """Two constant pieces split at 0 along one coordinate; derivative is 0 a.e."""
     lo = np.asarray(low_value, dtype=np.float64)
     hi = np.asarray(high_value, dtype=np.float64)
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ShapeError("piece values must be equal-length vectors")
 
     def fn(pts):
-        mask = pts[:, coord] >= threshold
+        mask = pts[:, coord] >= 0.0
         return np.where(mask[:, None], hi[None, :], lo[None, :])
 
     return SyntheticFunction(
@@ -231,17 +230,14 @@ def estimate_consistent(
 def oracle_variability(
     f: SyntheticFunction,
     mu_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    n_mc: int = 200,
-    rng: np.random.Generator | None = None,
-    h: float = 1e-5,
+    n_mc: int,
+    rng: np.random.Generator,
 ) -> VariabilityEstimate:
     """Brute-force Monte Carlo of E ||J_f(k) e_i||_1 with numeric Jacobians."""
-    if rng is None:
-        raise ParameterError("oracle_variability requires an rng")
     pts = as_matrix(mu_sampler(rng, n_mc))
     raw = np.zeros(pts.shape[1], dtype=np.float64)
     for x in pts:
-        jac = finite_diff_jacobian(lambda v: f(v), x, h)
+        jac = finite_diff_jacobian(lambda v: f(v), x)
         raw += np.sum(np.abs(jac), axis=0)
     raw /= n_mc
     return VariabilityEstimate(raw)
@@ -263,20 +259,18 @@ def simulate_layer_pair(
     delta: float,
     noise_std: float,
     rng: np.random.Generator,
-    jitter: float = 0.1,
-    low: float = -np.pi,
-    high: float = np.pi,
 ) -> LayerPair:
     """Sample the layer-to-layer value generating process.
 
-    Keys move by a random-sign step whose magnitude has mean ``delta`` and
-    small relative spread ``jitter``; values carry additive Gaussian noise
-    of standard deviation ``noise_std`` at both layers.
+    Keys start uniform on [-pi, pi]^dim and move by a random-sign step whose
+    magnitude has mean ``delta`` and relative spread 0.1; values carry
+    additive Gaussian noise of standard deviation ``noise_std`` at both
+    layers.
     """
     if delta <= 0:
         raise ParameterError("delta must be positive")
-    k_prev = rng.uniform(low, high, (n, f.dim))
-    steps = np.abs(delta * (1.0 + jitter * rng.standard_normal((n, f.dim))))
+    k_prev = rng.uniform(-np.pi, np.pi, (n, f.dim))
+    steps = np.abs(delta * (1.0 + 0.1 * rng.standard_normal((n, f.dim))))
     signs = rng.choice(np.array([-1.0, 1.0]), size=(n, f.dim))
     k_curr = k_prev + signs * steps
     v_prev = f(k_prev) + noise_std * rng.standard_normal((n, f.out_dim))
@@ -285,22 +279,19 @@ def simulate_layer_pair(
 
 
 def noise_drift_slack(
-    f: SyntheticFunction,
-    noise_std: float,
-    n: int,
-    rng: np.random.Generator,
-    delta: float = 1.0,
+    f: SyntheticFunction, noise_std: float, n: int, rng: np.random.Generator
 ) -> float:
     """Worst-coordinate excess of |m_i - E|f_i change|| over its noise bound.
 
-    The layer-difference estimate may drift from the noiseless mean absolute
-    change by at most (2 / sqrt(pi)) * noise_std; Monte Carlo sampling adds
-    slack 3 * noise_std / sqrt(n).  Nonpositive return means the bound held
-    in every coordinate.
+    At unit layer step (delta = 1) the layer-difference estimate may drift
+    from the noiseless mean absolute change by at most
+    (2 / sqrt(pi)) * noise_std; Monte Carlo sampling adds slack
+    3 * noise_std / sqrt(n).  Nonpositive return means the bound held in
+    every coordinate.
     """
-    pair = simulate_layer_pair(f, n, delta, noise_std, rng)
-    m = estimate_overlayers(pair.v_curr, pair.v_prev, delta).raw
-    clean = np.mean(np.abs(f(pair.k_curr) - f(pair.k_prev)), axis=0) / delta
+    pair = simulate_layer_pair(f, n, 1.0, noise_std, rng)
+    m = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0).raw
+    clean = np.mean(np.abs(f(pair.k_curr) - f(pair.k_prev)), axis=0)
     gap = np.abs(m - clean)
     allowance = (2.0 / np.sqrt(np.pi)) * noise_std + 3.0 * noise_std / np.sqrt(n)
     return float(np.max(gap) - allowance)
@@ -312,10 +303,9 @@ def consistency_error_curve(
     t: float,
     seeds: int,
     seed: int = 0,
-    low: float = -np.pi,
-    high: float = np.pi,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seed-mean centered-difference error against the analytic variability.
+    """Seed-mean centered-difference error against the analytic variability,
+    at sample points uniform on [-pi, pi]^dim.
 
     Returns (sample_sizes, mean_errors); the error at each sample size is
     averaged over coordinates with nonzero analytic variability and over
@@ -330,7 +320,7 @@ def consistency_error_curve(
         per_seed = []
         for s in range(seeds):
             rng = derive_rng(seed, _NS_CONSISTENCY, idx * 10_000 + s)
-            pts = rng.uniform(low, high, (int(n), f.dim))
+            pts = rng.uniform(-np.pi, np.pi, (int(n), f.dim))
             est = estimate_consistent(f, pts, t)
             per_seed.append(
                 np.mean(np.abs(est.raw[active] - f.analytic_variability[active]))

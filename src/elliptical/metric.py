@@ -15,28 +15,25 @@ SCALING_MODES = ("maxscale", "meanscale", "unscaled", "identity", "random")
 
 #: Clamp applied to every relevance weight so the induced quadratic form
 #: stays positive-definite and the distance is a true metric.
-DEFAULT_FLOOR = 1e-6
+FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
 class EllipticalWeights:
     """Per-dimension relevance weights m defining d(q, k) = sqrt((q-k)' M (q-k)).
 
-    M = diag(m); every entry is >= floor > 0.
+    M = diag(m); every entry is >= FLOOR > 0.
     """
 
     m: np.ndarray
     mode: str = "identity"
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         m = as_vector(self.m)
         if self.mode not in SCALING_MODES:
             raise ParameterError(f"unknown scaling mode {self.mode!r}")
-        if not 0.0 < self.floor < 1.0:
-            raise ParameterError("floor must lie in (0, 1)")
-        if np.any(m < self.floor):
-            raise ParameterError("weights must be >= floor")
+        if np.any(m < FLOOR):
+            raise ParameterError("weights must be >= FLOOR")
         if self.mode == "identity" and not np.all(m == 1.0):
             raise ParameterError("identity weights must all equal 1")
         if self.mode in ("maxscale", "random") and m.max() != 1.0:
@@ -48,37 +45,27 @@ class EllipticalWeights:
         return self.m.size
 
 
-def identity_weights(dim: int, floor: float = DEFAULT_FLOOR) -> EllipticalWeights:
+def identity_weights(dim: int) -> EllipticalWeights:
     """All-ones weights: the induced distance is Euclidean."""
-    return EllipticalWeights(np.ones(dim), "identity", floor)
+    return EllipticalWeights(np.ones(dim), "identity")
 
 
-def apply_scaling(
-    raw,
-    mode: str,
-    floor: float = DEFAULT_FLOOR,
-    rng: np.random.Generator | None = None,
-) -> EllipticalWeights:
+def apply_scaling(raw, mode: str, *, rng: np.random.Generator | None = None) -> EllipticalWeights:
     """Turn raw nonnegative variability estimates into usable weights.
 
     maxscale divides by the maximum (the most variable direction gets weight
     exactly 1), meanscale by the mean (entries above 1 are kept), unscaled
-    only clamps.  identity ignores ``raw``; random ignores it too and draws
-    fresh uniform [0, 1] weights which are then maxscaled.  An all-zero
-    ``raw`` falls back to identity weights in every mode, so a degenerate
-    estimate can never produce a degenerate kernel.  This is the one-row
-    case of :func:`scale_rows`.
+    only clamps to FLOOR.  identity ignores ``raw``; random ignores it too
+    and draws fresh uniform [0, 1] weights which are then maxscaled.  An
+    all-zero ``raw`` falls back to identity weights in every mode, so a
+    degenerate estimate can never produce a degenerate kernel.  This is the
+    one-row case of :func:`scale_rows`.
     """
     row = np.reshape(np.asarray(raw, dtype=np.float64), (1, -1))
-    return EllipticalWeights(scale_rows(row, mode, floor, rng)[0], mode, floor)
+    return EllipticalWeights(scale_rows(row, mode, rng=rng)[0], mode)
 
 
-def scale_rows(
-    raw,
-    mode: str,
-    floor: float = DEFAULT_FLOOR,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def scale_rows(raw, mode: str, *, rng: np.random.Generator | None = None) -> np.ndarray:
     """Scale every row of an (n, dim) array of raw estimates on its own.
 
     Each row gets the rule documented in :func:`apply_scaling`, all-zero rows
@@ -88,8 +75,6 @@ def scale_rows(
     """
     if mode not in SCALING_MODES:
         raise ParameterError(f"unknown scaling mode {mode!r}")
-    if not 0.0 < floor < 1.0:
-        raise ParameterError("floor must lie in (0, 1)")
     raw = as_matrix(raw)
     if raw.min(initial=0.0) < 0:
         raise ParameterError("raw variability estimates must be nonnegative")
@@ -106,7 +91,7 @@ def scale_rows(
         u_top = u.max(axis=1, keepdims=True)
         drawn = u_top[:, 0] > 0  # an all-zero draw keeps the identity row
         rows = np.ones_like(u)
-        rows[drawn] = np.maximum(u[drawn] / u_top[drawn], floor)
+        rows[drawn] = np.maximum(u[drawn] / u_top[drawn], FLOOR)
         m[live[:, 0]] = rows
         return m
     # dead rows are never written, so they keep their ones
@@ -116,11 +101,11 @@ def scale_rows(
         np.divide(raw, raw.mean(axis=1, keepdims=True), out=m, where=live)
     else:  # unscaled
         np.copyto(m, raw, where=live)
-    return np.maximum(m, floor, out=m)
+    return np.maximum(m, FLOOR, out=m)
 
 
 def mahalanobis_distance(q, k, w: EllipticalWeights) -> float:
-    """sqrt((q - k)' diag(m) (q - k)); zero iff q == k since m >= floor > 0."""
+    """sqrt((q - k)' diag(m) (q - k)); zero iff q == k since m >= FLOOR > 0."""
     q = as_vector(q)
     k = as_vector(k)
     if q.size != k.size or q.size != w.dim:

@@ -339,6 +339,14 @@ class TrainParams:
     lr: float = 3e-4
     batch_size: int = 8
 
+    def __post_init__(self):
+        if self.steps < 0 or self.batch_size < 1:
+            raise ParameterError(
+                f"need steps >= 0 and batch_size >= 1, got {self.steps} and {self.batch_size}"
+            )
+        if not 0.0 < self.lr < np.inf:  # NaN fails too
+            raise ParameterError(f"lr must be finite and positive, got {self.lr}")
+
 
 class AdamState:
     """Per-parameter first/second moment accumulators in flat buffers, so a
@@ -414,25 +422,31 @@ def train(
         opt = AdamState(params)
     losses: list[float] = []
     window = cfg.context + 1
-    for step in range(start_step, start_step + tp.steps):
-        rng = derive_rng(cfg.seed, NS_BATCH, step)
-        metric_rng = (
-            derive_rng(cfg.seed, NS_METRIC, step) if cfg.scaling == "random" else None
-        )
-        offsets = rng.integers(0, tokens.size - window + 1, size=tp.batch_size)
-        windows = np.stack([tokens[off : off + window] for off in offsets])
-        tape = GradTape()
-        # drop the layer states at once: backward does not need their copies
-        logits = forward(windows[:, :-1], params, cfg, tape, metric_rng)[0]
-        loss = tape.cross_entropy(logits, windows[:, 1:].reshape(-1))
-        value = float(loss.value[0, 0])
-        if not np.isfinite(value):
-            raise TrainingError(step, "loss is not finite")
-        for p in params.values():
-            p.grad = None
-        backward(tape, loss)
-        opt.step(params, tp)
-        losses.append(value)
+    step = start_step
+    try:
+        # an overflow or a NaN made from finite values is divergence: stop at its step
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(start_step, start_step + tp.steps):
+                rng = derive_rng(cfg.seed, NS_BATCH, step)
+                metric_rng = (
+                    derive_rng(cfg.seed, NS_METRIC, step) if cfg.scaling == "random" else None
+                )
+                offsets = rng.integers(0, tokens.size - window + 1, size=tp.batch_size)
+                windows = np.stack([tokens[off : off + window] for off in offsets])
+                tape = GradTape()
+                # drop the layer states at once: backward does not need their copies
+                logits = forward(windows[:, :-1], params, cfg, tape, metric_rng)[0]
+                loss = tape.cross_entropy(logits, windows[:, 1:].reshape(-1))
+                value = float(loss.value[0, 0])
+                if not np.isfinite(value):
+                    raise TrainingError(step, "loss is not finite")
+                for p in params.values():
+                    p.grad = None
+                backward(tape, loss)
+                opt.step(params, tp)
+                losses.append(value)
+    except FloatingPointError as exc:
+        raise TrainingError(step, f"diverged ({exc})") from None
     return TrainResult(params, opt, losses, start_step + tp.steps)
 
 
@@ -547,11 +561,15 @@ def diagnose(
         base = weighted_kernel(q, k, v, m, temp, causal=True)
         attention.append(list(base.attn[:, 0]))
         for si, scale in enumerate(epsilons):
-            eps = scale * rng.standard_normal((cfg.heads, N_DRAWS, *q.shape[2:]))
-            shift = weighted_kernel(q + eps, k, v, m, temp, causal=True).h - base.h
-            # one ratio per (head, draw) matrix, head by head as the draws ran
-            pairs = zip(shift.reshape(-1, *q.shape[2:]), eps.reshape(-1, *q.shape[2:]))
-            acc = [float(np.linalg.norm(a) / np.linalg.norm(e)) for a, e in pairs]
+            try:  # an overflowing norm would read as a zero ratio
+                with np.errstate(over="raise", invalid="raise"):
+                    eps = scale * rng.standard_normal((cfg.heads, N_DRAWS, *q.shape[2:]))
+                    shift = weighted_kernel(q + eps, k, v, m, temp, causal=True).h - base.h
+                    # one ratio per (head, draw) matrix, head by head as the draws ran
+                    pairs = zip(shift.reshape(-1, *q.shape[2:]), eps.reshape(-1, *q.shape[2:]))
+                    acc = [float(np.linalg.norm(a) / np.linalg.norm(e)) for a, e in pairs]
+            except FloatingPointError as exc:
+                raise ParameterError(f"epsilon scale {scale} overflows ({exc})") from None
             sup = max(sup, *acc)
             ratios[li, si] = float(np.mean(acc))
 

@@ -7,7 +7,7 @@ low-variability directions pays off.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,19 @@ _NS_EDGE = 12
 # Log grid over [0.05, 2].  16 points: a near-uniform metric acts like a
 # continuous bandwidth rescaling, so the grid must be fine enough that
 # neither kernel gains resolution the other cannot reach.
-DEFAULT_BANDWIDTH_GRID = tuple(np.geomspace(0.05, 2.0, 16))
+BANDWIDTH_GRID = tuple(np.geomspace(0.05, 2.0, 16))
+
+#: contiguous folds of the bandwidth cross-validation
+CV_FOLDS = 5
+
+#: the edge experiment's target: two constant pieces split at x_0 = 0
+EDGE_TRUTH = piecewise_step((1.0, 0.0), (0.0, 1.0))
+
+#: the sparse experiment's weight-estimation budget: Monte-Carlo points of
+#: the oracle, and probe width and sample points of the consistent estimator
+ORACLE_POINTS = 200
+CONSISTENT_T = 0.05
+CONSISTENT_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -112,22 +124,18 @@ def nw_estimate_batch(
     return softmax_rows(logits) @ data.values
 
 
-def cross_validate_bandwidth(
-    data: NWDataset,
-    w: EllipticalWeights,
-    grid: tuple[float, ...] = DEFAULT_BANDWIDTH_GRID,
-    folds: int = 5,
-) -> float:
-    """Pick the grid bandwidth with the lowest k-fold prediction error.
+def cross_validate_bandwidth(data: NWDataset, w: EllipticalWeights) -> float:
+    """Pick the BANDWIDTH_GRID bandwidth with the lowest CV_FOLDS-fold
+    prediction error.
 
     Folds are contiguous index blocks: the keys are i.i.d. so block folds
     are unbiased, and the split is deterministic.
     """
-    if data.n < folds:
+    if data.n < CV_FOLDS:
         raise ParameterError("need at least one sample per fold")
-    bounds = np.linspace(0, data.n, folds + 1, dtype=int)
+    bounds = np.linspace(0, data.n, CV_FOLDS + 1, dtype=int)
     scores = []
-    for bw in grid:
+    for bw in BANDWIDTH_GRID:
         err = 0.0
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             mask = np.ones(data.n, dtype=bool)
@@ -138,7 +146,7 @@ def cross_validate_bandwidth(
             pred = nw_estimate_batch(data.keys[lo:hi], train, bw, w)
             err += float(np.sum((pred - data.values[lo:hi]) ** 2))
         scores.append(err)
-    return float(grid[int(np.argmin(scores))])
+    return float(BANDWIDTH_GRID[int(np.argmin(scores))])
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +172,6 @@ class SparseMSEConfig:
     seed: int = 0
     weights_source: str = "oracle"  # or "consistent"
     scaling: str = "maxscale"
-    low: float = -np.pi
-    high: float = np.pi
-    bandwidth_grid: tuple[float, ...] = DEFAULT_BANDWIDTH_GRID
-    oracle_points: int = 200
-    consistent_t: float = 0.05
-    consistent_points: int = 2000
 
 
 @dataclass(frozen=True)
@@ -183,13 +185,13 @@ class SparseMSEResult:
     p_value_less: float  # one-sided paired test: elliptical < euclidean
 
 
-def _variability_weights(cfg, truth, rng) -> EllipticalWeights:
-    sampler = uniform_sampler(cfg.low, cfg.high, truth.dim)
+def _variability_weights(cfg: SparseMSEConfig, rng) -> EllipticalWeights:
+    sampler = uniform_sampler(-np.pi, np.pi, cfg.truth.dim)
     if cfg.weights_source == "oracle":
-        est = oracle_variability(truth, sampler, cfg.oracle_points, rng)
+        est = oracle_variability(cfg.truth, sampler, ORACLE_POINTS, rng)
     elif cfg.weights_source == "consistent":
-        pts = sampler(rng, cfg.consistent_points)
-        est = estimate_consistent(truth, pts, cfg.consistent_t)
+        pts = sampler(rng, CONSISTENT_POINTS)
+        est = estimate_consistent(cfg.truth, pts, CONSISTENT_T)
     else:
         raise ParameterError(f"unknown weights_source {cfg.weights_source!r}")
     return apply_scaling(est.raw, cfg.scaling)
@@ -209,12 +211,12 @@ def _report(label: str, bandwidths, per_seed, cfg_n, seeds) -> MSEReport:
 
 def _sparse_one_seed(cfg: SparseMSEConfig, s: int) -> tuple[float, float, float, float]:
     rng = derive_rng(cfg.seed, _NS_SPARSE, s)
-    data = sample_dataset(cfg.truth, cfg.n, cfg.noise_std, rng, cfg.low, cfg.high)
+    data = sample_dataset(cfg.truth, cfg.n, cfg.noise_std, rng)
     w_euc = identity_weights(cfg.truth.dim)
-    w_ell = _variability_weights(cfg, cfg.truth, rng)
-    bwe = cross_validate_bandwidth(data, w_euc, cfg.bandwidth_grid)
-    bwm = cross_validate_bandwidth(data, w_ell, cfg.bandwidth_grid)
-    queries = rng.uniform(cfg.low, cfg.high, (cfg.n_queries, cfg.truth.dim))
+    w_ell = _variability_weights(cfg, rng)
+    bwe = cross_validate_bandwidth(data, w_euc)
+    bwm = cross_validate_bandwidth(data, w_ell)
+    queries = rng.uniform(-np.pi, np.pi, (cfg.n_queries, cfg.truth.dim))
     target = cfg.truth(queries)
     pred_e = nw_estimate_batch(queries, data, bwe, w_euc)
     pred_m = nw_estimate_batch(queries, data, bwm, w_ell)
@@ -261,20 +263,15 @@ def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int = 1) -> SparseMSER
 
 @dataclass(frozen=True)
 class EdgeConfig:
-    truth: SyntheticFunction = field(
-        default_factory=lambda: piecewise_step((1.0, 0.0), (0.0, 1.0), coord=0, dim=2)
-    )
+    """EDGE_TRUTH sampled on the box [-1, 1]^2, with maxscaled weights."""
+
     n: int = 200
     noise_std: float = 0.3
     seeds: int = 20
     seed: int = 0
     query_offset: float = 0.3
-    low: float = -1.0
-    high: float = 1.0
-    bandwidth_grid: tuple[float, ...] = DEFAULT_BANDWIDTH_GRID
     est_t: float = 0.1
     est_points: int = 2000
-    scaling: str = "maxscale"
 
 
 @dataclass(frozen=True)
@@ -293,13 +290,13 @@ def _edge_distance(data, w, bandwidth, q1, q2) -> float:
 
 def _edge_one_seed(cfg: EdgeConfig, q1, q2, s: int) -> tuple[float, float]:
     rng = derive_rng(cfg.seed, _NS_EDGE, s)
-    data = sample_dataset(cfg.truth, cfg.n, cfg.noise_std, rng, cfg.low, cfg.high)
-    w_euc = identity_weights(cfg.truth.dim)
-    pts = rng.uniform(cfg.low, cfg.high, (cfg.est_points, cfg.truth.dim))
-    raw = estimate_consistent(cfg.truth, pts, cfg.est_t).raw
-    w_ell = apply_scaling(raw, cfg.scaling)
-    bwe = cross_validate_bandwidth(data, w_euc, cfg.bandwidth_grid)
-    bwm = cross_validate_bandwidth(data, w_ell, cfg.bandwidth_grid)
+    data = sample_dataset(EDGE_TRUTH, cfg.n, cfg.noise_std, rng, -1.0, 1.0)
+    w_euc = identity_weights(EDGE_TRUTH.dim)
+    pts = rng.uniform(-1.0, 1.0, (cfg.est_points, EDGE_TRUTH.dim))
+    raw = estimate_consistent(EDGE_TRUTH, pts, cfg.est_t).raw
+    w_ell = apply_scaling(raw, "maxscale")
+    bwe = cross_validate_bandwidth(data, w_euc)
+    bwm = cross_validate_bandwidth(data, w_ell)
     return (
         _edge_distance(data, w_euc, bwe, q1, q2),
         _edge_distance(data, w_ell, bwm, q1, q2),
@@ -317,16 +314,15 @@ def run_edge_preservation_experiment(cfg: EdgeConfig, jobs: int = 1) -> EdgeResu
     """
     if cfg.seeds < 1:
         raise ParameterError("need at least one seed")
-    truth = cfg.truth
-    q1 = np.zeros(truth.dim)
-    q2 = np.zeros(truth.dim)
+    q1 = np.zeros(EDGE_TRUTH.dim)
+    q2 = np.zeros(EDGE_TRUTH.dim)
     q1[0] = -cfg.query_offset
     q2[0] = cfg.query_offset
     rows = _map_seeds(lambda s: _edge_one_seed(cfg, q1, q2, s), cfg.seeds, jobs)
     euc = np.asarray([r[0] for r in rows])
     ell = np.asarray([r[1] for r in rows])
-    f1 = unit_rows(truth(q1)[None, :])[0]
-    f2 = unit_rows(truth(q2)[None, :])[0]
+    f1 = unit_rows(EDGE_TRUTH(q1)[None, :])[0]
+    f2 = unit_rows(EDGE_TRUTH(q2)[None, :])[0]
     return EdgeResult(
         euclidean_mean=float(np.mean(euc)),
         elliptical_mean=float(np.mean(ell)),
@@ -341,22 +337,21 @@ def check_lipschitz_transfer(
     w: EllipticalWeights,
     n_pairs: int,
     rng: np.random.Generator,
-    low: float = -3.0,
-    high: float = 3.0,
 ) -> float:
     """Max violation of ||f(q) - f(k)|| <= (sum_i G_i / sqrt(m_i)) d(q, k).
 
-    Returns max ratio minus the bound over random pairs; nonpositive means
-    the smoothness transfer holds on every sampled pair.  Coincident pairs
-    have both sides zero and are skipped.
+    Pairs are drawn uniformly on [-3, 3]^dim.  Returns max ratio minus the
+    bound over the pairs; nonpositive means the smoothness transfer holds on
+    every sampled pair.  Coincident pairs have both sides zero and are
+    skipped.
     """
     if f.gradient_bounds is None:
         raise ParameterError(f"{f.name} does not expose gradient bounds")
     if w.dim != f.dim:
         raise ShapeError("weight dimension must match the function dimension")
     bound = float(np.sum(f.gradient_bounds / np.sqrt(w.m)))
-    qs = rng.uniform(low, high, (n_pairs, f.dim))
-    ks = rng.uniform(low, high, (n_pairs, f.dim))
+    qs = rng.uniform(-3.0, 3.0, (n_pairs, f.dim))
+    ks = rng.uniform(-3.0, 3.0, (n_pairs, f.dim))
     diff = qs - ks
     dists = np.sqrt(np.einsum("nd,d->n", diff * diff, w.m))
     nums = np.linalg.norm(f(qs) - f(ks), axis=1)

@@ -19,6 +19,7 @@ from elliptical.attention import (
     weighted_kernel,
 )
 from elliptical.metric import (
+    FLOOR,
     EllipticalWeights,
     apply_scaling,
     compute_kappa,
@@ -212,10 +213,9 @@ class TestMasaJacobian:
         rng = make_rng(9)
         keys = rng.uniform(-2, 2, (4, 3))
         q = rng.uniform(-2, 2, 3)
-        floor = 1e-6
-        w = EllipticalWeights(np.array([1.0, floor, 0.5]), "unscaled", floor=floor)
+        w = EllipticalWeights(np.array([1.0, FLOOR, 0.5]), "unscaled")
         jac = masa_jacobian(q, keys, w)
-        assert np.max(np.abs(jac[:, 1])) <= floor * np.max(np.abs(compute_kappa(keys)))
+        assert np.max(np.abs(jac[:, 1])) <= FLOOR * np.max(np.abs(compute_kappa(keys)))
 
     def test_column_is_linear_in_weight(self):
         # halving one weight halves that column of the Jacobian, holding the

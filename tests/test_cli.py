@@ -2,9 +2,12 @@
 byte-level determinism of every subcommand."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elliptical.cli import (
     COMMANDS,
@@ -70,6 +73,43 @@ class TestConfigParsing:
             load_config({"n": Option(int, required=True)}, Args())
 
 
+_VALUES = st.sampled_from(["0", "-1", "2.5", "1e999", "nan", "true", "off", "", "9" * 5000])
+
+
+def _config_lines(keys):
+    """Lines of mostly known keys, with values each parser accepts or rejects,
+    plus unknown keys and arbitrary text."""
+    line = st.builds("{}{}{}".format, st.sampled_from(keys) | st.text(max_size=6),
+                     st.sampled_from(["=", " = ", "==", " "]), _VALUES | st.text(max_size=12))
+    return line | st.text(max_size=24)
+
+
+class TestConfigFuzz:
+    @given(st.text())
+    @settings(max_examples=300, deadline=None)
+    def test_config_text_parses_or_is_usage_error(self, text):
+        try:
+            cfg = parse_config_text(text)
+        except UsageError:
+            return
+        assert all(key == key.strip() and value == value.strip() for key, value in cfg.items())
+
+    @given(st.data(), st.sampled_from(sorted(COMMANDS)), st.none() | st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_config_file_and_set_items_load_or_are_usage_error(self, tmp_path_factory, data, command, raw):
+        # a --config file (its lines, or raw bytes) plus --set items, for every subcommand
+        schema = COMMANDS[command][0]
+        lines = data.draw(st.lists(_config_lines(sorted(schema)), max_size=6))
+        sets = data.draw(st.lists(_config_lines(sorted(schema)), max_size=3))
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_bytes("\n".join(lines).encode() if raw is None else raw)
+        try:
+            cfg = load_config(schema, SimpleNamespace(config=str(path), set=sets))
+        except UsageError:
+            return
+        assert sorted(cfg) == sorted(schema)
+
+
 _S, _B = _parse_str, _parse_bool
 _CORPUS = {
     "corpus": (_S, "synthetic"), "corpus_file": (_S, ""), "corpus_length": (int, 8192),
@@ -106,7 +146,7 @@ SCHEMAS = {
         "epsilons": (_S, "0.01,0.1,1.0"), "corrupt_rate": (float, 0.025),
         "seed": (int, 0), "out": (_S, "out/diagnose"),
     },
-    "verify": {"seed": (int, 0), "kappa_offset": (float, 0.0), "out": (_S, "out/verify")},
+    "verify": {"seed": (int, 0), "out": (_S, "out/verify")},
 }
 
 
@@ -210,6 +250,14 @@ def _header_edit(old: bytes, new: bytes):
     return damage
 
 
+def _train_with(*items):
+    return ["train-lm", "--set", "steps=3", *TINY, *(a for kv in items for a in ("--set", kv))]
+
+
+def _diagnose_with(tmp_path, item):
+    return [*_damaged_checkpoint(tmp_path, lambda b: b), "--set", item]
+
+
 def _random_bytes_corpus(tmp_path):
     (tmp_path / "noise.bin").write_bytes(np.random.default_rng(0).bytes(4096))
     return ["train-lm", "--set", "steps=1", *TINY, "--set", "corpus=file",
@@ -235,9 +283,25 @@ FAILURE_PROBES = {
     "heads-mismatch": lambda tmp: ["train-lm", "--set", "steps=1", *TINY, "--set", "heads=3"],
     "bad-scaling": lambda tmp: ["train-lm", "--set", "steps=1", *TINY, "--set", "scaling=bogus"],
     "diverging-lr": lambda tmp: ["train-lm", "--set", "steps=3", *TINY, "--set", "lr=1e9"],
+    # an lr large enough to overflow inside a step, before the loss is formed
+    "diverging-lr-1e150": lambda tmp: _train_with("elliptical=true", "lr=1e150"),
+    "diverging-lr-1e300": lambda tmp: _train_with("elliptical=true", "lr=1e300"),
+    "batch-size-zero": lambda tmp: _train_with("batch_size=0"),
+    "batch-size-negative": lambda tmp: _train_with("batch_size=-1"),
+    "steps-negative": lambda tmp: _train_with("steps=-1"),
+    "lr-negative": lambda tmp: _train_with("lr=-1"),
+    # a scale whose perturbation norm overflows, alone or after a good scale
+    "epsilons-overflow": lambda tmp: _diagnose_with(tmp, "epsilons=1e200"),
+    "epsilons-overflow-second": lambda tmp: _diagnose_with(tmp, "epsilons=0.0001,1e308"),
     "corpus-vocab-mismatch": _vocab_mismatch,
     "too-few-seeds": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=2",
                                   "--set", "n_queries=20", "--set", "dim=2"],
+}
+
+#: what a probe's line must name: the step that diverged, or the scale that overflows
+PROBES_NAME = {
+    "diverging-lr-1e150": "error: step 1: ", "diverging-lr-1e300": "error: step 1: ",
+    "epsilons-overflow": "scale 1e+200 ", "epsilons-overflow-second": "scale 1e+308 ",
 }
 
 
@@ -246,12 +310,14 @@ class TestCleanFailures:
     def test_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys, probe):
         monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
         argv = FAILURE_PROBES[probe](tmp_path)
+        before = _snapshot(tmp_path)
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error: ") and "Traceback" not in err
-
+        assert PROBES_NAME.get(probe, "") in err
+        assert _snapshot(tmp_path) == before  # no output file, new or changed
 
     def test_config_file_not_utf8_is_usage_error(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"
@@ -289,10 +355,12 @@ class TestVerifyCommand:
         assert (tmp_path / "v1" / "verify.csv").exists()
 
     def test_kappa_corruption_fails_jacobian_suite(self, tmp_path, monkeypatch, capsys):
-        code = _run(
-            tmp_path, monkeypatch, "verify",
-            "--set", "out=v2", "--set", "kappa_offset=-1.0",
-        )
+        # negative control: coefficients one below the true ones must break the envelope
+        from elliptical import verification
+
+        true_kappa = verification.compute_kappa
+        monkeypatch.setattr(verification, "compute_kappa", lambda keys: true_kappa(keys) - 1.0)
+        code = _run(tmp_path, monkeypatch, "verify", "--set", "out=v2")
         assert code == 1
         out = capsys.readouterr().out
         assert "masa-jacobian: FAIL" in out

@@ -139,10 +139,6 @@ class TestOracle:
         est = oracle_variability(f, uniform_sampler(-3, 3, 2), 50, make_rng(12))
         np.testing.assert_allclose(est.raw, 0.0, atol=1e-12)
 
-    def test_requires_rng(self):
-        with pytest.raises(ParameterError):
-            oracle_variability(linear_function(np.eye(2)), uniform_sampler(-1, 1, 2), 10)
-
 
 class TestLayerPairProcess:
     def test_shapes_and_determinism(self):

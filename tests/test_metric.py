@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from elliptical.attention import masa
 from elliptical.metric import (
+    FLOOR,
     EllipticalWeights,
     apply_scaling,
     compute_kappa,
@@ -21,8 +22,8 @@ from elliptical.numerics import ParameterError, ShapeError, make_rng
 
 class TestApplyScaling:
     def test_maxscale_hand_case(self):
-        w = apply_scaling([3.0, 1.5, 0.0], "maxscale", floor=1e-6)
-        np.testing.assert_allclose(w.m, [1.0, 0.5, 1e-6])
+        w = apply_scaling([3.0, 1.5, 0.0], "maxscale")
+        np.testing.assert_allclose(w.m, [1.0, 0.5, FLOOR])
 
     def test_all_zero_falls_back_to_identity(self):
         for mode in ("maxscale", "meanscale", "unscaled", "identity", "random"):
@@ -53,8 +54,8 @@ class TestApplyScaling:
         assert w.m.max() > 1.0
 
     def test_unscaled_only_clamps(self):
-        w = apply_scaling([0.5, 0.0, 2.0], "unscaled", floor=1e-3)
-        np.testing.assert_allclose(w.m, [0.5, 1e-3, 2.0])
+        w = apply_scaling([0.5, 0.0, 2.0], "unscaled")
+        np.testing.assert_allclose(w.m, [0.5, FLOOR, 2.0])
 
     def test_identity_ignores_raw(self):
         w = apply_scaling([5.0, 1.0], "identity")
@@ -93,8 +94,8 @@ class TestScaleRows:
         }
         for mode, scaled in olds.items():
             old = np.ones_like(raw)
-            old[live] = np.maximum(scaled, 1e-6)
-            assert np.array_equal(scale_rows(raw, mode, 1e-6), old), mode
+            old[live] = np.maximum(scaled, FLOOR)
+            assert np.array_equal(scale_rows(raw, mode), old), mode
 
     def test_random_draws_for_live_rows_in_row_order(self):
         raw = np.zeros((5, 3))

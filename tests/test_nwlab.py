@@ -185,11 +185,11 @@ class TestSparseExperiment:
 
 
 class TestEdgeExperiment:
-    def test_pure_neighborhoods_recover_piece_distance(self):
-        cfg = EdgeConfig(
-            n=200, noise_std=0.0, seeds=5, query_offset=0.6,
-            bandwidth_grid=(0.05,), est_points=500,
-        )
+    def test_pure_neighborhoods_recover_piece_distance(self, monkeypatch):
+        from elliptical import nwlab
+
+        monkeypatch.setattr(nwlab, "BANDWIDTH_GRID", (0.05,))
+        cfg = EdgeConfig(n=200, noise_std=0.0, seeds=5, query_offset=0.6, est_points=500)
         res = run_edge_preservation_experiment(cfg)
         assert res.piece_distance == pytest.approx(np.sqrt(2.0), abs=1e-12)
         assert res.euclidean_mean == pytest.approx(res.piece_distance, abs=1e-6)
