@@ -53,6 +53,13 @@ def _parse_str(text: str) -> str:
     return text.strip()
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Option:
     parse: Callable[[str], Any]
@@ -60,7 +67,7 @@ class Option:
     required: bool = False
 
 
-_PARSERS = {int: int, float: float, bool: _parse_bool, str: _parse_str}
+_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: _parse_str}
 
 
 def _options(cls, skip: tuple[str, ...] = ()) -> dict[str, Option]:
@@ -261,8 +268,8 @@ BENCH_SCHEMA = {
     "seeds": Option(int, 20),
     "seed": Option(int, 0),
     "n": Option(int, 2048),
-    "delta": Option(float, 1.0),
-    "noise_std": Option(float, 0.01),
+    "delta": Option(_parse_float, 1.0),
+    "noise_std": Option(_parse_float, 0.01),
     "out": Option(_parse_str, "out/estimator-bench"),
 }
 
@@ -328,7 +335,7 @@ TRAIN_SCHEMA = {
     **_options(model.TrainParams),
     "eval_tokens": Option(int, 1024),
     "corrupt": Option(_parse_bool, False),
-    "corrupt_rate": Option(float, 0.025),
+    "corrupt_rate": Option(_parse_float, 0.025),
     "resume": Option(_parse_str, ""),
     "out": Option(_parse_str, "out/train-lm"),
 }
@@ -412,7 +419,7 @@ DIAGNOSE_SCHEMA = {
     **CORPUS_SCHEMA,
     "eval_tokens": Option(int, 512),
     "epsilons": Option(_parse_str, "0.01,0.1,1.0"),
-    "corrupt_rate": Option(float, 0.025),
+    "corrupt_rate": Option(_parse_float, 0.025),
     "seed": Option(int, 0),
     "out": Option(_parse_str, "out/diagnose"),
 }

@@ -143,7 +143,7 @@ class ModelConfig:
             raise ParameterError("need layers >= 2 for the metric-weighted variant")
         if self.scaling not in SCALING_MODES:
             raise ParameterError(f"unknown scaling mode {self.scaling!r}")
-        if self.vocab_size < 2 or self.context < 1 or self.delta <= 0:
+        if self.vocab_size < 2 or self.context < 1 or not 0.0 < self.delta < np.inf:
             raise ParameterError("invalid vocab_size, context or delta")
 
 

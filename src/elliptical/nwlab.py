@@ -105,6 +105,10 @@ def _weighted_sq_dists(queries: np.ndarray, keys: np.ndarray, m: np.ndarray) -> 
     return np.einsum("qnd,d->qn", diff * diff, m)
 
 
+def _kernel_average(neg_sq_dists: np.ndarray, bandwidth: float, values: np.ndarray) -> np.ndarray:
+    return softmax_rows(neg_sq_dists / (2.0 * bandwidth**2)) @ values
+
+
 def nw_estimate_batch(
     queries, data: NWDataset, bandwidth: float, w: EllipticalWeights
 ) -> np.ndarray:
@@ -120,8 +124,7 @@ def nw_estimate_batch(
     queries = as_matrix(queries)
     if queries.shape[1] != data.keys.shape[1] or w.dim != queries.shape[1]:
         raise ShapeError("query, key and weight dimensions must agree")
-    logits = -_weighted_sq_dists(queries, data.keys, w.m) / (2.0 * bandwidth**2)
-    return softmax_rows(logits) @ data.values
+    return _kernel_average(-_weighted_sq_dists(queries, data.keys, w.m), bandwidth, data.values)
 
 
 def cross_validate_bandwidth(data: NWDataset, w: EllipticalWeights) -> float:
@@ -134,18 +137,15 @@ def cross_validate_bandwidth(data: NWDataset, w: EllipticalWeights) -> float:
     if data.n < CV_FOLDS:
         raise ParameterError("need at least one sample per fold")
     bounds = np.linspace(0, data.n, CV_FOLDS + 1, dtype=int)
-    scores = []
-    for bw in BANDWIDTH_GRID:
-        err = 0.0
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            mask = np.ones(data.n, dtype=bool)
-            mask[lo:hi] = False
-            train = NWDataset(
-                data.keys[mask], data.values[mask], data.truth, data.noise_std
-            )
-            pred = nw_estimate_batch(data.keys[lo:hi], train, bw, w)
-            err += float(np.sum((pred - data.values[lo:hi]) ** 2))
-        scores.append(err)
+    scores = np.zeros(len(BANDWIDTH_GRID))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        train = np.ones(data.n, dtype=bool)
+        train[lo:hi] = False
+        neg = -_weighted_sq_dists(data.keys[lo:hi], data.keys[train], w.m)
+        values = data.values[train]
+        for j, bw in enumerate(BANDWIDTH_GRID):
+            pred = _kernel_average(neg, bw, values)
+            scores[j] += float(np.sum((pred - data.values[lo:hi]) ** 2))
     return float(BANDWIDTH_GRID[int(np.argmin(scores))])
 
 
@@ -172,6 +172,10 @@ class SparseMSEConfig:
     seed: int = 0
     weights_source: str = "oracle"  # or "consistent"
     scaling: str = "maxscale"
+
+    def __post_init__(self):
+        if self.n_queries < 1:
+            raise ParameterError(f"n_queries must be at least 1, got {self.n_queries}")
 
 
 @dataclass(frozen=True)
@@ -240,10 +244,7 @@ def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int = 1) -> SparseMSER
     if cfg.seeds < 5:
         raise ParameterError("need at least 5 seeds")
     rows = _map_seeds(lambda s: _sparse_one_seed(cfg, s), cfg.seeds, jobs)
-    euc = np.asarray([r[0] for r in rows])
-    ell = np.asarray([r[1] for r in rows])
-    bw_e = [r[2] for r in rows]
-    bw_m = [r[3] for r in rows]
+    euc, ell, bw_e, bw_m = (np.asarray(column) for column in zip(*rows))
     if np.allclose(ell, euc):
         p = 1.0  # identical samples carry no directional evidence
     else:
@@ -255,8 +256,8 @@ def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int = 1) -> SparseMSER
         elliptical=_report("elliptical", bw_m, ell, cfg.n, cfg.seeds),
         per_seed_euclidean=euc,
         per_seed_elliptical=ell,
-        bandwidths_euclidean=np.asarray(bw_e),
-        bandwidths_elliptical=np.asarray(bw_m),
+        bandwidths_euclidean=bw_e,
+        bandwidths_elliptical=bw_m,
         p_value_less=p,
     )
 
@@ -319,8 +320,7 @@ def run_edge_preservation_experiment(cfg: EdgeConfig, jobs: int = 1) -> EdgeResu
     q1[0] = -cfg.query_offset
     q2[0] = cfg.query_offset
     rows = _map_seeds(lambda s: _edge_one_seed(cfg, q1, q2, s), cfg.seeds, jobs)
-    euc = np.asarray([r[0] for r in rows])
-    ell = np.asarray([r[1] for r in rows])
+    euc, ell = (np.asarray(column) for column in zip(*rows))
     f1 = unit_rows(EDGE_TRUTH(q1)[None, :])[0]
     f2 = unit_rows(EDGE_TRUTH(q2)[None, :])[0]
     return EdgeResult(

@@ -14,6 +14,7 @@ from elliptical.cli import (
     Option,
     UsageError,
     _parse_bool,
+    _parse_float,
     _parse_str,
     load_config,
     main,
@@ -108,9 +109,10 @@ class TestConfigFuzz:
         except UsageError:
             return
         assert sorted(cfg) == sorted(schema)
+        assert all(np.isfinite(v) for v in cfg.values() if isinstance(v, float)), cfg
 
 
-_S, _B = _parse_str, _parse_bool
+_S, _B, _F = _parse_str, _parse_bool, _parse_float
 _CORPUS = {
     "corpus": (_S, "synthetic"), "corpus_file": (_S, ""), "corpus_length": (int, 8192),
     "corpus_symbols": (int, 12), "corpus_order": (int, 2),
@@ -120,30 +122,30 @@ _CORPUS = {
 SCHEMAS = {
     "nw-sparse": {
         "n": (int, None), "dim": (int, 5), "seeds": (int, 20), "seed": (int, 0),
-        "noise_std": (float, 0.3), "n_queries": (int, 500),
+        "noise_std": (_F, 0.3), "n_queries": (int, 500),
         "weights_source": (_S, "oracle"), "scaling": (_S, "maxscale"),
         "truth": (_S, "sparse"), "out": (_S, "out/nw-sparse"),
     },
     "edge-preserve": {
-        "n": (int, None), "seeds": (int, 20), "seed": (int, 0), "noise_std": (float, 0.3),
-        "query_offset": (float, 0.3), "est_t": (float, 0.1), "est_points": (int, 2000),
+        "n": (int, None), "seeds": (int, 20), "seed": (int, 0), "noise_std": (_F, 0.3),
+        "query_offset": (_F, 0.3), "est_t": (_F, 0.1), "est_points": (int, 2000),
         "out": (_S, "out/edge-preserve"),
     },
     "estimator-bench": {
-        "seeds": (int, 20), "seed": (int, 0), "n": (int, 2048), "delta": (float, 1.0),
-        "noise_std": (float, 0.01), "out": (_S, "out/estimator-bench"),
+        "seeds": (int, 20), "seed": (int, 0), "n": (int, 2048), "delta": (_F, 1.0),
+        "noise_std": (_F, 0.01), "out": (_S, "out/estimator-bench"),
     },
     "train-lm": {
         **_CORPUS, "steps": (int, None), "eval_tokens": (int, 1024), "layers": (int, 4),
         "heads": (int, 2), "head_dim": (int, 16), "embed_dim": (int, 32),
         "ff_dim": (int, 64), "context": (int, 64), "elliptical": (_B, False),
-        "scaling": (_S, "maxscale"), "delta": (float, 1.0), "seed": (int, 0),
-        "lr": (float, 3e-4), "batch_size": (int, 8), "corrupt": (_B, False),
-        "corrupt_rate": (float, 0.025), "resume": (_S, ""), "out": (_S, "out/train-lm"),
+        "scaling": (_S, "maxscale"), "delta": (_F, 1.0), "seed": (int, 0),
+        "lr": (_F, 3e-4), "batch_size": (int, 8), "corrupt": (_B, False),
+        "corrupt_rate": (_F, 0.025), "resume": (_S, ""), "out": (_S, "out/train-lm"),
     },
     "diagnose": {
         **_CORPUS, "checkpoint": (_S, None), "eval_tokens": (int, 512),
-        "epsilons": (_S, "0.01,0.1,1.0"), "corrupt_rate": (float, 0.025),
+        "epsilons": (_S, "0.01,0.1,1.0"), "corrupt_rate": (_F, 0.025),
         "seed": (int, 0), "out": (_S, "out/diagnose"),
     },
     "verify": {"seed": (int, 0), "out": (_S, "out/verify")},
@@ -296,12 +298,30 @@ FAILURE_PROBES = {
     "corpus-vocab-mismatch": _vocab_mismatch,
     "too-few-seeds": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=2",
                                   "--set", "n_queries=20", "--set", "dim=2"],
+    "no-queries": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=5",
+                               "--set", "n_queries=0", "--set", "dim=2"],
 }
 
 #: what a probe's line must name: the step that diverged, or the scale that overflows
 PROBES_NAME = {
     "diverging-lr-1e150": "error: step 1: ", "diverging-lr-1e300": "error: step 1: ",
     "epsilons-overflow": "scale 1e+200 ", "epsilons-overflow-second": "scale 1e+308 ",
+    "no-queries": "n_queries",
+}
+
+#: float values that are not finite numbers: each is a usage error that names
+#: its key, before any work is done
+NON_FINITE_PROBES = {
+    "nw-sparse-noise-nan": (["nw-sparse", "--set", "n=40", "--set", "seeds=5", "--set", "dim=2",
+                             "--set", "noise_std=nan"], "noise_std"),
+    "edge-preserve-noise-nan": (["edge-preserve", "--set", "n=40", "--set", "seeds=5",
+                                 "--set", "noise_std=nan"], "noise_std"),
+    "edge-preserve-offset-nan": (["edge-preserve", "--set", "n=40", "--set", "seeds=5",
+                                  "--set", "query_offset=nan"], "query_offset"),
+    "train-lm-delta-nan": (_train_with("elliptical=true", "delta=nan", "context=32"), "delta"),
+    "train-lm-delta-inf": (_train_with("elliptical=true", "delta=inf"), "delta"),
+    "train-lm-corrupt-rate-nan": (_train_with("corrupt=true", "corrupt_rate=nan"), "corrupt_rate"),
+    "estimator-bench-delta-overflow": (["estimator-bench", "--set", "delta=1e999"], "delta"),
 }
 
 
@@ -318,6 +338,17 @@ class TestCleanFailures:
         assert err.startswith("error: ") and "Traceback" not in err
         assert PROBES_NAME.get(probe, "") in err
         assert _snapshot(tmp_path) == before  # no output file, new or changed
+
+    @pytest.mark.parametrize("probe", sorted(NON_FINITE_PROBES))
+    def test_non_finite_float_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, probe):
+        argv, key = NON_FINITE_PROBES[probe]
+        before = _snapshot(tmp_path)
+        code = _run(tmp_path, monkeypatch, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"usage error: bad value for key {key!r}: not a finite number")
+        assert _snapshot(tmp_path) == before
 
     def test_config_file_not_utf8_is_usage_error(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,6 +1,8 @@
 """Bit-identity oracle: sha256 digests of everything a tiny training run,
 its evaluation and its diagnostics produce, for the standard model and the
-metric-weighted model in all five scaling modes, with one and two heads.
+metric-weighted model in all five scaling modes, with one and two heads;
+and of every number the kernel-regression lab reports (``nw-sparse`` with
+oracle and consistent weights, ``edge-preserve``, ``estimator-bench``).
 
 A kernel or refactor change that claims "same bits" must leave every digest
 here unchanged.  The expected values pin this machine's numpy/OpenBLAS
@@ -14,6 +16,18 @@ import hashlib
 import numpy as np
 import pytest
 
+from elliptical import nwlab
+from elliptical.cli import main
+from elliptical.estimators import (
+    SyntheticFunction,
+    linear_function,
+    oracle_variability,
+    piecewise_step,
+    ranking_catalog,
+    sparse_sinusoid,
+    uniform_sampler,
+)
+from elliptical.metric import apply_scaling, identity_weights
 from elliptical.model import (
     Corpus,
     ModelConfig,
@@ -23,7 +37,7 @@ from elliptical.model import (
     synthetic_corpus,
     train,
 )
-from elliptical.numerics import derive_rng
+from elliptical.numerics import derive_rng, finite_diff_jacobian
 
 VARIANTS = ("standard", "maxscale", "meanscale", "unscaled", "identity", "random")
 
@@ -140,3 +154,134 @@ def test_outputs_match_pinned_digests(variant, heads):
     assert got == EXPECTED[(variant, heads)], (
         "training, evaluation or diagnostics bits moved: " + repr(got)
     )
+
+
+#: lab run -> sha256 of its per-seed errors, bandwidths and p-value, or of
+#: its results.csv
+LAB_EXPECTED = {
+    "sparse-oracle-maxscale": "f8a85ede1a36a174255346addd9691e91f5897dd3a151b9f518f92717d411893",
+    "sparse-consistent-meanscale": "9581215ff16781c0f28b1845b9f93bcc35f8b581b1c4b33038528990ba1e8b13",
+    "edge-preserve": "16f5636d393809c0aa6fb7c42878037a8f03cab53246bc9343c683b9cd6f6b02",
+    "estimator-bench": "95d1a2d3cb47139212b70d91a012f8ab6c477bd9a5d8ed6c40be7a5ae53c2ade",
+}
+
+
+def _sparse_digest(weights_source: str, scaling: str, n: int, dim: int) -> str:
+    cfg = nwlab.SparseMSEConfig(
+        truth=sparse_sinusoid(dim, [0], [1.0], [2]), n=n, n_queries=100, seeds=5,
+        seed=4, weights_source=weights_source, scaling=scaling,
+    )
+    res = nwlab.run_sparse_mse_experiment(cfg)
+    return _sha(
+        res.per_seed_euclidean, res.per_seed_elliptical,
+        res.bandwidths_euclidean, res.bandwidths_elliptical, res.p_value_less,
+    )
+
+
+def _edge_digest() -> str:
+    res = nwlab.run_edge_preservation_experiment(nwlab.EdgeConfig(n=120, seeds=6, seed=2))
+    return _sha(res.per_seed_euclidean, res.per_seed_elliptical, res.piece_distance)
+
+
+def _bench_digest(tmp_path, monkeypatch) -> str:
+    monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
+    assert main(["estimator-bench", "--set", "seeds=3", "--set", "n=512", "--set", "out=b"]) == 0
+    return hashlib.sha256((tmp_path / "b" / "results.csv").read_bytes()).hexdigest()
+
+
+LAB_RUNS = {
+    "sparse-oracle-maxscale": lambda tmp, mp: _sparse_digest("oracle", "maxscale", 200, 5),
+    "sparse-consistent-meanscale": lambda tmp, mp: _sparse_digest("consistent", "meanscale", 80, 3),
+    "edge-preserve": lambda tmp, mp: _edge_digest(),
+    "estimator-bench": _bench_digest,
+}
+
+
+@pytest.mark.parametrize("run", sorted(LAB_RUNS))
+def test_lab_outputs_match_pinned_digests(run, tmp_path, monkeypatch):
+    got = LAB_RUNS[run](tmp_path, monkeypatch)
+    assert got == LAB_EXPECTED[run], f"{run} bits moved: {got}"
+
+
+def _cv_scores_reference(data, w) -> list[float]:
+    """Summed held-out error per grid bandwidth, one distance matrix and one
+    validated training set per (bandwidth, fold) pair."""
+    bounds = np.linspace(0, data.n, nwlab.CV_FOLDS + 1, dtype=int)
+    scores = []
+    for bw in nwlab.BANDWIDTH_GRID:
+        err = 0.0
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            mask = np.ones(data.n, dtype=bool)
+            mask[lo:hi] = False
+            train = nwlab.NWDataset(data.keys[mask], data.values[mask], data.truth, data.noise_std)
+            pred = nwlab.nw_estimate_batch(data.keys[lo:hi], train, bw, w)
+            err += float(np.sum((pred - data.values[lo:hi]) ** 2))
+        scores.append(err)
+    return scores
+
+
+@pytest.mark.parametrize("n", (5, 37, 120))
+@pytest.mark.parametrize("weighted", (False, True))
+def test_cross_validation_scores_match_the_per_pair_loop(n, weighted, monkeypatch):
+    # the scores are read where the bandwidth is picked, so every bit of
+    # every grid point's error is compared, not only the winner
+    truth = sparse_sinusoid(3, [0], [1.0], [2])
+    rng = derive_rng(8, 0, n)
+    data = nwlab.sample_dataset(truth, n, 0.3, rng)
+    w = apply_scaling(np.array([1.3, 0.2, 0.05]), "maxscale") if weighted else identity_weights(3)
+    seen = []
+    argmin = np.argmin
+    monkeypatch.setattr(np, "argmin", lambda a, *args, **kw: seen.append(a) or argmin(a, *args, **kw))
+    got = nwlab.cross_validate_bandwidth(data, w)
+    monkeypatch.undo()
+    want = _cv_scores_reference(data, w)
+    assert len(seen) == 1
+    assert np.asarray(seen[0], dtype=np.float64).tobytes() == np.asarray(want).tobytes()
+    assert got == float(nwlab.BANDWIDTH_GRID[int(np.argmin(want))])
+
+
+def _oracle_reference(f, sampler, n_mc, rng) -> np.ndarray:
+    """Monte-Carlo variability from one finite-difference Jacobian per point."""
+    pts = sampler(rng, n_mc)
+    raw = np.zeros(pts.shape[1])
+    for x in pts:
+        raw += np.sum(np.abs(finite_diff_jacobian(f, x)), axis=0)
+    return raw / n_mc
+
+
+def _dense_outputs() -> SyntheticFunction:
+    """Seventeen outputs that each move with two of three inputs: every
+    Jacobian column sums many nonzero terms, past numpy's eight-way unrolled
+    summation, so the order in which outputs are added shows in the bits."""
+    return SyntheticFunction(
+        "dense", 3, 17,
+        lambda p: np.stack([np.sin(p[:, o % 3] * (o + 1)) * np.cos(p[:, (o + 1) % 3] * 0.5 + o)
+                            for o in range(17)], axis=1),
+    )
+
+
+ORACLE_TRUTHS = {
+    "sparse_sinusoid": lambda: sparse_sinusoid(5, [0, 3], [1.0, 0.4], [2, 1]),
+    "ranking_catalog": ranking_catalog,
+    "piecewise_step": lambda: piecewise_step((1.0, 0.0), (0.0, 1.0)),
+    "dense_outputs": _dense_outputs,
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(ORACLE_TRUTHS))
+def test_oracle_matches_the_per_point_loop_bitwise(name, seed):
+    f = ORACLE_TRUTHS[name]()
+    sampler = uniform_sampler(-3.0, 3.0, f.dim)
+    got = oracle_variability(f, sampler, 200, derive_rng(9, 0, seed)).raw
+    want = _oracle_reference(f, sampler, 200, derive_rng(9, 0, seed))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_oracle_on_a_linear_map_matches_the_per_point_loop():
+    # a many-row matrix product may round differently from a one-row one
+    f = linear_function(derive_rng(9, 1, 0).standard_normal((3, 4)))
+    sampler = uniform_sampler(-3.0, 3.0, f.dim)
+    got = oracle_variability(f, sampler, 200, derive_rng(9, 0, 1)).raw
+    want = _oracle_reference(f, sampler, 200, derive_rng(9, 0, 1))
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)

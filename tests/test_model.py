@@ -68,6 +68,11 @@ class TestConfig:
             ModelConfig(vocab_size=10, layers=1, heads=2, head_dim=8,
                         embed_dim=16, elliptical=True)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(ParameterError, match="delta"):
+            ModelConfig(vocab_size=10, heads=2, head_dim=8, embed_dim=16, delta=delta)
+
 
 class TestCorpora:
     def test_synthetic_corpus_is_deterministic(self):

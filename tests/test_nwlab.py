@@ -129,6 +129,17 @@ class TestBandwidthSelection:
         # far-too-small and far-too-large bandwidths must lose to the pick
         assert bw not in (0.05, 2.0)
 
+    def test_one_distance_matrix_per_fold(self, monkeypatch):
+        # the distances do not depend on the bandwidth: one matrix per fold,
+        # not one per (bandwidth, fold) pair
+        from elliptical import nwlab
+
+        calls = []
+        dists = nwlab._weighted_sq_dists
+        monkeypatch.setattr(nwlab, "_weighted_sq_dists", lambda *a: calls.append(1) or dists(*a))
+        cross_validate_bandwidth(_toy_dataset(make_rng(6), n=60), identity_weights(2))
+        assert len(calls) == nwlab.CV_FOLDS
+
     def test_more_data_at_fixed_bandwidth_does_not_hurt(self):
         truth = sparse_sinusoid(2, [0], [1.0], [1])
         w = identity_weights(2)
