@@ -43,12 +43,12 @@ class AttentionConfig:
 class AttentionOutput:
     h: np.ndarray
     attn: np.ndarray
-    logits: np.ndarray
+    logits: np.ndarray  # causal logits carry no -inf; attn is exactly 0 above the diagonal
 
 
 def causal_mask(n: int) -> np.ndarray:
-    """Additive mask: 0 on and below the diagonal, -inf strictly above."""
-    return np.triu(np.full((n, n), -np.inf), k=1)
+    """Boolean (n, n) softmax ``where``: query i sees keys j <= i; logits get no -inf."""
+    return np.tri(n, dtype=bool)
 
 
 def split_heads(a: np.ndarray, batch: int, heads: int) -> np.ndarray:
@@ -75,17 +75,13 @@ def weighted_kernel(
     temperature: float,
     causal: bool,
 ) -> AttentionOutput:
-    """softmax((q * m) @ k' / temperature) @ v on (t_len, d) matrices or on
-    (..., t_len, d) stacks whose leading axes broadcast; ``m`` broadcasts against ``q``."""
+    """softmax((q * m) @ k' / temperature) @ v on (t_len, d) matrices or on (..., t_len, d)
+    stacks whose leading axes broadcast; ``m`` broadcasts against ``q``.  A causal call
+    passes ``causal_mask`` to the softmax as ``where``, so its logits carry no -inf."""
     logits = np.matmul(q * m, k.swapaxes(-1, -2))
     logits /= temperature
-    n = logits.shape[-1]
-    keep = None
-    if causal:
-        mask = causal_mask(n)
-        logits += mask  # the logits keep their -inf entries; softmax skips them
-        keep = np.broadcast_to(mask == 0, logits.shape).reshape(-1, n)
-    attn = softmax_rows(logits.reshape(-1, n), where=keep).reshape(logits.shape)
+    keep = causal_mask(logits.shape[-1]) if causal else None
+    attn = softmax_rows(logits, where=keep)
     return AttentionOutput(h=np.matmul(attn, v), attn=attn, logits=logits)
 
 
@@ -121,8 +117,7 @@ def masa(q, keys, w: EllipticalWeights) -> np.ndarray:
         raise ShapeError(
             f"dimension mismatch: q={q.size}, keys={keys.shape}, m={w.dim}"
         )
-    logits = keys @ (w.m * q)
-    return softmax_rows(logits[None, :])[0]
+    return softmax_rows(keys @ (w.m * q))
 
 
 def masa_jacobian(q, keys, w: EllipticalWeights) -> np.ndarray:
@@ -158,12 +153,8 @@ def elliptical_attention(
     v_prev = as_matrix(v_prev)
     if v_prev.shape != v.shape:
         raise ShapeError(f"v_prev shape {v_prev.shape} != v shape {v.shape}")
-    mode = cfg.weights.mode
-    if mode == "identity":
-        m = np.ones(cfg.head_dim)
-    else:
-        raw = estimate_overlayers(v, v_prev, delta).raw
-        m = apply_scaling(raw, mode, rng=rng).m
+    raw = estimate_overlayers(v, v_prev, delta).raw
+    m = apply_scaling(raw, cfg.weights.mode, rng=rng).m
     return weighted_kernel(q, k, v, m, cfg.temperature, causal=False)
 
 

@@ -89,6 +89,12 @@ def _build(cls, cfg: dict[str, Any], **given):
     return cls(**{**kwargs, **given})
 
 
+def _check_at_least(cfg: dict[str, Any], low: int, *keys: str) -> None:
+    for key in keys:
+        if cfg[key] < low:
+            raise UsageError(f"bad value for key {key!r}: need at least {low}, got {cfg[key]}")
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and ``#`` comments ignored."""
     out: dict[str, str] = {}
@@ -196,6 +202,7 @@ def _nw_truth(kind: str, dim: int):
 
 
 def cmd_nw_sparse(cfg: dict[str, Any], jobs: int) -> int:
+    _check_at_least(cfg, 1, "dim")
     out_dir = resolve_out_dir(cfg["out"])
     truth = _nw_truth(cfg["truth"], cfg["dim"])
     result = nwlab.run_sparse_mse_experiment(
@@ -275,6 +282,7 @@ BENCH_SCHEMA = {
 
 
 def cmd_estimator_bench(cfg: dict[str, Any], jobs: int) -> int:
+    _check_at_least(cfg, 1, "seeds", "n")
     from scipy import stats  # here, not at module level: it is the package's slowest import
 
     out_dir = resolve_out_dir(cfg["out"])
@@ -357,13 +365,8 @@ def _build_corpus(cfg: dict[str, Any]) -> model.Corpus:
     raise UsageError(f"bad value for key 'corpus': {kind!r}")
 
 
-def _check_eval_tokens(cfg: dict[str, Any]) -> None:
-    if cfg["eval_tokens"] < 2:  # tokens[-0:] would be the whole corpus
-        raise UsageError("bad value for key 'eval_tokens': need at least 2 tokens")
-
-
 def cmd_train_lm(cfg: dict[str, Any], jobs: int) -> int:
-    _check_eval_tokens(cfg)
+    _check_at_least(cfg, 2, "eval_tokens")  # tokens[-0:] would be the whole corpus
     out_dir = resolve_out_dir(cfg["out"])
     corpus = _build_corpus(cfg)
     eval_count = min(cfg["eval_tokens"], corpus.tokens.size // 4)
@@ -436,7 +439,7 @@ def _parse_epsilons(text: str) -> tuple[float, ...]:
 
 
 def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
-    _check_eval_tokens(cfg)
+    _check_at_least(cfg, 2, "eval_tokens")
     epsilons = _parse_epsilons(cfg["epsilons"])
     ckpt_path = Path(cfg["checkpoint"])
     if not ckpt_path.exists():

@@ -59,16 +59,15 @@ class SyntheticFunction:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ShapeError(f"{self.name} expects points of dimension {self.dim}")
+        pts = x.reshape(-1, self.dim)
         out = np.asarray(self.fn(pts), dtype=np.float64)
         if out.shape != (pts.shape[0], self.out_dim):
             raise ShapeError(f"{self.name} returned shape {out.shape}")
         if not np.all(np.isfinite(out)):
             raise EvaluationError(f"{self.name} produced non-finite output")
-        return out[0] if single else out
+        return out.reshape(*x.shape[:-1], self.out_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +130,8 @@ def sparse_sinusoid(dim: int, active, amplitudes, frequencies) -> SyntheticFunct
         raise ShapeError("active, amplitudes, frequencies must align")
     if not np.all(freq == np.round(freq)):
         raise ParameterError("integer frequencies required for the analytic values")
+    if not all(0 <= i < dim for i in active):
+        raise ParameterError(f"active coordinates {active} must lie in [0, {dim})")
     variability = np.zeros(dim)
     bounds = np.zeros(dim)
     for pos, i in enumerate(active):
@@ -195,6 +196,8 @@ def estimate_overlayers(v_curr, v_prev, delta: float) -> VariabilityEstimate:
     v_prev = as_matrix(v_prev)
     if v_curr.shape != v_prev.shape:
         raise ShapeError(f"value shapes differ: {v_curr.shape} vs {v_prev.shape}")
+    if v_curr.shape[0] == 0:
+        raise ParameterError("need at least one value row")
     raw = np.mean(np.abs(v_curr - v_prev), axis=0) / delta
     return VariabilityEstimate(raw)
 
@@ -211,6 +214,8 @@ def estimate_consistent(
     if t <= 0:
         raise ParameterError("t must be positive")
     pts = as_matrix(sample_points)
+    if pts.shape[0] == 0:
+        raise ParameterError("need at least one sample point")
     dim = pts.shape[1]
     raw = np.empty(dim, dtype=np.float64)
     for i in range(dim):

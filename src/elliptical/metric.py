@@ -61,44 +61,41 @@ def apply_scaling(raw, mode: str, *, rng: np.random.Generator | None = None) -> 
     degenerate estimate can never produce a degenerate kernel.  This is the
     one-row case of :func:`scale_rows`.
     """
-    row = np.reshape(np.asarray(raw, dtype=np.float64), (1, -1))
-    return EllipticalWeights(scale_rows(row, mode, rng=rng)[0], mode)
+    return EllipticalWeights(scale_rows(np.ravel(raw), mode, rng=rng), mode)
 
 
 def scale_rows(raw, mode: str, *, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Scale every row of an (n, dim) array of raw estimates on its own.
+    """Scale every row (last axis) of a (..., dim) array of raw estimates on its own.
 
     Each row gets the rule documented in :func:`apply_scaling`, all-zero rows
-    included.  random draws one fresh uniform row per nonzero row, in row
-    order, so a stream gives the same weights as scaling the rows one at a
-    time in that order.
+    included.  random draws one fresh uniform row per nonzero row, in the C
+    order of the leading axes, so a stream gives the same weights as scaling
+    the rows one at a time in that order.
     """
     if mode not in SCALING_MODES:
         raise ParameterError(f"unknown scaling mode {mode!r}")
-    raw = as_matrix(raw)
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.ndim == 0 or not np.isfinite(raw).all():
+        raise ShapeError("raw estimates must be finite rows along the last axis")
     if raw.min(initial=0.0) < 0:
         raise ParameterError("raw variability estimates must be nonnegative")
     m = np.ones_like(raw)
-    top = raw.max(axis=1, keepdims=True, initial=0.0)
-    live = top > 0  # (n, 1): a row with any positive entry
+    top = raw.max(axis=-1, keepdims=True, initial=0.0)
+    live = top > 0  # (..., 1): a row with any positive entry
     if mode == "identity" or not live.any():
         return m
     if mode == "random":
-        # gather the live rows: the draws are made for them alone, in row order
+        # the live rows alone get draws, in row order, which are then maxscaled
         if rng is None:
             raise ParameterError("random scaling mode requires an rng")
-        u = rng.uniform(0.0, 1.0, (int(live.sum()), raw.shape[1]))
-        u_top = u.max(axis=1, keepdims=True)
-        drawn = u_top[:, 0] > 0  # an all-zero draw keeps the identity row
-        rows = np.ones_like(u)
-        rows[drawn] = np.maximum(u[drawn] / u_top[drawn], FLOOR)
-        m[live[:, 0]] = rows
+        u = rng.uniform(0.0, 1.0, (int(live.sum()), raw.shape[-1]))
+        m[live[..., 0]] = scale_rows(u, "maxscale")
         return m
     # dead rows are never written, so they keep their ones
     if mode == "maxscale":
         np.divide(raw, top, out=m, where=live)
     elif mode == "meanscale":
-        np.divide(raw, raw.mean(axis=1, keepdims=True), out=m, where=live)
+        np.divide(raw, raw.mean(axis=-1, keepdims=True), out=m, where=live)
     else:  # unscaled
         np.copyto(m, raw, where=live)
     return np.maximum(m, FLOOR, out=m)

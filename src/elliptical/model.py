@@ -231,9 +231,8 @@ def _metric_rows(
     counts = np.arange(1, t_len + 1, dtype=np.float64)[:, None]
     raw = np.cumsum(np.abs(held[0] - held[1]) / delta, axis=2) / counts
     raw[:, :, : METRIC_WARMUP - 1] = 0.0
-    by_head = raw.swapaxes(0, 1)
-    m = scale_rows(by_head.reshape(-1, by_head.shape[-1]), mode, rng=rng)
-    return merge_heads(m.reshape(by_head.shape).swapaxes(0, 1)), held
+    m = scale_rows(raw.swapaxes(0, 1), mode, rng=rng)
+    return merge_heads(m.swapaxes(0, 1)), held
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -46,24 +46,24 @@ def as_vector(data) -> np.ndarray:
 
 
 def softmax_rows(z: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise exp-normalize with row-max subtraction.
+    """Exp-normalize each row (last axis) with row-max subtraction.
 
-    Entries of -inf are tolerated (they arise from additive masking) and map
-    to exact zeros; every row must keep at least one finite entry.  Entries
-    where the boolean ``where`` is False skip ``exp`` and also come out as
-    exact zeros: the bits of -inf masking, at half the cost for a causal mask.
+    ``z`` has any rank >= 1 and every slice along its last axis is a row.
+    Entries where the boolean ``where`` (broadcast against ``z``) is False
+    skip ``exp`` and come out as exact zeros, as do entries of -inf; every
+    row must keep at least one finite entry.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise ShapeError("softmax_rows expects a 2-D array")
+    if z.ndim == 0:
+        raise ShapeError("softmax_rows expects an array with at least one axis")
     keep = True if where is None else where
     # array methods, not np.max/np.sum: the wrappers cost more than a small row
-    m = z.max(axis=1, keepdims=True, where=keep, initial=-np.inf)
+    m = z.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
     if not np.isfinite(m).all():
         raise ParameterError("softmax_rows: a row has no finite entry")
     e = z - m if where is None else np.subtract(z, m, out=np.zeros_like(z), where=where)
     np.exp(e, out=e, where=keep)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 

@@ -274,6 +274,10 @@ class EdgeConfig:
     est_t: float = 0.1
     est_points: int = 2000
 
+    def __post_init__(self):
+        if self.est_points < 1:
+            raise ParameterError(f"est_points must be at least 1, got {self.est_points}")
+
 
 @dataclass(frozen=True)
 class EdgeResult:
@@ -321,8 +325,7 @@ def run_edge_preservation_experiment(cfg: EdgeConfig, jobs: int = 1) -> EdgeResu
     q2[0] = cfg.query_offset
     rows = _map_seeds(lambda s: _edge_one_seed(cfg, q1, q2, s), cfg.seeds, jobs)
     euc, ell = (np.asarray(column) for column in zip(*rows))
-    f1 = unit_rows(EDGE_TRUTH(q1)[None, :])[0]
-    f2 = unit_rows(EDGE_TRUTH(q2)[None, :])[0]
+    f1, f2 = unit_rows(EDGE_TRUTH(np.vstack([q1, q2])))
     return EdgeResult(
         euclidean_mean=float(np.mean(euc)),
         elliptical_mean=float(np.mean(ell)),

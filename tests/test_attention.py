@@ -127,8 +127,9 @@ class TestCausalMasking:
 
     def test_mask_values(self):
         m = causal_mask(3)
-        assert np.all(np.tril(m) == 0.0)
-        assert np.all(np.isneginf(m[np.triu_indices(3, k=1)]))
+        assert m.dtype == bool
+        assert np.all(m[np.tril_indices(3)])
+        assert not np.any(m[np.triu_indices(3, k=1)])
 
 
 class TestStackedKernel:
@@ -262,6 +263,20 @@ class TestEllipticalAttention:
         assert out.logits.tobytes() == std.logits.tobytes()
         assert out.attn.tobytes() == std.attn.tobytes()
         assert out.h.tobytes() == std.h.tobytes()
+
+    def test_identity_mode_runs_the_layer_difference_path(self, monkeypatch):
+        from elliptical import attention
+
+        calls = []
+        real = attention.estimate_overlayers
+        monkeypatch.setattr(
+            attention, "estimate_overlayers", lambda *a: calls.append(a) or real(*a)
+        )
+        q, k, v, v_prev = (make_rng(15).standard_normal((4, 3)) for _ in range(4))
+        elliptical_attention(q, k, v, v_prev, self._cfg(3, "identity"), delta=1.0)
+        assert len(calls) == 1
+        with pytest.raises(ParameterError, match="delta"):
+            elliptical_attention(q, k, v, v_prev, self._cfg(3, "identity"), delta=0.0)
 
     def test_matches_bruteforce_summation(self):
         # direct per-query loop over exp(q' M k / sqrt(D)) weighted values

@@ -300,13 +300,23 @@ FAILURE_PROBES = {
                                   "--set", "n_queries=20", "--set", "dim=2"],
     "no-queries": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=5",
                                "--set", "n_queries=0", "--set", "dim=2"],
+    "no-est-points": lambda tmp: ["edge-preserve", "--set", "n=40", "--set", "seeds=5",
+                                  "--set", "est_points=0"],
 }
 
 #: what a probe's line must name: the step that diverged, or the scale that overflows
 PROBES_NAME = {
     "diverging-lr-1e150": "error: step 1: ", "diverging-lr-1e300": "error: step 1: ",
     "epsilons-overflow": "scale 1e+200 ", "epsilons-overflow-second": "scale 1e+308 ",
-    "no-queries": "n_queries",
+    "no-queries": "n_queries", "no-est-points": "est_points",
+}
+
+#: counts below their minimum: each is a usage error that names its key,
+#: before any work is done
+BELOW_MINIMUM_PROBES = {
+    "nw-sparse-dim-zero": (["nw-sparse", "--set", "n=40", "--set", "dim=0"], "dim"),
+    "estimator-bench-seeds-zero": (["estimator-bench", "--set", "seeds=0"], "seeds"),
+    "estimator-bench-n-zero": (["estimator-bench", "--set", "n=0"], "n"),
 }
 
 #: float values that are not finite numbers: each is a usage error that names
@@ -348,6 +358,17 @@ class TestCleanFailures:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert err.startswith(f"usage error: bad value for key {key!r}: not a finite number")
+        assert _snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("probe", sorted(BELOW_MINIMUM_PROBES))
+    def test_count_below_minimum_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, probe):
+        argv, key = BELOW_MINIMUM_PROBES[probe]
+        before = _snapshot(tmp_path)
+        code = _run(tmp_path, monkeypatch, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"usage error: bad value for key {key!r}: need at least 1")
         assert _snapshot(tmp_path) == before
 
     def test_config_file_not_utf8_is_usage_error(self, tmp_path, monkeypatch, capsys):

@@ -57,6 +57,11 @@ class TestCatalog:
         moved[:, 1:] += 1.0
         np.testing.assert_allclose(f(pts), f(moved), atol=1e-15)
 
+    def test_sparse_sinusoid_rejects_active_outside_dim(self):
+        for dim, active in ((0, [0]), (3, [3]), (3, [-1])):
+            with pytest.raises(ParameterError, match="active"):
+                sparse_sinusoid(dim, active, [1.0], [2])
+
 
 class TestOverlayersEstimator:
     def test_equal_values_give_zero(self):
@@ -80,6 +85,8 @@ class TestOverlayersEstimator:
             estimate_overlayers(np.ones((2, 3)), np.ones((3, 2)), 1.0)
         with pytest.raises(ParameterError):
             estimate_overlayers(np.ones((2, 3)), np.ones((2, 3)), 0.0)
+        with pytest.raises(ParameterError, match="row"):
+            estimate_overlayers(np.ones((0, 3)), np.ones((0, 3)), 1.0)
 
 
 class TestConsistentEstimator:
@@ -121,6 +128,10 @@ class TestConsistentEstimator:
 
         with pytest.raises(EvaluationError):
             estimate_consistent(bad, np.zeros((3, 2)), t=0.1)
+
+    def test_zero_sample_points_raise(self):
+        with pytest.raises(ParameterError, match="sample point"):
+            estimate_consistent(linear_function(np.eye(2)), np.zeros((0, 2)), t=0.1)
 
 
 class TestOracle:

@@ -17,7 +17,7 @@ from elliptical.metric import (
     robustness_bound,
     scale_rows,
 )
-from elliptical.numerics import ParameterError, ShapeError, make_rng
+from elliptical.numerics import ParameterError, ShapeError, derive_rng, make_rng
 
 
 class TestApplyScaling:
@@ -104,6 +104,25 @@ class TestScaleRows:
         u = make_rng(9).uniform(0.0, 1.0, (2, 3))
         assert np.array_equal(m[[1, 3]], np.maximum(u / u.max(axis=1, keepdims=True), 1e-6))
         assert np.all(m[[0, 2, 4]] == 1.0)
+
+    @pytest.mark.parametrize("mode", ["maxscale", "meanscale", "unscaled", "identity", "random"])
+    def test_strided_stack_matches_its_row_order_reshape_bitwise(self, mode):
+        # the (heads, batch, t, d) view of a (batch, heads, t, d) array, as the
+        # causal metric passes it: rows and random draws follow its C order
+        raw = make_rng(8).uniform(0.0, 3.0, (3, 2, 5, 16))
+        raw[:, :, :2] = 0.0
+        raw[1, 0, 3, 1:] = 0.0
+        view = raw.swapaxes(0, 1)
+        got = scale_rows(view, mode, rng=derive_rng(8, 1))
+        ref = scale_rows(np.ascontiguousarray(view).reshape(-1, 16), mode, rng=derive_rng(8, 1))
+        assert got.shape == view.shape
+        assert np.array_equal(got.reshape(-1, 16).view(np.int64), ref.view(np.int64))
+
+    def test_rejects_scalars_and_non_finite_entries(self):
+        with pytest.raises(ShapeError):
+            scale_rows(np.float64(1.0), "maxscale")
+        with pytest.raises(ShapeError):
+            scale_rows(np.array([[1.0, np.nan]]), "maxscale")
 
 
 class TestEllipticalWeightsInvariants:

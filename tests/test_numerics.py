@@ -56,12 +56,33 @@ class TestSoftmaxRows:
         masked = np.where(keep, z, -np.inf)
         e = np.exp(masked - np.max(masked, axis=1, keepdims=True))
         old = e / np.sum(e, axis=1, keepdims=True)
-        for logits in (z, masked):  # weighted_kernel passes logits that keep their -inf
+        for logits in (z, masked):  # -inf entries outside where change nothing
             new = softmax_rows(logits, where=keep)
             assert np.array_equal(new.view(np.int64), old.view(np.int64))
         assert np.all(old[::t_len, 0] == 1.0) and old[4, -1] == 1.0
         e = np.exp(z - np.max(z, axis=1, keepdims=True))
         assert np.array_equal(softmax_rows(z), e / np.sum(e, axis=1, keepdims=True))
+
+    def test_stack_with_broadcast_where_matches_its_rows_bitwise(self):
+        # rows are the last axis: a (batch, heads, t, n) stack with one (n, n)
+        # mask is the 2-D call on its rows with the mask repeated for each slice
+        rng = make_rng(5)
+        n = 9
+        z = rng.uniform(-30.0, 30.0, (3, 2, n, n))
+        keep = np.tri(n, dtype=bool)
+        full = np.broadcast_to(keep, z.shape).reshape(-1, n)
+        for where, rows_where in ((keep, full), (None, None)):
+            got = softmax_rows(z, where=where)
+            ref = softmax_rows(z.reshape(-1, n), where=rows_where).reshape(z.shape)
+            assert got.shape == z.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_vector_is_the_one_row_call(self):
+        z = make_rng(6).uniform(-30.0, 30.0, 11)
+        one_row = softmax_rows(z[None, :])[0]
+        assert np.array_equal(softmax_rows(z).view(np.int64), one_row.view(np.int64))
+        with pytest.raises(ShapeError):
+            softmax_rows(np.float64(1.0))
 
     def test_row_without_a_live_entry_raises(self):
         keep = np.array([[True, False], [False, False]])
