@@ -17,7 +17,7 @@ import numpy as np
 
 from .estimators import estimate_overlayers
 from .metric import EllipticalWeights, apply_scaling
-from .numerics import ParameterError, ShapeError, as_matrix, as_vector, softmax_rows
+from .numerics import ParameterError, ShapeError, as_matrix, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,19 @@ def standard_attention(q, k, v, cfg: AttentionConfig) -> AttentionOutput:
 
 
 def masa(q, keys, w: EllipticalWeights) -> np.ndarray:
-    """Metric-weighted softmax over keys at unit temperature.
+    """Metric-weighted softmax over keys at unit temperature, on the last axis.
 
-    Component j is exp(q' M k_j) normalized over all keys.
+    ``q`` is one (dim,) query or a (..., dim) stack of them; for each query
+    component j is exp(q' M k_j) normalized over all keys, one matrix-vector
+    product per query, so a stacked call gives each query's 1-D bits.
     """
-    q = as_vector(q)
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim == 0 or not np.isfinite(q).all():
+        raise ShapeError("query must be a finite vector or stack of vectors")
     keys = as_matrix(keys)
-    if keys.shape[1] != q.size or q.size != w.dim:
-        raise ShapeError(
-            f"dimension mismatch: q={q.size}, keys={keys.shape}, m={w.dim}"
-        )
-    return softmax_rows(keys @ (w.m * q))
+    if not keys.shape[1] == q.shape[-1] == w.dim:
+        raise ShapeError(f"dimension mismatch: q={q.shape[-1]}, keys={keys.shape}, m={w.dim}")
+    return softmax_rows(np.matmul(keys, (w.m * q)[..., None])[..., 0])
 
 
 def masa_jacobian(q, keys, w: EllipticalWeights) -> np.ndarray:

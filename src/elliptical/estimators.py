@@ -21,6 +21,7 @@ from .numerics import (
     ParameterError,
     ShapeError,
     as_matrix,
+    central_differences,
     derive_rng,
 )
 
@@ -239,22 +240,13 @@ def oracle_variability(
 ) -> VariabilityEstimate:
     """Brute-force Monte Carlo of E ||J_f(k) e_i||_1 with numeric Jacobians.
 
-    The Jacobians are ``finite_diff_jacobian``'s central differences, step
-    h_i = 1e-5 (1 + |x_i|), with all points' perturbations evaluated in one
-    batch per sign.  Outputs and points are summed in the order a loop over
+    The Jacobians come from ``numerics.central_differences`` at every sampled
+    point at once.  Outputs and points are summed in the order a loop over
     per-point Jacobians would sum them.
     """
     if n_mc < 1:
         raise ParameterError("need at least one Monte-Carlo point")
-    pts = as_matrix(mu_sampler(rng, n_mc))
-    n, dim = pts.shape
-    steps = 1e-5 * (1.0 + np.abs(pts))
-    shifts = (steps[:, :, None] * np.eye(dim)).reshape(n * dim, dim)  # row (p, i) = h_pi e_i
-    base = np.repeat(pts, dim, axis=0)
-    y0, yp, ym = (np.asarray(f(x), dtype=np.float64) for x in (pts, base + shifts, base - shifts))
-    if not all(np.all(np.isfinite(y)) for y in (y0, yp, ym)):
-        raise EvaluationError("function returned a non-finite value")
-    jac = (yp - ym).reshape(n, dim, -1) / (2.0 * steps[:, :, None])  # [point, input, output]
+    jac = central_differences(f, mu_sampler(rng, n_mc))  # [point, input, output]
     # a contiguous [point, output, input] array sums each point's outputs as
     # np.sum sums down one Jacobian; cumsum adds the points one at a time
     per_point = np.abs(np.ascontiguousarray(jac.transpose(0, 2, 1))).sum(axis=1)

@@ -1,5 +1,5 @@
 """Double-precision array plumbing: validated matrices, stable softmax,
-counter-based seeded randomness, and a central-difference Jacobian oracle.
+counter-based seeded randomness, and batched central-difference Jacobians.
 
 Everything downstream treats 2-D float64 numpy arrays as the universal
 carrier for queries, keys, values and hidden states.
@@ -32,7 +32,7 @@ def as_matrix(data) -> np.ndarray:
     a = np.array(data, dtype=np.float64, order="C")
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ShapeError("matrix entries must be finite")
     return a
 
@@ -40,7 +40,7 @@ def as_matrix(data) -> np.ndarray:
 def as_vector(data) -> np.ndarray:
     """Return ``data`` as a finite, flattened 1-D float64 array."""
     v = np.asarray(data, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ShapeError("vector entries must be finite")
     return v
 
@@ -73,37 +73,34 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
-def finite_diff_jacobian(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    h: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued function at ``x``.
-
-    Column i is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i) with the step
-    scaled by the input magnitude, h_i = h * (1 + |x_i|).  Exact for linear
-    maps up to roundoff; the workhorse oracle for every analytic derivative
-    in this package.
-    """
+def central_differences(f: Callable[[np.ndarray], np.ndarray], pts, h: float = 1e-5) -> np.ndarray:
+    """[point, input, output] central-difference Jacobians of a row-wise ``f``, (rows, dim)
+    -> (rows, out), at each row x_p of ``pts``: entry [p, i, o] is (f(x_p + h_pi e_i) -
+    f(x_p - h_pi e_i))_o / (2 h_pi), h_pi = h (1 + |x_pi|).  ``f`` is called three times, at
+    ``pts`` and at every shift of each sign; a non-finite output raises ``EvaluationError``."""
     if h <= 0:
         raise ParameterError("finite difference step must be positive")
-    x = as_vector(x)
-    y0 = np.asarray(f(x), dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(y0)):
+    pts = as_matrix(pts)
+    n, dim = pts.shape
+    steps = h * (1.0 + np.abs(pts))
+    eye = np.eye(dim, dtype=bool)  # row (p, i) of a shifted stack moves coordinate i of point p
+    shifted = (np.where(eye, (pts + s)[:, None, :], pts[:, None, :]).reshape(n * dim, dim)
+               for s in (steps, -steps))
+    y0, yp, ym = (np.asarray(f(x), dtype=np.float64) for x in (pts, *shifted))
+    if not all(np.isfinite(y).all() for y in (y0, yp, ym)):
         raise EvaluationError("function returned a non-finite value")
-    jac = np.empty((y0.size, x.size), dtype=np.float64)
-    for i in range(x.size):
-        hi = h * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        yp = np.asarray(f(xp), dtype=np.float64).reshape(-1)
-        ym = np.asarray(f(xm), dtype=np.float64).reshape(-1)
-        if not (np.all(np.isfinite(yp)) and np.all(np.isfinite(ym))):
-            raise EvaluationError("function returned a non-finite value")
-        jac[:, i] = (yp - ym) / (2.0 * hi)
-    return jac
+    return (yp - ym).reshape(n, dim, -1) / (2.0 * steps[:, :, None])
+
+
+def finite_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-5) -> np.ndarray:
+    """C-contiguous (out, dim) Jacobian of a one-vector ``f`` at ``x``: the one-point
+    case of ``central_differences``.  Exact for linear maps up to roundoff; the
+    workhorse oracle for every analytic derivative in this package."""
+
+    def rows(pts: np.ndarray) -> np.ndarray:
+        return np.stack([np.asarray(f(p), dtype=np.float64).reshape(-1) for p in pts])
+
+    return np.ascontiguousarray(central_differences(rows, as_vector(x)[None], h)[0].T)
 
 
 def derive_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:

@@ -174,6 +174,8 @@ class SparseMSEConfig:
     scaling: str = "maxscale"
 
     def __post_init__(self):
+        if self.n < CV_FOLDS:
+            raise ParameterError(f"n must be at least {CV_FOLDS}, one per CV fold, got {self.n}")
         if self.n_queries < 1:
             raise ParameterError(f"n_queries must be at least 1, got {self.n_queries}")
 
@@ -275,6 +277,10 @@ class EdgeConfig:
     est_points: int = 2000
 
     def __post_init__(self):
+        if self.n < CV_FOLDS:
+            raise ParameterError(f"n must be at least {CV_FOLDS}, one per CV fold, got {self.n}")
+        if self.est_t <= 0:
+            raise ParameterError(f"est_t must be positive, got {self.est_t}")
         if self.est_points < 1:
             raise ParameterError(f"est_points must be at least 1, got {self.est_points}")
 

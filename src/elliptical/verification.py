@@ -11,7 +11,7 @@ import numpy as np
 
 from .attention import AttentionConfig, elliptical_attention, masa, masa_jacobian, standard_attention
 from .metric import apply_scaling, compute_kappa, identity_weights, robustness_bound
-from .numerics import derive_rng, finite_diff_jacobian, softmax_rows
+from .numerics import central_differences, derive_rng, softmax_rows
 
 _NS_VERIFY = 21
 
@@ -48,7 +48,7 @@ def suite_masa_jacobian(n_instances: int = 1000, seed: int = 0) -> SuiteResult:
     for _ in range(n_instances):
         q, keys, w = _random_instance(rng)
         jac = masa_jacobian(q, keys, w)
-        fd = finite_diff_jacobian(lambda x: masa(x, keys, w), q)
+        fd = central_differences(lambda x: masa(x, keys, w), q[None])[0].T
         rel = np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))
         worst_rel = max(worst_rel, float(rel))
         envelope = compute_kappa(keys).T * w.m[None, :]

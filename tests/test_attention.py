@@ -194,6 +194,26 @@ class TestMasa:
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all((p > 0.0) & (p < 1.0))
 
+    def test_stack_matches_each_row_bitwise(self):
+        rng = make_rng(11)
+        for _ in range(200):
+            q, keys, w = _random_instance(rng)
+            stack = rng.uniform(-2, 2, (2, 3, q.size))
+            got = masa(stack, keys, w)
+            assert got.shape == (2, 3, keys.shape[0])
+            for idx in np.ndindex(2, 3):
+                want = masa(stack[idx], keys, w)
+                assert got[idx].view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_rejects_scalar_and_non_finite_queries(self):
+        keys = np.eye(2)
+        with pytest.raises(ShapeError):
+            masa(1.0, keys, identity_weights(2))
+        with pytest.raises(ShapeError):
+            masa([[0.0, np.nan]], keys, identity_weights(2))
+        with pytest.raises(ShapeError):
+            masa(np.zeros(3), keys, identity_weights(2))
+
 
 class TestMasaJacobian:
     def test_identical_keys_zero_jacobian(self):

@@ -302,13 +302,21 @@ FAILURE_PROBES = {
                                "--set", "n_queries=0", "--set", "dim=2"],
     "no-est-points": lambda tmp: ["edge-preserve", "--set", "n=40", "--set", "seeds=5",
                                   "--set", "est_points=0"],
+    "edge-est-t-zero": lambda tmp: ["edge-preserve", "--set", "n=60", "--set", "est_t=0"],
+    "edge-n-zero": lambda tmp: ["edge-preserve", "--set", "n=0"],
+    "edge-n-below-folds": lambda tmp: ["edge-preserve", "--set", "n=3"],
+    "sparse-n-zero": lambda tmp: ["nw-sparse", "--set", "n=0", "--set", "dim=2"],
+    "sparse-n-below-folds": lambda tmp: ["nw-sparse", "--set", "n=3", "--set", "dim=2"],
 }
 
-#: what a probe's line must name: the step that diverged, or the scale that overflows
+#: what a probe's line must name: the step that diverged, the scale that overflows,
+#: or the config key out of range
 PROBES_NAME = {
     "diverging-lr-1e150": "error: step 1: ", "diverging-lr-1e300": "error: step 1: ",
     "epsilons-overflow": "scale 1e+200 ", "epsilons-overflow-second": "scale 1e+308 ",
-    "no-queries": "n_queries", "no-est-points": "est_points",
+    "no-queries": "n_queries", "no-est-points": "est_points", "edge-est-t-zero": "error: est_t ",
+    "edge-n-zero": "error: n ", "edge-n-below-folds": "error: n ",
+    "sparse-n-zero": "error: n ", "sparse-n-below-folds": "error: n ",
 }
 
 #: counts below their minimum: each is a usage error that names its key,
@@ -419,6 +427,22 @@ class TestVerifyCommand:
 
     def test_exit_status_contract(self, tmp_path, monkeypatch):
         assert _run(tmp_path, monkeypatch, "verify", "--set", "out=v3") == 0
+
+    def test_jacobian_suite_calls_masa_at_most_four_times_per_instance(self, monkeypatch):
+        # one call inside the analytic Jacobian, three for all central differences
+        from elliptical import attention, verification
+
+        calls = []
+        true_masa = attention.masa
+
+        def counting(*args):
+            calls.append(1)
+            return true_masa(*args)
+
+        monkeypatch.setattr(attention, "masa", counting)
+        monkeypatch.setattr(verification, "masa", counting)
+        assert verification.suite_masa_jacobian(n_instances=25).passed
+        assert 0 < len(calls) <= 4 * 25
 
 
 class TestTrainCommand:

@@ -1,8 +1,9 @@
 """Bit-identity oracle: sha256 digests of everything a tiny training run,
 its evaluation and its diagnostics produce, for the standard model and the
 metric-weighted model in all five scaling modes, with one and two heads;
-and of every number the kernel-regression lab reports (``nw-sparse`` with
-oracle and consistent weights, ``edge-preserve``, ``estimator-bench``).
+of every number the kernel-regression lab reports (``nw-sparse`` with
+oracle and consistent weights, ``edge-preserve``, ``estimator-bench``); and
+of the ``verify`` report.
 
 A kernel or refactor change that claims "same bits" must leave every digest
 here unchanged.  The expected values pin this machine's numpy/OpenBLAS
@@ -187,6 +188,21 @@ def _bench_digest(tmp_path, monkeypatch) -> str:
     monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
     assert main(["estimator-bench", "--set", "seeds=3", "--set", "n=512", "--set", "out=b"]) == 0
     return hashlib.sha256((tmp_path / "b" / "results.csv").read_bytes()).hexdigest()
+
+
+#: verify seed -> sha256 of its verify.csv
+VERIFY_EXPECTED = {
+    0: "52a9e0491682b8a121c25c27ce8b255ef240b282cf69edb2ddc318ac5f4988c4",
+    5: "cacc7af7236d1ac940b9f61a77fa6af5f096013cd930d2e5d4c0fb1a84f99906",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_EXPECTED))
+def test_verify_csv_matches_pinned_digest(seed, tmp_path, monkeypatch):
+    monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
+    assert main(["verify", "--set", f"seed={seed}", "--set", "out=v"]) == 0
+    got = hashlib.sha256((tmp_path / "v" / "verify.csv").read_bytes()).hexdigest()
+    assert got == VERIFY_EXPECTED[seed], f"verify seed {seed} bits moved: {got}"
 
 
 LAB_RUNS = {

@@ -1,16 +1,18 @@
-"""Array plumbing: finite matrices, softmax stability, the finite-difference
-oracle, and counter-based randomness."""
+"""Array plumbing: finite matrices, softmax stability, the central-difference
+kernel and its one-point oracle, and counter-based randomness."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elliptical.estimators import linear_function, sparse_sinusoid
 from elliptical.numerics import (
     EvaluationError,
     ParameterError,
     ShapeError,
     as_matrix,
+    central_differences,
     derive_rng,
     finite_diff_jacobian,
     make_rng,
@@ -133,6 +135,39 @@ class TestFiniteDiffJacobian:
     def test_rejects_bad_step(self):
         with pytest.raises(ParameterError):
             finite_diff_jacobian(lambda v: v, np.ones(2), h=0.0)
+
+    def test_result_is_c_contiguous(self):
+        # a transposed view would make a later np.sum over it add in another order
+        jac = finite_diff_jacobian(lambda v: np.array([v[0] * v[1], v[1], v[2]]), np.ones(3))
+        assert jac.shape == (3, 3) and jac.flags["C_CONTIGUOUS"]
+
+
+def _per_row(f):
+    """``f`` evaluated one point at a time, so a row's bits do not depend on the batch."""
+    return lambda pts: np.stack([f(p) for p in pts])
+
+
+class TestCentralDifferences:
+    def test_each_point_matches_the_one_point_oracle_bitwise(self):
+        rng = derive_rng(2, 0, 0)
+        truths = {
+            "linear-17": linear_function(rng.standard_normal((17, 4))),
+            "sparse-sinusoid": sparse_sinusoid(5, [0, 3], [1.0, 0.4], [2, 1]),
+        }
+        for name, f in truths.items():
+            pts = rng.uniform(-3.0, 3.0, (6, f.dim))
+            # sparse_sinusoid is elementwise, so its rows keep their bits in a batch;
+            # a many-row matrix product rounds differently from a one-row one
+            batched = f if name == "sparse-sinusoid" else _per_row(f)
+            jac = central_differences(batched, pts)
+            assert jac.shape == (6, f.dim, f.out_dim)
+            for p, x in enumerate(pts):
+                assert jac[p].T.tobytes() == finite_diff_jacobian(f, x).tobytes(), name
+
+    def test_three_calls_whatever_the_point_count(self):
+        calls = []
+        central_differences(lambda x: calls.append(x.shape) or x, np.ones((5, 3)))
+        assert calls == [(5, 3), (15, 3), (15, 3)]
 
 
 class TestRng:
