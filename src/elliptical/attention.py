@@ -17,7 +17,7 @@ import numpy as np
 
 from .estimators import estimate_overlayers
 from .metric import EllipticalWeights, apply_scaling
-from .numerics import ParameterError, ShapeError, as_matrix, softmax_rows
+from .numerics import ParameterError, ShapeError, as_matrices, as_matrix, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -109,30 +109,32 @@ def standard_attention(q, k, v, cfg: AttentionConfig) -> AttentionOutput:
 def masa(q, keys, w: EllipticalWeights) -> np.ndarray:
     """Metric-weighted softmax over keys at unit temperature, on the last axis.
 
-    ``q`` is one (dim,) query or a (..., dim) stack of them; for each query
-    component j is exp(q' M k_j) normalized over all keys, one matrix-vector
+    ``q`` (dim,) or (..., dim), ``keys`` (n_keys, dim) or (..., n_keys, dim) and
+    ``w.m`` (dim,) or (..., dim) broadcast on their leading axes.  For each query
+    component j is exp(q' M k_j) normalized over its keys, one matrix-vector
     product per query, so a stacked call gives each query's 1-D bits.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.ndim == 0 or not np.isfinite(q).all():
         raise ShapeError("query must be a finite vector or stack of vectors")
-    keys = as_matrix(keys)
-    if not keys.shape[1] == q.shape[-1] == w.dim:
+    keys = as_matrices(keys)
+    if not keys.shape[-1] == q.shape[-1] == w.dim:
         raise ShapeError(f"dimension mismatch: q={q.shape[-1]}, keys={keys.shape}, m={w.dim}")
     return softmax_rows(np.matmul(keys, (w.m * q)[..., None])[..., 0])
 
 
 def masa_jacobian(q, keys, w: EllipticalWeights) -> np.ndarray:
-    """Analytic Jacobian of the metric-weighted softmax, shape (n_keys, dim).
+    """Analytic Jacobian of the metric-weighted softmax, (..., n_keys, dim) on masa's stacks.
 
     Entry (j, i) is m_i * (k_j^i - sum_s k_s^i p_s) * p_j, which is linear in
     m_i and bounded in magnitude by the per-key sensitivity coefficient
     kappa[i, j] times m_i.
     """
     p = masa(q, keys, w)
-    keys = as_matrix(keys)
-    centered = keys - p @ keys  # (n, dim) minus the p-weighted key average
-    return p[:, None] * centered * w.m[None, :]
+    keys = as_matrices(keys)
+    # minus the p-weighted key average, one vector-matrix product per query
+    centered = keys - np.matmul(p[..., None, :], keys)
+    return p[..., :, None] * centered * w.m[..., None, :]
 
 
 def elliptical_attention(

@@ -143,6 +143,8 @@ def load_config(schema: dict[str, Option], args: argparse.Namespace) -> dict[str
         if opt.required:
             raise UsageError(f"missing required key {key!r}")
         cfg[key] = opt.default
+    if not 0 <= cfg.get("seed", 0) < 2**64:  # a seed outside would alias one inside
+        raise UsageError(f"bad value for key 'seed': need 0 <= seed < 2**64, got {cfg['seed']}")
     return cfg
 
 

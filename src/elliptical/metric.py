@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParameterError, ShapeError, as_matrix, as_vector
+from .numerics import ParameterError, ShapeError, as_matrices, as_matrix, as_vector
 
 SCALING_MODES = ("maxscale", "meanscale", "unscaled", "identity", "random")
 
@@ -22,27 +22,30 @@ FLOOR = 1e-6
 class EllipticalWeights:
     """Per-dimension relevance weights m defining d(q, k) = sqrt((q-k)' M (q-k)).
 
-    M = diag(m); every entry is >= FLOOR > 0.
+    M = diag(m); every entry is >= FLOOR > 0.  ``m`` is one (dim,) row or a
+    (..., dim) stack of rows, one metric per row; each row is checked on its own.
     """
 
     m: np.ndarray
     mode: str = "identity"
 
     def __post_init__(self):
-        m = as_vector(self.m)
+        m = np.asarray(self.m, dtype=np.float64)
+        if m.ndim == 0 or not np.isfinite(m).all():
+            raise ShapeError("weights must be finite rows along the last axis")
         if self.mode not in SCALING_MODES:
             raise ParameterError(f"unknown scaling mode {self.mode!r}")
         if np.any(m < FLOOR):
             raise ParameterError("weights must be >= FLOOR")
         if self.mode == "identity" and not np.all(m == 1.0):
             raise ParameterError("identity weights must all equal 1")
-        if self.mode in ("maxscale", "random") and m.max() != 1.0:
-            raise ParameterError(f"{self.mode} weights must have max exactly 1")
+        if self.mode in ("maxscale", "random") and np.any(m.max(axis=-1) != 1.0):
+            raise ParameterError(f"{self.mode} weights must have row max exactly 1")
         object.__setattr__(self, "m", m)
 
     @property
     def dim(self) -> int:
-        return self.m.size
+        return self.m.shape[-1]
 
 
 def identity_weights(dim: int) -> EllipticalWeights:
@@ -105,8 +108,8 @@ def mahalanobis_distance(q, k, w: EllipticalWeights) -> float:
     """sqrt((q - k)' diag(m) (q - k)); zero iff q == k since m >= FLOOR > 0."""
     q = as_vector(q)
     k = as_vector(k)
-    if q.size != k.size or q.size != w.dim:
-        raise ShapeError(f"length mismatch: q={q.size}, k={k.size}, m={w.dim}")
+    if q.size != k.size or w.m.shape != (q.size,):  # one metric row, not a stack
+        raise ShapeError(f"length mismatch: q={q.size}, k={k.size}, m={w.m.shape}")
     d = q - k
     return float(np.sqrt(np.sum(w.m * d * d)))
 
@@ -115,23 +118,16 @@ def compute_kappa(keys) -> np.ndarray:
     """Sensitivity coefficients kappa[i, j] = |k_j^i| / 4 + sum_{s != j} |k_s^i|.
 
     Indexed by input dimension i and key index j, these bound how fast the
-    weighted softmax can move in direction i, per unit weight m_i.  Computed
-    with plain sequential accumulation so a straightforward two-loop
-    reference reproduces the result exactly.
+    weighted softmax can move in direction i, per unit weight m_i.  ``keys``
+    is one (n, dim) matrix, giving (dim, n), or a (..., n, dim) stack, giving
+    (..., dim, n).  Each entry accumulates in the formula's left-to-right
+    order, so a straightforward two-loop reference reproduces it exactly.
     """
-    keys = as_matrix(keys)
-    n, dim = keys.shape
-    a = np.abs(keys)
-    kappa = np.empty((dim, n), dtype=np.float64)
-    for i in range(dim):
-        col = a[:, i]
-        for j in range(n):
-            # accumulate in the formula's left-to-right order
-            acc = col[j] / 4.0
-            for s in range(n):
-                if s != j:
-                    acc += col[s]
-            kappa[i, j] = acc
+    a = np.ascontiguousarray(np.abs(as_matrices(keys)).swapaxes(-1, -2))  # column s: |k_s|
+    kappa = a / 4.0  # C order, as callers' reductions over it expect
+    others = ~np.eye(a.shape[-1], dtype=bool)  # row s: every key but s
+    for s in range(a.shape[-1]):
+        np.add(kappa, a[..., s : s + 1], out=kappa, where=others[s])
     return kappa
 
 
@@ -148,8 +144,8 @@ def robustness_bound(keys, values, w: EllipticalWeights) -> float:
         raise ShapeError(
             f"keys and values disagree on row count: {keys.shape} vs {values.shape}"
         )
-    if keys.shape[1] != w.dim:
-        raise ShapeError(f"keys have dim {keys.shape[1]}, weights have {w.dim}")
+    if w.m.shape != (keys.shape[1],):  # one metric row, not a stack
+        raise ShapeError(f"keys have dim {keys.shape[1]}, weights have shape {w.m.shape}")
     kappa = compute_kappa(keys)  # (dim, n)
     per_key = np.sqrt(np.sum((kappa * w.m[:, None]) ** 2, axis=0))  # (n,)
     return float(np.sum(per_key * np.linalg.norm(values, axis=1)))

@@ -11,9 +11,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 class ShapeError(ValueError):
     """Operand shapes are malformed or incompatible."""
@@ -34,6 +31,14 @@ def as_matrix(data) -> np.ndarray:
         raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise ShapeError("matrix entries must be finite")
+    return a
+
+
+def as_matrices(data) -> np.ndarray:
+    """Return ``data`` as a finite float64 matrix or (..., rows, cols) stack of them."""
+    a = np.asarray(data, dtype=np.float64)
+    if a.ndim < 2 or not np.isfinite(a).all():
+        raise ShapeError(f"expected a finite array of matrices, got ndim={a.ndim}")
     return a
 
 
@@ -74,22 +79,23 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
 
 
 def central_differences(f: Callable[[np.ndarray], np.ndarray], pts, h: float = 1e-5) -> np.ndarray:
-    """[point, input, output] central-difference Jacobians of a row-wise ``f``, (rows, dim)
-    -> (rows, out), at each row x_p of ``pts``: entry [p, i, o] is (f(x_p + h_pi e_i) -
-    f(x_p - h_pi e_i))_o / (2 h_pi), h_pi = h (1 + |x_pi|).  ``f`` is called three times, at
-    ``pts`` and at every shift of each sign; a non-finite output raises ``EvaluationError``."""
+    """[..., point, input, output] central-difference Jacobians of a row-wise ``f``,
+    (..., rows, dim) -> (..., rows, out), at each row x_p of ``pts``, a (P, dim) matrix or a
+    (..., P, dim) stack: entry [..., p, i, o] is (f(x_p + h_pi e_i) - f(x_p - h_pi e_i))_o /
+    (2 h_pi), h_pi = h (1 + |x_pi|).  ``f`` is called three times, at ``pts`` and at every
+    shift of each sign; a non-finite output raises ``EvaluationError``."""
     if h <= 0:
         raise ParameterError("finite difference step must be positive")
-    pts = as_matrix(pts)
-    n, dim = pts.shape
+    pts = as_matrices(pts)
+    *lead, n, dim = pts.shape
     steps = h * (1.0 + np.abs(pts))
     eye = np.eye(dim, dtype=bool)  # row (p, i) of a shifted stack moves coordinate i of point p
-    shifted = (np.where(eye, (pts + s)[:, None, :], pts[:, None, :]).reshape(n * dim, dim)
-               for s in (steps, -steps))
+    shifted = (np.where(eye, (pts + s)[..., None, :], pts[..., None, :])
+               .reshape(*lead, n * dim, dim) for s in (steps, -steps))
     y0, yp, ym = (np.asarray(f(x), dtype=np.float64) for x in (pts, *shifted))
     if not all(np.isfinite(y).all() for y in (y0, yp, ym)):
         raise EvaluationError("function returned a non-finite value")
-    return (yp - ym).reshape(n, dim, -1) / (2.0 * steps[:, :, None])
+    return (yp - ym).reshape(*lead, n, dim, -1) / (2.0 * steps[..., None])
 
 
 def finite_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-5) -> np.ndarray:
@@ -107,9 +113,13 @@ def derive_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Independent counter-based generator for (seed, stream, index).
 
     Philox is keyed by the triple, so there is no global state and streams
-    are reproducible and independent across seeds, streams and indices.
+    are reproducible and independent across seeds, streams and indices.  A seed
+    outside [0, 2**64), or a stream or index outside [0, 2**32), would alias one inside.
     """
-    key = ((seed & _MASK64) << 64) | ((stream & _MASK32) << 32) | (index & _MASK32)
+    for name, value, bits in (("seed", seed, 64), ("stream", stream, 32), ("index", index, 32)):
+        if not 0 <= value < 1 << bits:
+            raise ParameterError(f"{name} must lie in [0, 2**{bits}), got {value}")
+    key = (seed << 64) | (stream << 32) | index
     return np.random.Generator(np.random.Philox(key=key))
 
 

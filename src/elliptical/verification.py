@@ -1,6 +1,11 @@
 """Property suites behind the ``verify`` subcommand: derivative checks,
 perturbation bounds and reduction/equivalence identities, each reporting its
 worst observed slack.  A suite passes when its slack is nonpositive.
+
+A random instance is drawn as n, d, the (n, d) keys, the (d,) query, then the
+(d,) uniform row maxscaled into its weights.  The masa-Jacobian suite draws its
+instances one after another from its stream, then evaluates each (n, d) shape as
+one stack: every instance keeps its own bits, and a max is exact in any order.
 """
 
 from __future__ import annotations
@@ -10,10 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionConfig, elliptical_attention, masa, masa_jacobian, standard_attention
-from .metric import apply_scaling, compute_kappa, identity_weights, robustness_bound
+from .metric import (EllipticalWeights, apply_scaling, compute_kappa, identity_weights,
+                     robustness_bound, scale_rows)
 from .numerics import central_differences, derive_rng, softmax_rows
 
 _NS_VERIFY = 21
+
+#: random instances: 2..N_MAX keys of dim 2..D_MAX, entries uniform in +-KEY_RANGE
+_N_MAX, _D_MAX, _KEY_RANGE = 8, 6, 2.0
 
 #: Relative tolerance for analytic-vs-central-difference Jacobian agreement.
 JACOBIAN_RTOL = 1e-6
@@ -30,28 +39,34 @@ class SuiteResult:
     detail: str
 
 
-def _random_instance(rng, n_max=8, d_max=6, key_range=2.0):
-    n = int(rng.integers(2, n_max + 1))
-    d = int(rng.integers(2, d_max + 1))
-    keys = rng.uniform(-key_range, key_range, (n, d))
-    q = rng.uniform(-key_range, key_range, d)
-    w = apply_scaling(rng.uniform(0.0, 1.0, d), "maxscale")
-    return q, keys, w
+def _random_instance(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, keys, u) in draw order; maxscaling u gives the instance's weights."""
+    n = int(rng.integers(2, _N_MAX + 1))
+    d = int(rng.integers(2, _D_MAX + 1))
+    keys = rng.uniform(-_KEY_RANGE, _KEY_RANGE, (n, d))
+    q = rng.uniform(-_KEY_RANGE, _KEY_RANGE, d)
+    return q, keys, rng.uniform(0.0, 1.0, d)
 
 
 def suite_masa_jacobian(n_instances: int = 1000, seed: int = 0) -> SuiteResult:
     """Analytic weighted-softmax Jacobian vs central differences, plus the
-    entrywise |J_ji| <= kappa_ij * m_i envelope."""
+    entrywise |J_ji| <= kappa_ij * m_i envelope, one stack per (n, d) shape."""
     rng = derive_rng(seed, _NS_VERIFY, 1)
+    groups: dict[tuple[int, ...], list] = {}
+    for _ in range(n_instances):
+        q, keys, u = _random_instance(rng)
+        groups.setdefault(keys.shape, []).append((q, keys, u))
     worst_rel = 0.0
     worst_bound = -np.inf
-    for _ in range(n_instances):
-        q, keys, w = _random_instance(rng)
+    for group in groups.values():
+        # axis 0 is the instance, axis 1 its one query point: (G, 1, ...) throughout
+        q, keys, u = (np.stack(a)[:, None] for a in zip(*group))
+        w = EllipticalWeights(scale_rows(u, "maxscale"), "maxscale")
         jac = masa_jacobian(q, keys, w)
-        fd = central_differences(lambda x: masa(x, keys, w), q[None])[0].T
+        fd = central_differences(lambda x: masa(x, keys, w), q).swapaxes(-1, -2)
         rel = np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))
         worst_rel = max(worst_rel, float(rel))
-        envelope = compute_kappa(keys).T * w.m[None, :]
+        envelope = compute_kappa(keys).swapaxes(-1, -2) * w.m[..., None, :]
         worst_bound = max(worst_bound, float(np.max(np.abs(jac) - envelope)))
     slack = max(worst_rel - JACOBIAN_RTOL, worst_bound)
     return SuiteResult(
@@ -70,7 +85,8 @@ def suite_robustness_bound(
     rng = derive_rng(seed, _NS_VERIFY, 2)
     worst = -np.inf
     for _ in range(n_instances):
-        q, keys, w = _random_instance(rng)
+        q, keys, u = _random_instance(rng)
+        w = apply_scaling(u, "maxscale")
         d = q.size
         values = rng.uniform(-2.0, 2.0, (keys.shape[0], int(rng.integers(1, 5))))
         bound = robustness_bound(keys, values, w)
@@ -126,7 +142,8 @@ def suite_nw_equivalence(n_instances: int = 200, seed: int = 0) -> SuiteResult:
     rng = derive_rng(seed, _NS_VERIFY, 4)
     worst = 0.0
     for _ in range(n_instances):
-        q, keys, w = _random_instance(rng)
+        q, keys, u = _random_instance(rng)
+        w = apply_scaling(u, "maxscale")
         mnorm = np.sqrt(np.einsum("nd,d->n", keys * keys, w.m))
         keys = keys / mnorm[:, None]  # unit weighted norm
         probs = masa(q, keys, w)

@@ -24,6 +24,7 @@ from elliptical.metric import (
     apply_scaling,
     compute_kappa,
     identity_weights,
+    scale_rows,
 )
 from elliptical.numerics import (
     ParameterError,
@@ -204,6 +205,23 @@ class TestMasa:
             for idx in np.ndindex(2, 3):
                 want = masa(stack[idx], keys, w)
                 assert got[idx].view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_instance_stack_matches_each_instance_bitwise(self):
+        # G instances of one shape, each with its own keys, weights and three queries;
+        # the Jacobian too, whose p @ keys is one vector-matrix product per query
+        rng = make_rng(12)
+        for n, d in ((2, 2), (5, 3), (8, 6)):
+            keys = rng.uniform(-2, 2, (7, n, d))
+            q = rng.uniform(-2, 2, (7, 3, d))
+            m = scale_rows(rng.uniform(0, 1, (7, 1, d)), "maxscale")
+            w = EllipticalWeights(m, "maxscale")
+            p = masa(q, keys[:, None], w)
+            jac = masa_jacobian(q, keys[:, None], w)
+            assert p.shape == (7, 3, n) and jac.shape == (7, 3, n, d)
+            for g, t in np.ndindex(7, 3):
+                one = EllipticalWeights(m[g, 0], "maxscale")
+                assert p[g, t].tobytes() == masa(q[g, t], keys[g], one).tobytes()
+                assert jac[g, t].tobytes() == masa_jacobian(q[g, t], keys[g], one).tobytes()
 
     def test_rejects_scalar_and_non_finite_queries(self):
         keys = np.eye(2)

@@ -20,6 +20,7 @@ from elliptical.cli import (
     main,
     parse_config_text,
 )
+from elliptical.numerics import derive_rng
 
 #: a small model for commands that only need a checkpoint or a quick failure
 TINY = ["--set", "layers=2", "--set", "heads=1", "--set", "head_dim=4",
@@ -214,6 +215,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "'epsilons'" in err and "Traceback" not in err
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("command", sorted(SCHEMAS))
+    def test_seed_outside_64_bits_exits_2_with_one_line(
+        self, tmp_path, monkeypatch, capsys, command, seed
+    ):
+        # the rng key holds 64 seed bits: -1 would run as 2**64 - 1, and 2**64 as 0
+        assert "seed" in SCHEMAS[command]
+        required = {"nw-sparse": ["--set", "n=40"], "edge-preserve": ["--set", "n=40"],
+                    "train-lm": ["--set", "steps=1", *TINY],
+                    "diagnose": ["--set", f"checkpoint={tmp_path / 'missing.bin'}"]}
+        code = _run(tmp_path, monkeypatch, command, *required.get(command, []),
+                    "--set", f"seed={seed}", "--set", "out=bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith(f"usage error: bad value for key 'seed': need 0 <= seed < 2**64, got {seed}")
+        assert not any(tmp_path.iterdir())
 
     def test_missing_checkpoint_is_file_error(self, tmp_path, monkeypatch, capsys):
         code = _run(
@@ -443,6 +462,24 @@ class TestVerifyCommand:
         monkeypatch.setattr(verification, "masa", counting)
         assert verification.suite_masa_jacobian(n_instances=25).passed
         assert 0 < len(calls) <= 4 * 25
+
+    def test_jacobian_suite_calls_masa_at_most_four_times_per_shape(self, monkeypatch):
+        # one stack per (n, d) shape: one call in the analytic Jacobian, three for the oracle
+        from elliptical import attention, verification
+
+        rng = derive_rng(0, 21, 1)  # the suite's stream at seed 0
+        shapes = {verification._random_instance(rng)[1].shape for _ in range(200)}
+        calls = []
+        true_masa = attention.masa
+
+        def counting(*args):
+            calls.append(1)
+            return true_masa(*args)
+
+        monkeypatch.setattr(attention, "masa", counting)
+        monkeypatch.setattr(verification, "masa", counting)
+        assert verification.suite_masa_jacobian(n_instances=200).passed
+        assert 0 < len(calls) <= 4 * len(shapes)
 
 
 class TestTrainCommand:

@@ -17,7 +17,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from elliptical import nwlab
+from elliptical import nwlab, verification
+from elliptical.attention import masa, masa_jacobian
 from elliptical.cli import main
 from elliptical.estimators import (
     SyntheticFunction,
@@ -28,7 +29,7 @@ from elliptical.estimators import (
     sparse_sinusoid,
     uniform_sampler,
 )
-from elliptical.metric import apply_scaling, identity_weights
+from elliptical.metric import apply_scaling, compute_kappa, identity_weights
 from elliptical.model import (
     Corpus,
     ModelConfig,
@@ -38,7 +39,7 @@ from elliptical.model import (
     synthetic_corpus,
     train,
 )
-from elliptical.numerics import derive_rng, finite_diff_jacobian
+from elliptical.numerics import central_differences, derive_rng, finite_diff_jacobian
 
 VARIANTS = ("standard", "maxscale", "meanscale", "unscaled", "identity", "random")
 
@@ -203,6 +204,34 @@ def test_verify_csv_matches_pinned_digest(seed, tmp_path, monkeypatch):
     assert main(["verify", "--set", f"seed={seed}", "--set", "out=v"]) == 0
     got = hashlib.sha256((tmp_path / "v" / "verify.csv").read_bytes()).hexdigest()
     assert got == VERIFY_EXPECTED[seed], f"verify seed {seed} bits moved: {got}"
+
+
+def _masa_jacobian_suite_reference(n_instances: int, seed: int) -> verification.SuiteResult:
+    """The masa-Jacobian suite as one loop over instances, each drawn and
+    evaluated on its own: n, d, keys, query, then the uniform weight row."""
+    rng = derive_rng(seed, 21, 1)
+    worst_rel, worst_bound = 0.0, -np.inf
+    for _ in range(n_instances):
+        n = int(rng.integers(2, 9))
+        d = int(rng.integers(2, 7))
+        keys = rng.uniform(-2.0, 2.0, (n, d))
+        q = rng.uniform(-2.0, 2.0, d)
+        w = apply_scaling(rng.uniform(0.0, 1.0, d), "maxscale")
+        jac = masa_jacobian(q, keys, w)
+        fd = central_differences(lambda x: masa(x, keys, w), q[None])[0].T
+        worst_rel = max(worst_rel, float(np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))))
+        envelope = compute_kappa(keys).T * w.m[None, :]
+        worst_bound = max(worst_bound, float(np.max(np.abs(jac) - envelope)))
+    slack = max(worst_rel - verification.JACOBIAN_RTOL, worst_bound)
+    detail = f"max rel fd error {worst_rel:.3e}, max envelope excess {worst_bound:.3e}"
+    return verification.SuiteResult("masa-jacobian", slack <= 0.0, slack, detail)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_masa_jacobian_suite_matches_the_per_instance_loop(seed):
+    # grouping instances by shape must keep every bit of the worst-case figures
+    got = verification.suite_masa_jacobian(n_instances=300, seed=seed)
+    assert got == _masa_jacobian_suite_reference(300, seed)
 
 
 LAB_RUNS = {

@@ -134,6 +134,15 @@ class TestEllipticalWeightsInvariants:
         with pytest.raises(ParameterError):
             EllipticalWeights(np.array([1.0, 2.0]), "identity")
 
+    def test_a_stack_is_checked_row_by_row(self):
+        rows = scale_rows(make_rng(3).uniform(0.0, 1.0, (4, 1, 3)), "maxscale")
+        assert EllipticalWeights(rows, "maxscale").dim == 3
+        rows[2] *= 0.5  # the stack's max is still 1, this row's is not
+        with pytest.raises(ParameterError):
+            EllipticalWeights(rows, "maxscale")
+        with pytest.raises(ShapeError):
+            EllipticalWeights(np.float64(1.0), "unscaled")
+
 
 class TestMahalanobisDistance:
     def test_coincidence(self):
@@ -161,6 +170,8 @@ class TestMahalanobisDistance:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             mahalanobis_distance([1.0, 2.0], [1.0], identity_weights(2))
+        with pytest.raises(ShapeError):  # a stack of metrics is not one metric
+            mahalanobis_distance([1.0, 2.0], [0.0, 1.0], EllipticalWeights(np.ones((3, 2))))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -209,15 +220,26 @@ class TestComputeKappa:
     def test_matches_independent_two_loop_reference_exactly(self):
         rng = make_rng(5)
         keys = rng.uniform(-2, 2, (6, 4))
-        kappa = compute_kappa(keys)
-        n, dim = keys.shape
-        for i in range(dim):
-            for j in range(n):
-                expected = abs(keys[j, i]) / 4.0
-                for s in range(n):
-                    if s != j:
-                        expected += abs(keys[s, i])
-                assert kappa[i, j] == expected  # bit-for-bit
+        stack = rng.uniform(-2, 2, (3, 6, 4))
+        stack[1, 2] = 0.0  # one zero key
+        stack[2] = 0.0  # an instance of zero keys
+        stacked = compute_kappa(stack)
+        assert stacked.shape == (3, 4, 6)
+        for got, k in ((compute_kappa(keys), keys), *zip(stacked, stack)):
+            n, dim = k.shape
+            expected = np.empty((dim, n))
+            for i in range(dim):
+                for j in range(n):
+                    acc = abs(k[j, i]) / 4.0
+                    for s in range(n):
+                        if s != j:
+                            acc += abs(k[s, i])
+                    expected[i, j] = acc
+            assert got.tobytes() == expected.tobytes()  # bit-for-bit
+
+    def test_result_is_c_contiguous(self):
+        # robustness_bound sums over its axis 0; a transposed layout would add in another order
+        assert compute_kappa(make_rng(4).uniform(-2, 2, (9, 5))).flags["C_CONTIGUOUS"]
 
     def test_nonnegative(self):
         rng = make_rng(6)
@@ -247,6 +269,8 @@ class TestRobustnessBound:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             robustness_bound(np.ones((3, 2)), np.ones((4, 2)), identity_weights(2))
+        with pytest.raises(ShapeError):  # a stack of metrics is not one metric
+            robustness_bound(np.ones((3, 2)), np.ones((3, 2)), EllipticalWeights(np.ones((3, 2))))
 
     def test_empirical_perturbations_stay_below_bound(self):
         # unit-temperature weighted-softmax estimator on a random instance

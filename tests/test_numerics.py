@@ -169,6 +169,20 @@ class TestCentralDifferences:
         central_differences(lambda x: calls.append(x.shape) or x, np.ones((5, 3)))
         assert calls == [(5, 3), (15, 3), (15, 3)]
 
+    def test_stack_matches_each_item_bitwise_in_three_calls(self):
+        def f(x):
+            # exactly rounded arithmetic alone, so a row's bits do not depend on the batch
+            x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+            return np.stack([x0 * x1, x1 * x1 * x2, x0 / (1.0 + x2 * x2), x2 - x0], axis=-1)
+
+        pts = derive_rng(3, 0, 0).uniform(-3.0, 3.0, (4, 6, 3))
+        calls = []
+        jac = central_differences(lambda x: calls.append(x.shape) or f(x), pts)
+        assert calls == [(4, 6, 3), (4, 18, 3), (4, 18, 3)]
+        assert jac.shape == (4, 6, 3, 4)
+        for g in range(4):
+            assert jac[g].tobytes() == central_differences(f, pts[g]).tobytes()
+
 
 class TestRng:
     def test_same_seed_same_stream(self):
@@ -188,6 +202,19 @@ class TestRng:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.35
+
+    def test_key_holds_each_field_unmasked(self):
+        # the largest valid fields fill all 128 key bits
+        got = derive_rng(2**64 - 1, 2**32 - 1, 2**32 - 1).integers(0, 2**63, 4)
+        want = np.random.Generator(np.random.Philox(key=2**128 - 1)).integers(0, 2**63, 4)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("args", [(-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 2**32, 0),
+                                      (0, 0, -1), (0, 0, 2**32)])
+    def test_out_of_range_fields_raise_instead_of_aliasing(self, args):
+        # masking would map 2**64 to seed 0 and -1 to seed 2**64 - 1
+        with pytest.raises(ParameterError):
+            derive_rng(*args)
 
     def test_derivation_is_stable(self):
         assert np.array_equal(
