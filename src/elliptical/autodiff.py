@@ -5,6 +5,8 @@ valid topological order of the computation graph; ``backward`` walks the
 tape once in reverse and accumulates adjoints into the leaves it reaches.
 Leaves (parameters) live outside any tape, so one set of parameters can be
 reused across many per-step tapes.  A tape is confined to a single thread.
+Evaluation runs the same ops on a ``GradTape(record=False)``, which keeps no
+node, so each intermediate is freed as soon as the caller drops it.
 """
 
 from __future__ import annotations
@@ -50,12 +52,19 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
 
 
 class GradTape:
-    """Records derived tensors; creation order doubles as topological order."""
+    """Records derived tensors; creation order doubles as topological order.
 
-    def __init__(self):
-        self._nodes: list[Tensor] = []
+    With ``record=False`` every op returns a bare tensor with no parents and
+    no backward closure: the values are the same, bit for bit, and
+    ``backward`` refuses the tape.
+    """
+
+    def __init__(self, record: bool = True):
+        self._nodes: list[Tensor] | None = [] if record else None
 
     def _new(self, value, parents, backward) -> Tensor:
+        if self._nodes is None:
+            return Tensor(np.asarray(value, dtype=np.float64))
         t = Tensor(np.asarray(value, dtype=np.float64), parents, backward)
         self._nodes.append(t)
         return t
@@ -73,16 +82,6 @@ class GradTape:
             _acc(b, g.sum(axis=0, keepdims=True) if bias_row else g)
 
         return self._new(a.value + b.value, (a, b), bwd)
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"mul: {a.value.shape} vs {b.value.shape}")
-
-        def bwd(g):
-            _acc(a, g * b.value)
-            _acc(b, g * a.value)
-
-        return self._new(a.value * b.value, (a, b), bwd)
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.value.shape[1] != b.value.shape[0]:
@@ -183,13 +182,7 @@ class GradTape:
 
         return self._new(merge_heads(fwd.h), (q, k, v), bwd)
 
-    # -- reductions and losses ----------------------------------------------
-
-    def sum_all(self, a: Tensor) -> Tensor:
-        def bwd(g):
-            _acc(a, np.full_like(a.value, g[0, 0]))
-
-        return self._new(np.array([[a.value.sum()]]), (a,), bwd)
+    # -- losses -------------------------------------------------------------
 
     def cross_entropy(self, logits: Tensor, targets: np.ndarray) -> Tensor:
         """Mean negative log-likelihood of ``targets`` under row-wise softmax."""
@@ -216,6 +209,8 @@ def backward(tape: GradTape, loss: Tensor) -> None:
     ``loss`` must be scalar-valued.  Each recorded node is visited exactly
     once, in reverse creation order.
     """
+    if tape._nodes is None:
+        raise ParameterError("backward needs a recording tape; this one has record=False")
     if loss.value.size != 1:
         raise ParameterError("backward expects a scalar loss")
     loss.grad = np.ones_like(loss.value)

@@ -479,7 +479,7 @@ def perplexity(
     starts = range(0, max(toks.size - window + 1, 1), cfg.context)
     stack = np.stack([toks[a : a + window] for a in starts])
     targets = np.stack([target_stream[a + 1 : a + window] for a in starts]).reshape(-1)
-    probs = softmax_rows(forward(stack[:, :-1], params, cfg, GradTape())[0].value)
+    probs = softmax_rows(forward(stack[:, :-1], params, cfg, GradTape(record=False))[0].value)
     nll = -np.log(probs[np.arange(targets.size), targets]).sum()
     return float(np.exp(float(nll) / targets.size))
 
@@ -548,7 +548,7 @@ def diagnose(
     if toks.size < 2:
         raise InputError("need at least two eval tokens")
     window = toks[: min(toks.size, cfg.context + 1)]
-    _, states = forward(window[:-1], params, cfg, GradTape())
+    _, states = forward(window[:-1], params, cfg, GradTape(record=False))
     temp = float(np.sqrt(cfg.head_dim))
     ratios = np.zeros((cfg.layers, len(epsilons)))
     sup = 0.0

@@ -7,6 +7,8 @@ import pytest
 from elliptical.autodiff import _LN_EPS, GradTape, backward, leaf
 from elliptical.numerics import ParameterError, finite_diff_jacobian, make_rng
 
+from tape_ops import mul, sum_all
+
 VJP_RTOL = 1e-4
 
 
@@ -14,14 +16,14 @@ class TestHandCases:
     def test_sum_gradient_is_ones(self):
         tape = GradTape()
         x = leaf(make_rng(0).standard_normal((3, 4)))
-        loss = tape.sum_all(x)
+        loss = sum_all(tape, x)
         backward(tape, loss)
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
     def test_quadratic_gradient(self):
         tape = GradTape()
         x = leaf(np.array([[1.0, 2.0]]))
-        loss = tape.sum_all(tape.mul(x, x))
+        loss = sum_all(tape, mul(tape, x, x))
         backward(tape, loss)
         np.testing.assert_allclose(x.grad, [[2.0, 4.0]], atol=1e-14)
 
@@ -59,7 +61,7 @@ def _fd_check(op_builder, shapes, seed, rtol=VJP_RTOL):
         tape = GradTape()
         leaves = [leaf(v) for v in values]
         out = op_builder(tape, *leaves)
-        loss = tape.sum_all(out)
+        loss = sum_all(tape, out)
         return tape, leaves, loss
 
     tape, leaves, loss = run(arrays)
@@ -85,7 +87,7 @@ class TestPrimitiveGradients:
         _fd_check(lambda t, a, b: t.add(a, b), [(3, 4), (1, 4)], seed=11)
 
     def test_mul(self):
-        _fd_check(lambda t, a, b: t.mul(a, b), [(2, 5), (2, 5)], seed=12)
+        _fd_check(mul, [(2, 5), (2, 5)], seed=12)
 
     def test_matmul(self):
         _fd_check(lambda t, a, b: t.matmul(a, b), [(3, 4), (4, 2)], seed=13)
@@ -135,7 +137,7 @@ class TestPrimitiveGradients:
             tape = GradTape()
             q, k, v = leaf(q0), leaf(k0), leaf(v0)
             fused = tape.block_causal_attention(q, k, v, m, temp, batch, heads)
-            backward(tape, tape.sum_all(tape.mul(fused, leaf(g0))))
+            backward(tape, sum_all(tape, mul(tape, fused, leaf(g0))))
             for b in range(batch):
                 for h in range(heads):
                     cell = (slice(b * t_len, (b + 1) * t_len), slice(h * dim, (h + 1) * dim))
@@ -161,7 +163,7 @@ class TestPrimitiveGradients:
             out = tape.block_causal_attention(q, k, v, metric, 1.5, 2, 2)
             if edit:
                 metric *= 3.0
-            backward(tape, tape.sum_all(tape.mul(out, out)))
+            backward(tape, sum_all(tape, mul(tape, out, out)))
             return q.grad
 
         assert np.array_equal(grad_q(False), grad_q(True))
@@ -173,7 +175,7 @@ class TestPrimitiveGradients:
             tape = GradTape()
             table = leaf(values)
             out = tape.embedding(table, ids)
-            return tape, table, tape.sum_all(tape.mul(out, out))
+            return tape, table, sum_all(tape, mul(tape, out, out))
 
         base = make_rng(23).standard_normal((3, 4))
         tape, table, loss = run(base)
@@ -224,7 +226,7 @@ class TestKernelPins:
             leaves = {"x": leaf(x), "gain": leaf(gain), "bias": leaf(bias)}
             out = tape.layer_norm(leaves["x"], leaves["gain"], leaves["bias"])
             # d(sum(out * g))/d(out) is 1.0 * g, which is g exactly
-            backward(tape, tape.sum_all(tape.mul(out, leaf(g))))
+            backward(tape, sum_all(tape, mul(tape, out, leaf(g))))
             assert np.array_equal(self._bits(out.value), self._bits(old["out"]))
             for name, t in leaves.items():
                 assert np.array_equal(self._bits(t.grad), self._bits(old[name])), name
@@ -235,7 +237,7 @@ class TestTapeMechanics:
         tape = GradTape()
         x = leaf(np.array([[2.0]]))
         y = tape.add(x, x)  # dy/dx = 2
-        loss = tape.sum_all(y)
+        loss = sum_all(tape, y)
         backward(tape, loss)
         assert x.grad[0, 0] == 2.0
 
@@ -244,7 +246,7 @@ class TestTapeMechanics:
         x = leaf(np.ones((2, 2)))
         y = leaf(np.ones((2, 2)))
         _ = tape.relu(y)  # dead branch
-        loss = tape.sum_all(tape.relu(x))
+        loss = sum_all(tape, tape.relu(x))
         backward(tape, loss)
         assert y.grad is None
 
@@ -252,7 +254,16 @@ class TestTapeMechanics:
         # shared subexpression: z = x * x; loss = sum(z + z) -> dx = 4x
         tape = GradTape()
         x = leaf(np.array([[3.0]]))
-        z = tape.mul(x, x)
-        loss = tape.sum_all(tape.add(z, z))
+        z = mul(tape, x, x)
+        loss = sum_all(tape, tape.add(z, z))
         backward(tape, loss)
         assert x.grad[0, 0] == pytest.approx(12.0)
+
+    def test_backward_refuses_a_tape_that_does_not_record(self):
+        tape = GradTape(record=False)
+        x = leaf(np.array([[3.0]]))
+        y = tape.matmul(x, x)
+        assert y.value[0, 0] == 9.0 and y._parents == () and y._backward is None
+        with pytest.raises(ParameterError, match="record=False"):
+            backward(tape, y)
+        assert x.grad is None

@@ -365,6 +365,66 @@ class TestStackedPathStructure:
         assert rep.robustness.shape == (cfg.layers, len(epsilons))
 
 
+class TestEvaluationTape:
+    """``perplexity`` and ``diagnose`` run ``forward`` on a tape that records
+    nothing, so no activation outlives its use; the values must be a
+    recording pass's, bit for bit."""
+
+    def test_perplexity_and_diagnose_record_no_node(self, monkeypatch):
+        recorded = {"nodes": 0}
+        new = GradTape._new
+
+        def counting_new(tape, *args):
+            recorded["nodes"] += tape._nodes is not None
+            return new(tape, *args)
+
+        monkeypatch.setattr(GradTape, "_new", counting_new)
+        corpus = synthetic_corpus(21, 600)
+        cfg = _tiny_cfg(corpus.vocab_size, elliptical=True, layers=3)
+        params = init_params(cfg)
+        perplexity(params, cfg, corpus.tokens[:200])
+        perplexity(params, cfg, corpus.tokens[:200], corrupt_rate=0.1, rng=make_rng(1))
+        diagnose(params, cfg, corpus.tokens[-200:], (0.01, 0.1), make_rng(2))
+        assert recorded["nodes"] == 0
+        train(corpus, cfg, TrainParams(steps=1, batch_size=1))
+        assert recorded["nodes"] > 0  # training's tape does record, and is counted
+
+    @staticmethod
+    def _state_bits(st):
+        arrays = [st.queries, st.keys, st.values, st.metric, st.representation]
+        for held in st.estimator_values:
+            arrays.extend(() if held is None else held)
+        return [a.view(np.int64) for a in arrays], [h is None for h in st.estimator_values]
+
+    def test_non_recording_forward_matches_recording_bitwise(self):
+        corpus = synthetic_corpus(22, 600)
+        stack = corpus.tokens[: 3 * 24].reshape(3, 24)  # past the metric warm-up
+        for heads in (1, 2):
+            for elliptical, scaling in VARIANTS:
+                cfg = ModelConfig(
+                    vocab_size=corpus.vocab_size, layers=3, heads=heads, head_dim=16 // heads,
+                    embed_dim=16, ff_dim=32, context=32, elliptical=elliptical,
+                    scaling=scaling, seed=5,
+                )
+                params = train(corpus, cfg, TrainParams(steps=3, batch_size=2)).params
+                # one metric stream per pass, from the same seed, for random mode
+                (ref, ref_states), (got, got_states) = (
+                    forward(stack, params, cfg, GradTape(record=record), make_rng(7))
+                    for record in (True, False)
+                )
+                key = (heads, elliptical, scaling)
+                assert got._parents == () and got._backward is None, key
+                assert np.array_equal(ref.value.view(np.int64), got.value.view(np.int64)), key
+                assert len(ref_states) == len(got_states) == cfg.layers
+                for a, b in zip(ref_states, got_states):
+                    (bits_a, none_a), (bits_b, none_b) = self._state_bits(a), self._state_bits(b)
+                    assert none_a == none_b and len(bits_a) == len(bits_b), (key, a.layer)
+                    for x, y in zip(bits_a, bits_b):
+                        assert np.array_equal(x, y), (key, a.layer)
+                live = elliptical and scaling != "identity"
+                assert live == bool(np.any(ref_states[-1].metric != 1.0)), key
+
+
 class TestStopGradient:
     def test_tampering_estimator_copies_leaves_gradients_unchanged(self):
         corpus = synthetic_corpus(3, 600)
