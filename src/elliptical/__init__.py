@@ -29,12 +29,12 @@ from .metric import (
     apply_scaling,
     compute_kappa,
     identity_weights,
-    mahalanobis_distance,
     robustness_bound,
     scale_rows,
+    sq_distances,
 )
 from .model import ModelConfig, TrainParams, corrupt_tokens, diagnose, forward, train
-from .numerics import finite_diff_jacobian, make_rng, softmax_rows
+from .numerics import make_rng, softmax_rows
 from .nwlab import NWDataset, nw_estimate_batch, run_sparse_mse_experiment
 
 __all__ = [
@@ -53,10 +53,8 @@ __all__ = [
     "elliptical_attention",
     "estimate_consistent",
     "estimate_overlayers",
-    "finite_diff_jacobian",
     "forward",
     "identity_weights",
-    "mahalanobis_distance",
     "make_rng",
     "masa",
     "masa_jacobian",
@@ -66,6 +64,7 @@ __all__ = [
     "run_sparse_mse_experiment",
     "scale_rows",
     "softmax_rows",
+    "sq_distances",
     "standard_attention",
     "train",
 ]

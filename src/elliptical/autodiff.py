@@ -34,10 +34,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = "leaf" if self._backward is None and not self._parents else "node"
-        return f"Tensor({self.value.shape}, {kind})"
-
 
 def leaf(value) -> Tensor:
     """A trainable leaf; gradients accumulate here across backward passes."""

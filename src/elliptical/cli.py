@@ -145,6 +145,8 @@ def load_config(schema: dict[str, Option], args: argparse.Namespace) -> dict[str
         cfg[key] = opt.default
     if not 0 <= cfg.get("seed", 0) < 2**64:  # a seed outside would alias one inside
         raise UsageError(f"bad value for key 'seed': need 0 <= seed < 2**64, got {cfg['seed']}")
+    if not 0 <= cfg.get("corrupt_rate", 0) <= 1:  # a probability, checked before any work
+        raise UsageError(f"bad value for key 'corrupt_rate': need 0 <= corrupt_rate <= 1, got {cfg['corrupt_rate']}")
     return cfg
 
 
@@ -283,7 +285,7 @@ BENCH_SCHEMA = {
 }
 
 
-def cmd_estimator_bench(cfg: dict[str, Any], jobs: int) -> int:
+def cmd_estimator_bench(cfg: dict[str, Any]) -> int:
     _check_at_least(cfg, 1, "seeds", "n")
     from scipy import stats  # here, not at module level: it is the package's slowest import
 
@@ -367,7 +369,7 @@ def _build_corpus(cfg: dict[str, Any]) -> model.Corpus:
     raise UsageError(f"bad value for key 'corpus': {kind!r}")
 
 
-def cmd_train_lm(cfg: dict[str, Any], jobs: int) -> int:
+def cmd_train_lm(cfg: dict[str, Any]) -> int:
     _check_at_least(cfg, 2, "eval_tokens")  # tokens[-0:] would be the whole corpus
     out_dir = resolve_out_dir(cfg["out"])
     corpus = _build_corpus(cfg)
@@ -440,7 +442,7 @@ def _parse_epsilons(text: str) -> tuple[float, ...]:
     return scales
 
 
-def cmd_diagnose(cfg: dict[str, Any], jobs: int) -> int:
+def cmd_diagnose(cfg: dict[str, Any]) -> int:
     _check_at_least(cfg, 2, "eval_tokens")
     epsilons = _parse_epsilons(cfg["epsilons"])
     ckpt_path = Path(cfg["checkpoint"])
@@ -504,7 +506,7 @@ VERIFY_SCHEMA = {
 }
 
 
-def cmd_verify(cfg: dict[str, Any], jobs: int) -> int:
+def cmd_verify(cfg: dict[str, Any]) -> int:
     out_dir = resolve_out_dir(cfg["out"])
     results = verification.run_all_suites(seed=cfg["seed"])
     rows = [(r.name, int(r.passed), r.slack, r.detail) for r in results]
@@ -518,7 +520,7 @@ def cmd_verify(cfg: dict[str, Any], jobs: int) -> int:
 # Entry point.
 # ---------------------------------------------------------------------------
 
-COMMANDS: dict[str, tuple[dict[str, Option], Callable[[dict[str, Any], int], int]]] = {
+COMMANDS: dict[str, tuple[dict[str, Option], Callable[..., int]]] = {
     "nw-sparse": (NW_SPARSE_SCHEMA, cmd_nw_sparse),
     "edge-preserve": (EDGE_SCHEMA, cmd_edge_preserve),
     "estimator-bench": (BENCH_SCHEMA, cmd_estimator_bench),
@@ -544,12 +546,16 @@ def main(argv: list[str] | None = None) -> int:
             metavar="KEY=VALUE",
             help="override a single config key",
         )
-        cmd.add_argument("--jobs", type=int, default=1, help="threads across seeds")
+        if name in ("nw-sparse", "edge-preserve"):  # the commands that map over seeds
+            cmd.add_argument("--jobs", type=int, default=1, help="threads across seeds")
     args = parser.parse_args(argv)
     schema, runner = COMMANDS[args.command]
+    jobs = getattr(args, "jobs", None)
     try:
+        if jobs is not None and jobs < 1:
+            raise UsageError(f"bad value for --jobs: need at least 1, got {jobs}")
         cfg = load_config(schema, args)
-        code = runner(cfg, max(1, args.jobs))
+        code = runner(cfg) if jobs is None else runner(cfg, jobs)
         # only a run that finished echoes its config, beside its outputs
         write_config_echo(resolve_out_dir(cfg["out"]), cfg)
         return code

@@ -47,8 +47,7 @@ class SyntheticFunction:
 
     ``fn`` maps an (n, dim) array to (n, out_dim).  When the per-coordinate
     variability under the declared marginal is known in closed form it is
-    exposed via ``analytic_variability``; ``gradient_bounds`` holds
-    sup-norm bounds G_i on the i-th column of the Jacobian where available.
+    exposed via ``analytic_variability``.
     """
 
     name: str
@@ -56,7 +55,6 @@ class SyntheticFunction:
     out_dim: int
     fn: Callable[[np.ndarray], np.ndarray]
     analytic_variability: np.ndarray | None = None
-    gradient_bounds: np.ndarray | None = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -78,7 +76,7 @@ class SyntheticFunction:
 
 
 def linear_function(a: np.ndarray) -> SyntheticFunction:
-    """f(x) = A x.  Variability_i = sum_j |A_ji|; G_i = ||A column i||_2."""
+    """f(x) = A x.  Variability_i = sum_j |A_ji|."""
     a = as_matrix(a)
     return SyntheticFunction(
         name="linear",
@@ -86,7 +84,6 @@ def linear_function(a: np.ndarray) -> SyntheticFunction:
         out_dim=a.shape[0],
         fn=lambda pts: pts @ a.T,
         analytic_variability=np.abs(a).sum(axis=0),
-        gradient_bounds=np.linalg.norm(a, axis=0),
     )
 
 
@@ -105,7 +102,6 @@ def separable_sinusoid(amplitudes, frequencies, phases=None) -> SyntheticFunctio
         out_dim=amp.size,
         fn=lambda pts: amp * np.sin(freq * pts + phase),
         analytic_variability=np.abs(amp * freq) * (2.0 / np.pi),
-        gradient_bounds=np.abs(amp * freq),
     )
 
 
@@ -134,10 +130,8 @@ def sparse_sinusoid(dim: int, active, amplitudes, frequencies) -> SyntheticFunct
     if not all(0 <= i < dim for i in active):
         raise ParameterError(f"active coordinates {active} must lie in [0, {dim})")
     variability = np.zeros(dim)
-    bounds = np.zeros(dim)
     for pos, i in enumerate(active):
         variability[i] = abs(amp[pos] * freq[pos]) * (2.0 / np.pi)
-        bounds[i] = abs(amp[pos] * freq[pos])
 
     def fn(pts):
         out = np.zeros((pts.shape[0], 1))
@@ -151,7 +145,6 @@ def sparse_sinusoid(dim: int, active, amplitudes, frequencies) -> SyntheticFunct
         out_dim=1,
         fn=fn,
         analytic_variability=variability,
-        gradient_bounds=bounds,
     )
 
 
@@ -280,6 +273,8 @@ def simulate_layer_pair(
     """
     if delta <= 0:
         raise ParameterError("delta must be positive")
+    if noise_std < 0:
+        raise ParameterError("noise_std must be nonnegative")
     k_prev = rng.uniform(-np.pi, np.pi, (n, f.dim))
     steps = np.abs(delta * (1.0 + 0.1 * rng.standard_normal((n, f.dim))))
     signs = rng.choice(np.array([-1.0, 1.0]), size=(n, f.dim))

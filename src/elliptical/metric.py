@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParameterError, ShapeError, as_matrices, as_matrix, as_vector
+from .numerics import ParameterError, ShapeError, as_matrices, as_matrix
 
 SCALING_MODES = ("maxscale", "meanscale", "unscaled", "identity", "random")
 
@@ -104,14 +104,11 @@ def scale_rows(raw, mode: str, *, rng: np.random.Generator | None = None) -> np.
     return np.maximum(m, FLOOR, out=m)
 
 
-def mahalanobis_distance(q, k, w: EllipticalWeights) -> float:
-    """sqrt((q - k)' diag(m) (q - k)); zero iff q == k since m >= FLOOR > 0."""
-    q = as_vector(q)
-    k = as_vector(k)
-    if q.size != k.size or w.m.shape != (q.size,):  # one metric row, not a stack
-        raise ShapeError(f"length mismatch: q={q.size}, k={k.size}, m={w.m.shape}")
-    d = q - k
-    return float(np.sqrt(np.sum(w.m * d * d)))
+def sq_distances(x, y, m) -> np.ndarray:
+    """(x - y)' diag(m) (x - y) along the last axis, with x and y broadcast
+    against each other: the one weighted squared distance of the package."""
+    diff = np.subtract(x, y)
+    return np.einsum("...d,d->...", diff * diff, m)
 
 
 def compute_kappa(keys) -> np.ndarray:

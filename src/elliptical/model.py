@@ -468,7 +468,7 @@ def perplexity(
     if toks.size < 2:
         raise InputError("need at least two tokens to evaluate")
     target_stream = toks
-    if corrupt_rate > 0.0:
+    if corrupt_rate != 0.0:  # corrupt_tokens rejects a rate outside [0, 1]
         if rng is None:
             rng = derive_rng(cfg.seed, NS_EVAL, 0)
         toks = corrupt_tokens(toks, corrupt_rate, cfg.vocab_size - 1, rng)

@@ -42,14 +42,6 @@ def as_matrices(data) -> np.ndarray:
     return a
 
 
-def as_vector(data) -> np.ndarray:
-    """Return ``data`` as a finite, flattened 1-D float64 array."""
-    v = np.asarray(data, dtype=np.float64).reshape(-1)
-    if not np.isfinite(v).all():
-        raise ShapeError("vector entries must be finite")
-    return v
-
-
 def softmax_rows(z: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
     """Exp-normalize each row (last axis) with row-max subtraction.
 
@@ -96,17 +88,6 @@ def central_differences(f: Callable[[np.ndarray], np.ndarray], pts, h: float = 1
     if not all(np.isfinite(y).all() for y in (y0, yp, ym)):
         raise EvaluationError("function returned a non-finite value")
     return (yp - ym).reshape(*lead, n, dim, -1) / (2.0 * steps[..., None])
-
-
-def finite_diff_jacobian(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-5) -> np.ndarray:
-    """C-contiguous (out, dim) Jacobian of a one-vector ``f`` at ``x``: the one-point
-    case of ``central_differences``.  Exact for linear maps up to roundoff; the
-    workhorse oracle for every analytic derivative in this package."""
-
-    def rows(pts: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(f(p), dtype=np.float64).reshape(-1) for p in pts])
-
-    return np.ascontiguousarray(central_differences(rows, as_vector(x)[None], h)[0].T)
 
 
 def derive_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:

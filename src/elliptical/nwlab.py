@@ -18,7 +18,7 @@ from .estimators import (
     piecewise_step,
     uniform_sampler,
 )
-from .metric import EllipticalWeights, apply_scaling, identity_weights
+from .metric import EllipticalWeights, apply_scaling, identity_weights, sq_distances
 from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, softmax_rows, unit_rows
 
 _NS_SPARSE = 11
@@ -100,11 +100,6 @@ def sample_dataset(
     return NWDataset(keys, values, truth, noise_std)
 
 
-def _weighted_sq_dists(queries: np.ndarray, keys: np.ndarray, m: np.ndarray) -> np.ndarray:
-    diff = queries[:, None, :] - keys[None, :, :]
-    return np.einsum("qnd,d->qn", diff * diff, m)
-
-
 def _kernel_average(neg_sq_dists: np.ndarray, bandwidth: float, values: np.ndarray) -> np.ndarray:
     return softmax_rows(neg_sq_dists / (2.0 * bandwidth**2)) @ values
 
@@ -122,9 +117,9 @@ def nw_estimate_batch(
     if data.n == 0:
         raise ParameterError("empty dataset")
     queries = as_matrix(queries)
-    if queries.shape[1] != data.keys.shape[1] or w.dim != queries.shape[1]:
+    if queries.shape[1] != data.keys.shape[1] or w.m.shape != (queries.shape[1],):
         raise ShapeError("query, key and weight dimensions must agree")
-    return _kernel_average(-_weighted_sq_dists(queries, data.keys, w.m), bandwidth, data.values)
+    return _kernel_average(-sq_distances(queries[:, None], data.keys, w.m), bandwidth, data.values)
 
 
 def cross_validate_bandwidth(data: NWDataset, w: EllipticalWeights) -> float:
@@ -141,7 +136,7 @@ def cross_validate_bandwidth(data: NWDataset, w: EllipticalWeights) -> float:
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         train = np.ones(data.n, dtype=bool)
         train[lo:hi] = False
-        neg = -_weighted_sq_dists(data.keys[lo:hi], data.keys[train], w.m)
+        neg = -sq_distances(data.keys[lo:hi, None], data.keys[train], w.m)
         values = data.values[train]
         for j, bw in enumerate(BANDWIDTH_GRID):
             pred = _kernel_average(neg, bw, values)
@@ -339,33 +334,3 @@ def run_edge_preservation_experiment(cfg: EdgeConfig, jobs: int = 1) -> EdgeResu
         per_seed_elliptical=ell,
         piece_distance=float(np.linalg.norm(f1 - f2)),
     )
-
-
-def check_lipschitz_transfer(
-    f: SyntheticFunction,
-    w: EllipticalWeights,
-    n_pairs: int,
-    rng: np.random.Generator,
-) -> float:
-    """Max violation of ||f(q) - f(k)|| <= (sum_i G_i / sqrt(m_i)) d(q, k).
-
-    Pairs are drawn uniformly on [-3, 3]^dim.  Returns max ratio minus the
-    bound over the pairs; nonpositive means the smoothness transfer holds on
-    every sampled pair.  Coincident pairs have both sides zero and are
-    skipped.
-    """
-    if f.gradient_bounds is None:
-        raise ParameterError(f"{f.name} does not expose gradient bounds")
-    if w.dim != f.dim:
-        raise ShapeError("weight dimension must match the function dimension")
-    bound = float(np.sum(f.gradient_bounds / np.sqrt(w.m)))
-    qs = rng.uniform(-3.0, 3.0, (n_pairs, f.dim))
-    ks = rng.uniform(-3.0, 3.0, (n_pairs, f.dim))
-    diff = qs - ks
-    dists = np.sqrt(np.einsum("nd,d->n", diff * diff, w.m))
-    nums = np.linalg.norm(f(qs) - f(ks), axis=1)
-    live = dists > 0
-    if not np.any(live):
-        return -bound
-    ratios = nums[live] / dists[live]
-    return float(ratios.max() - bound)

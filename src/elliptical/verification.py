@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import AttentionConfig, elliptical_attention, masa, masa_jacobian, standard_attention
 from .metric import (EllipticalWeights, apply_scaling, compute_kappa, identity_weights,
-                     robustness_bound, scale_rows)
+                     robustness_bound, scale_rows, sq_distances)
 from .numerics import central_differences, derive_rng, softmax_rows
 
 _NS_VERIFY = 21
@@ -144,11 +144,9 @@ def suite_nw_equivalence(n_instances: int = 200, seed: int = 0) -> SuiteResult:
     for _ in range(n_instances):
         q, keys, u = _random_instance(rng)
         w = apply_scaling(u, "maxscale")
-        mnorm = np.sqrt(np.einsum("nd,d->n", keys * keys, w.m))
-        keys = keys / mnorm[:, None]  # unit weighted norm
+        keys = keys / np.sqrt(sq_distances(keys, 0.0, w.m))[:, None]  # unit weighted norm
         probs = masa(q, keys, w)
-        diff = q[None, :] - keys
-        d2 = np.einsum("nd,d->n", diff * diff, w.m)
+        d2 = sq_distances(q, keys, w.m)
         gauss = np.exp(-(d2 - d2.min()) / 2.0)
         gauss /= gauss.sum()
         worst = max(worst, float(np.max(np.abs(probs - gauss))))

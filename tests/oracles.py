@@ -1,0 +1,40 @@
+"""Oracles that only tests need: a one-point central-difference Jacobian and
+an empirical check of the smoothness transfer under a weighted distance.
+"""
+
+import numpy as np
+
+from elliptical.metric import EllipticalWeights, sq_distances
+from elliptical.numerics import central_differences
+
+
+def finite_diff_jacobian(f, x, h: float = 1e-5) -> np.ndarray:
+    """C-contiguous (out, dim) Jacobian of a one-vector ``f`` at ``x``: the one-point
+    case of ``central_differences``.  Exact for linear maps up to roundoff; the
+    oracle for the analytic derivatives under test."""
+
+    def rows(pts: np.ndarray) -> np.ndarray:
+        return np.stack([np.asarray(f(p), dtype=np.float64).reshape(-1) for p in pts])
+
+    return np.ascontiguousarray(central_differences(rows, np.reshape(x, (1, -1)), h)[0].T)
+
+
+def check_lipschitz_transfer(f, bounds, w: EllipticalWeights, n_pairs: int, rng) -> float:
+    """Max violation of ||f(q) - f(k)|| <= (sum_i G_i / sqrt(m_i)) d(q, k), where
+    ``bounds`` holds sup-norm bounds G_i on the columns of f's Jacobian.
+
+    Pairs are drawn uniformly on [-3, 3]^dim.  Returns max ratio minus the
+    bound over the pairs; nonpositive means the smoothness transfer holds on
+    every sampled pair.  Coincident pairs have both sides zero and are
+    skipped.
+    """
+    bound = float(np.sum(np.asarray(bounds, dtype=np.float64) / np.sqrt(w.m)))
+    qs = rng.uniform(-3.0, 3.0, (n_pairs, f.dim))
+    ks = rng.uniform(-3.0, 3.0, (n_pairs, f.dim))
+    dists = np.sqrt(sq_distances(qs, ks, w.m))
+    nums = np.linalg.norm(f(qs) - f(ks), axis=1)
+    live = dists > 0
+    if not np.any(live):
+        return -bound
+    ratios = nums[live] / dists[live]
+    return float(ratios.max() - bound)

@@ -29,10 +29,11 @@ from elliptical.metric import (
 from elliptical.numerics import (
     ParameterError,
     ShapeError,
-    finite_diff_jacobian,
     make_rng,
     softmax_rows,
 )
+
+from oracles import finite_diff_jacobian
 
 
 def _random_instance(rng, n_max=8, d_max=6):

@@ -234,6 +234,33 @@ class TestUsageErrors:
         assert err.startswith(f"usage error: bad value for key 'seed': need 0 <= seed < 2**64, got {seed}")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["estimator-bench", "train-lm", "diagnose", "verify"])
+    def test_jobs_is_not_an_option_where_it_does_nothing(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["nw-sparse", "edge-preserve"])
+    def test_jobs_below_one_exits_2(self, tmp_path, monkeypatch, capsys, command, jobs):
+        # not a thread count: running it as --jobs 1 would hide the typo
+        code = _run(tmp_path, monkeypatch, command, "--set", "n=40", "--jobs", jobs)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"usage error: bad value for --jobs: need at least 1, got {jobs}")
+        assert not any(tmp_path.iterdir())
+
+    def test_jobs_does_not_change_the_outputs(self, tmp_path, monkeypatch):
+        args = ["nw-sparse", "--set", "n=40", "--set", "seeds=5", "--set", "n_queries=20",
+                "--set", "dim=2"]
+        for jobs in ("1", "3"):
+            assert _run(tmp_path / jobs, monkeypatch, *args, "--jobs", jobs) in (0, 1)
+        assert _snapshot(tmp_path / "1") == _snapshot(tmp_path / "3")
+
     def test_missing_checkpoint_is_file_error(self, tmp_path, monkeypatch, capsys):
         code = _run(
             tmp_path, monkeypatch, "diagnose", "--set", "checkpoint=/nonexistent/x.bin"
@@ -326,6 +353,7 @@ FAILURE_PROBES = {
     "edge-n-below-folds": lambda tmp: ["edge-preserve", "--set", "n=3"],
     "sparse-n-zero": lambda tmp: ["nw-sparse", "--set", "n=0", "--set", "dim=2"],
     "sparse-n-below-folds": lambda tmp: ["nw-sparse", "--set", "n=3", "--set", "dim=2"],
+    "bench-noise-std-negative": lambda tmp: ["estimator-bench", "--set", "noise_std=-1"],
 }
 
 #: what a probe's line must name: the step that diverged, the scale that overflows,
@@ -336,6 +364,15 @@ PROBES_NAME = {
     "no-queries": "n_queries", "no-est-points": "est_points", "edge-est-t-zero": "error: est_t ",
     "edge-n-zero": "error: n ", "edge-n-below-folds": "error: n ",
     "sparse-n-zero": "error: n ", "sparse-n-below-folds": "error: n ",
+    "bench-noise-std-negative": "error: noise_std ",
+}
+
+#: rates outside [0, 1]: each is a usage error that names its key, before a
+#: model is trained or anything is written
+OUT_OF_RANGE_PROBES = {
+    "train-lm-corrupt-rate-above-one": lambda tmp: _train_with("corrupt=true", "corrupt_rate=1.5"),
+    "train-lm-corrupt-rate-negative": lambda tmp: _train_with("corrupt=true", "corrupt_rate=-0.5"),
+    "diagnose-corrupt-rate-five": lambda tmp: _diagnose_with(tmp, "corrupt_rate=5"),
 }
 
 #: counts below their minimum: each is a usage error that names its key,
@@ -385,6 +422,18 @@ class TestCleanFailures:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert err.startswith(f"usage error: bad value for key {key!r}: not a finite number")
+        assert _snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("probe", sorted(OUT_OF_RANGE_PROBES))
+    def test_rate_out_of_range_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, probe):
+        monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
+        argv = OUT_OF_RANGE_PROBES[probe](tmp_path)
+        before = _snapshot(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("usage error: bad value for key 'corrupt_rate': need 0 <= corrupt_rate <= 1")
         assert _snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("probe", sorted(BELOW_MINIMUM_PROBES))

@@ -39,7 +39,9 @@ from elliptical.model import (
     synthetic_corpus,
     train,
 )
-from elliptical.numerics import central_differences, derive_rng, finite_diff_jacobian
+from elliptical.numerics import central_differences, derive_rng
+
+from oracles import finite_diff_jacobian
 
 VARIANTS = ("standard", "maxscale", "meanscale", "unscaled", "identity", "random")
 

@@ -28,7 +28,6 @@ class TestCatalog:
         a = np.array([[2.0, -1.0], [0.0, 3.0]])
         f = linear_function(a)
         np.testing.assert_allclose(f.analytic_variability, [2.0, 4.0])
-        np.testing.assert_allclose(f.gradient_bounds, [2.0, np.sqrt(10.0)])
 
     def test_batch_and_single_evaluation_agree(self):
         f = separable_sinusoid([1.0, 0.5], [1, 2])
@@ -159,6 +158,10 @@ class TestLayerPairProcess:
         assert isinstance(a, LayerPair)
         assert a.v_curr.shape == (100, f.out_dim)
         assert np.array_equal(a.v_curr, b.v_curr)
+
+    def test_negative_noise_std_raises(self):
+        with pytest.raises(ParameterError, match="noise_std"):
+            simulate_layer_pair(ranking_catalog(), 10, 1.0, -1.0, make_rng(13))
 
     def test_ranking_matches_oracle(self):
         f = ranking_catalog()

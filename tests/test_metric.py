@@ -13,9 +13,9 @@ from elliptical.metric import (
     apply_scaling,
     compute_kappa,
     identity_weights,
-    mahalanobis_distance,
     robustness_bound,
     scale_rows,
+    sq_distances,
 )
 from elliptical.numerics import ParameterError, ShapeError, derive_rng, make_rng
 
@@ -144,34 +144,31 @@ class TestEllipticalWeightsInvariants:
             EllipticalWeights(np.float64(1.0), "unscaled")
 
 
+def _dist(x, y, w) -> float:
+    """The Mahalanobis distance sqrt((x - y)' diag(m) (x - y)) nw-sparse runs."""
+    return float(np.sqrt(sq_distances(x, y, w.m)))
+
+
 class TestMahalanobisDistance:
     def test_coincidence(self):
         rng = make_rng(2)
         w = apply_scaling(rng.uniform(0.1, 1.0, 5), "maxscale")
         for _ in range(10):
             x = rng.standard_normal(5)
-            assert mahalanobis_distance(x, x, w) == 0.0
+            assert _dist(x, x, w) == 0.0
 
     def test_identity_weights_give_euclidean(self):
         rng = make_rng(3)
         w = identity_weights(4)
         for _ in range(100):
             q, k = rng.standard_normal(4), rng.standard_normal(4)
-            assert mahalanobis_distance(q, k, w) == pytest.approx(
-                float(np.linalg.norm(q - k)), abs=1e-12
-            )
+            assert _dist(q, k, w) == pytest.approx(float(np.linalg.norm(q - k)), abs=1e-12)
 
     def test_hand_case(self):
         w = EllipticalWeights(np.array([1.0, 0.25]), "unscaled")
-        d = mahalanobis_distance([1.0, 0.0], [0.0, 1.0], w)
+        d = _dist([1.0, 0.0], [0.0, 1.0], w)
         assert d == pytest.approx(np.sqrt(1.25), abs=1e-12)
         assert d == pytest.approx(1.118034, abs=1e-6)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            mahalanobis_distance([1.0, 2.0], [1.0], identity_weights(2))
-        with pytest.raises(ShapeError):  # a stack of metrics is not one metric
-            mahalanobis_distance([1.0, 2.0], [0.0, 1.0], EllipticalWeights(np.ones((3, 2))))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -180,10 +177,10 @@ class TestMahalanobisDistance:
         dim = int(rng.integers(1, 7))
         w = apply_scaling(rng.uniform(0.0, 1.0, dim), "maxscale")
         x, y, z = (rng.uniform(-5, 5, dim) for _ in range(3))
-        dxy = mahalanobis_distance(x, y, w)
-        dyx = mahalanobis_distance(y, x, w)
-        dxz = mahalanobis_distance(x, z, w)
-        dzy = mahalanobis_distance(z, y, w)
+        dxy = _dist(x, y, w)
+        dyx = _dist(y, x, w)
+        dxz = _dist(x, z, w)
+        dzy = _dist(z, y, w)
         assert dxy >= 0.0
         assert dxy == pytest.approx(dyx, abs=1e-12)
         assert dxy <= dxz + dzy + 1e-9
@@ -193,12 +190,44 @@ class TestMahalanobisDistance:
         w = apply_scaling(rng.uniform(0.0, 1.0, 5), "maxscale")
         pts = rng.uniform(-5, 5, (1000, 3, 5))
         for x, y, z in pts:
-            dxy = mahalanobis_distance(x, y, w)
-            assert dxy == pytest.approx(mahalanobis_distance(y, x, w), abs=1e-12)
-            assert (
-                dxy
-                <= mahalanobis_distance(x, z, w) + mahalanobis_distance(z, y, w) + 1e-9
-            )
+            dxy = _dist(x, y, w)
+            assert dxy == pytest.approx(_dist(y, x, w), abs=1e-12)
+            assert dxy <= _dist(x, z, w) + _dist(z, y, w) + 1e-9
+
+
+class TestSqDistances:
+    """``sq_distances`` against the three forms it replaced, written out here."""
+
+    @staticmethod
+    def _shapes():
+        rng = derive_rng(17, 0, 0)
+        shapes = [tuple(int(v) for v in rng.integers(1, 12, 3)) for _ in range(20)]
+        return rng, shapes + [(500, 400, 5)]  # the last: an nw-sparse CV fold at n = 500
+
+    def test_query_key_matrix_matches_the_old_form_bitwise(self):
+        rng, shapes = self._shapes()
+        for n_q, n_k, d in shapes:
+            queries, keys = rng.uniform(-3, 3, (n_q, d)), rng.uniform(-3, 3, (n_k, d))
+            m = rng.uniform(FLOOR, 1.0, d)
+            diff = queries[:, None, :] - keys[None, :, :]
+            want = np.einsum("qnd,d->qn", diff * diff, m)
+            assert sq_distances(queries[:, None], keys, m).tobytes() == want.tobytes()
+
+    def test_norms_and_one_query_match_the_old_forms_bitwise(self):
+        rng, shapes = self._shapes()
+        for _, n_k, d in shapes:
+            keys, q = rng.uniform(-2, 2, (n_k, d)), rng.uniform(-2, 2, d)
+            m = rng.uniform(FLOOR, 1.0, d)
+            want_norms = np.einsum("nd,d->n", keys * keys, m)
+            assert sq_distances(keys, 0.0, m).tobytes() == want_norms.tobytes()
+            diff = q[None, :] - keys
+            want = np.einsum("nd,d->n", diff * diff, m)
+            assert sq_distances(q, keys, m).tobytes() == want.tobytes()
+
+    def test_broadcasts_on_the_last_axis(self):
+        x = np.arange(6.0).reshape(2, 1, 3)
+        y = np.ones((4, 3))
+        assert sq_distances(x, y, np.ones(3)).shape == (2, 4)
 
 
 class TestComputeKappa:

@@ -602,6 +602,14 @@ class TestPerplexity:
         )
         assert corrupted != clean
 
+    @pytest.mark.parametrize("rate", [-0.5, 1.5])
+    def test_rate_outside_unit_interval_raises(self, rate):
+        # a skipped negative rate would score the clean stream as the corrupted one
+        corpus = synthetic_corpus(10, 600)
+        cfg = _tiny_cfg(corpus.vocab_size)
+        with pytest.raises(ParameterError, match="rate"):
+            perplexity(init_params(cfg), cfg, corpus.tokens[:200], corrupt_rate=rate, rng=make_rng(10))
+
 
 class TestDiagnostics:
     def test_identical_rows_have_unit_cosine(self):

@@ -14,10 +14,11 @@ from elliptical.numerics import (
     as_matrix,
     central_differences,
     derive_rng,
-    finite_diff_jacobian,
     make_rng,
     softmax_rows,
 )
+
+from oracles import finite_diff_jacobian
 
 
 class TestAsMatrix:

@@ -11,20 +11,21 @@ from elliptical.estimators import (
     separable_sinusoid,
     sparse_sinusoid,
 )
-from elliptical.metric import apply_scaling, identity_weights
-from elliptical.numerics import ParameterError, make_rng, softmax_rows
+from elliptical.metric import EllipticalWeights, apply_scaling, identity_weights
+from elliptical.numerics import ParameterError, ShapeError, make_rng, softmax_rows
 from elliptical.nwlab import (
     EdgeConfig,
     MSEReport,
     NWDataset,
     SparseMSEConfig,
-    check_lipschitz_transfer,
     cross_validate_bandwidth,
     nw_estimate_batch,
     run_edge_preservation_experiment,
     run_sparse_mse_experiment,
     sample_dataset,
 )
+
+from oracles import check_lipschitz_transfer
 
 
 def _toy_dataset(rng, n=40, dim=2, noise=0.1):
@@ -99,6 +100,17 @@ class TestNWEstimate:
         with pytest.raises(ParameterError):
             nw_estimate([0.0, 0.0], data, 0.0, identity_weights(2))
 
+    def test_dimension_mismatch_rejected(self):
+        # sq_distances broadcasts, so a (1, dim) query or a (1,) metric would run
+        # without this check
+        data = _toy_dataset(make_rng(2))
+        with pytest.raises(ShapeError):
+            nw_estimate([0.0, 0.0, 0.0], data, 0.5, identity_weights(3))
+        with pytest.raises(ShapeError):
+            nw_estimate([0.0, 0.0], data, 0.5, identity_weights(1))
+        with pytest.raises(ShapeError):  # a stack of metrics is not one metric
+            nw_estimate([0.0, 0.0], data, 0.5, EllipticalWeights(np.ones((3, 2))))
+
     def test_one_row_queries_match_batch(self):
         rng = make_rng(3)
         data = _toy_dataset(rng)
@@ -135,8 +147,8 @@ class TestBandwidthSelection:
         from elliptical import nwlab
 
         calls = []
-        dists = nwlab._weighted_sq_dists
-        monkeypatch.setattr(nwlab, "_weighted_sq_dists", lambda *a: calls.append(1) or dists(*a))
+        dists = nwlab.sq_distances
+        monkeypatch.setattr(nwlab, "sq_distances", lambda *a: calls.append(1) or dists(*a))
         cross_validate_bandwidth(_toy_dataset(make_rng(6), n=60), identity_weights(2))
         assert len(calls) == nwlab.CV_FOLDS
 
@@ -238,13 +250,15 @@ class TestLipschitzTransfer:
         a = rng.standard_normal((3, 4))
         f = linear_function(a)
         w = apply_scaling(rng.uniform(0.1, 1.0, 4), "maxscale")
-        assert check_lipschitz_transfer(f, w, 5000, rng) <= 0.0
+        # G_i = ||A column i||_2
+        assert check_lipschitz_transfer(f, np.linalg.norm(a, axis=0), w, 5000, rng) <= 0.0
 
     def test_sine_function_never_violates(self):
         rng = make_rng(8)
         f = separable_sinusoid([1.0, 0.0], [1, 1])
         w = apply_scaling([1.0, 0.3], "maxscale")
-        assert check_lipschitz_transfer(f, w, 10_000, rng) <= 0.0
+        # G_i = |a_i w_i|
+        assert check_lipschitz_transfer(f, [1.0, 0.0], w, 10_000, rng) <= 0.0
 
     def test_coincident_pairs_are_benign(self):
         f = linear_function(np.eye(2))
@@ -253,9 +267,4 @@ class TestLipschitzTransfer:
             def uniform(self, lo, hi, shape):
                 return np.zeros(shape)
 
-        assert check_lipschitz_transfer(f, identity_weights(2), 10, _ZeroRng()) <= 0.0
-
-    def test_requires_gradient_bounds(self):
-        f = piecewise_step((0.0,), (1.0,), dim=2)
-        with pytest.raises(ParameterError):
-            check_lipschitz_transfer(f, identity_weights(2), 10, make_rng(9))
+        assert check_lipschitz_transfer(f, np.ones(2), identity_weights(2), 10, _ZeroRng()) <= 0.0

@@ -4,9 +4,39 @@ cheap, and ``python -m elliptical`` runs the command line."""
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import elliptical
+
+
+EXPORTS = [
+    "AttentionConfig", "AttentionOutput", "EllipticalWeights", "ModelConfig", "NWDataset",
+    "SyntheticFunction", "TrainParams", "VariabilityEstimate", "apply_scaling",
+    "compute_kappa", "corrupt_tokens", "diagnose", "elliptical_attention",
+    "estimate_consistent", "estimate_overlayers", "forward", "identity_weights", "make_rng",
+    "masa", "masa_jacobian", "nw_estimate_batch", "oracle_variability", "robustness_bound",
+    "run_sparse_mse_experiment", "scale_rows", "softmax_rows", "sq_distances",
+    "standard_attention", "train",
+]
+
+
+def test_exports_are_pinned():
+    assert elliptical.__all__ == EXPORTS
+
+
+def test_test_only_code_is_gone():
+    # one weighted distance (metric.sq_distances); the Jacobian and smoothness
+    # oracles live in tests/oracles.py
+    from elliptical import autodiff, estimators, metric, numerics, nwlab
+
+    gone = [(metric, "mahalanobis_distance"), (numerics, "finite_diff_jacobian"),
+            (numerics, "as_vector"), (nwlab, "check_lipschitz_transfer"),
+            (nwlab, "_weighted_sq_dists"), (elliptical, "mahalanobis_distance"),
+            (elliptical, "finite_diff_jacobian")]
+    assert [name for module, name in gone if hasattr(module, name)] == []
+    assert "gradient_bounds" not in {f.name for f in fields(estimators.SyntheticFunction)}
+    assert autodiff.Tensor.__repr__ is object.__repr__
 
 
 def test_every_export_resolves():
