@@ -9,14 +9,7 @@ laboratory, and a toy character-level transformer with collapse and
 robustness diagnostics.
 """
 
-from .attention import (
-    AttentionConfig,
-    AttentionOutput,
-    elliptical_attention,
-    masa,
-    masa_jacobian,
-    standard_attention,
-)
+from .attention import AttentionOutput, masa, masa_jacobian
 from .estimators import (
     SyntheticFunction,
     VariabilityEstimate,
@@ -38,7 +31,6 @@ from .numerics import make_rng, softmax_rows
 from .nwlab import NWDataset, nw_estimate_batch, run_sparse_mse_experiment
 
 __all__ = [
-    "AttentionConfig",
     "AttentionOutput",
     "EllipticalWeights",
     "ModelConfig",
@@ -50,7 +42,6 @@ __all__ = [
     "compute_kappa",
     "corrupt_tokens",
     "diagnose",
-    "elliptical_attention",
     "estimate_consistent",
     "estimate_overlayers",
     "forward",
@@ -65,6 +56,5 @@ __all__ = [
     "scale_rows",
     "softmax_rows",
     "sq_distances",
-    "standard_attention",
     "train",
 ]

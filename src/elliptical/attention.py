@@ -1,12 +1,12 @@
-"""Attention kernels over dense matrices: the plain scaled dot-product form,
-the metric-weighted softmax operator with its analytic Jacobian, and the
-full metric-weighted attention that derives its weights from the change in
-value vectors between consecutive layers.
+"""Attention kernels over dense matrices: the one metric-weighted kernel that
+the model's causal attention node runs, the head layout it runs on, and the
+unit-temperature weighted-softmax operator with its analytic Jacobian.
 
-All variants share one kernel in which the query matrix is scaled by the
-relevance weights before the dot product, so forcing the weights to ones
-reproduces the plain form bit for bit.  The kernel also runs on stacks;
-``split_heads``/``merge_heads`` alone know the model's merged-head layout.
+The kernel scales the queries by the relevance weights before the dot
+product, so weights of ones reproduce plain scaled dot-product attention bit
+for bit.  The per-position weights themselves come from ``model._metric_rows``.
+The kernel also runs on stacks; ``split_heads``/``merge_heads`` alone know the
+model's merged-head layout.
 """
 
 from __future__ import annotations
@@ -15,28 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import estimate_overlayers
-from .metric import EllipticalWeights, apply_scaling
-from .numerics import ParameterError, ShapeError, as_matrices, as_matrix, softmax_rows
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Shared knobs for the attention kernels."""
-
-    head_dim: int
-    weights: EllipticalWeights
-
-    def __post_init__(self):
-        if self.weights.dim != self.head_dim:
-            raise ShapeError(
-                f"weights have dim {self.weights.dim}, head_dim is {self.head_dim}"
-            )
-
-    @property
-    def temperature(self) -> float:
-        """sqrt(head_dim); it stays there even when the metric rescales the logits."""
-        return float(np.sqrt(self.head_dim))
+from .metric import EllipticalWeights
+from .numerics import ShapeError, as_matrices, as_matrix, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -85,27 +65,6 @@ def weighted_kernel(
     return AttentionOutput(h=np.matmul(attn, v), attn=attn, logits=logits)
 
 
-def _check_qkv(q, k, v, cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    q = as_matrix(q)
-    k = as_matrix(k)
-    v = as_matrix(v)
-    if not q.shape[1] == k.shape[1] == cfg.head_dim:
-        raise ShapeError(
-            f"query dim {q.shape[1]}, key dim {k.shape[1]} and head_dim {cfg.head_dim} differ"
-        )
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"{k.shape[0]} keys vs {v.shape[0]} values")
-    return q, k, v
-
-
-def standard_attention(q, k, v, cfg: AttentionConfig) -> AttentionOutput:
-    """Plain scaled dot-product attention; requires identity weights."""
-    q, k, v = _check_qkv(q, k, v, cfg)
-    if not np.all(cfg.weights.m == 1.0):
-        raise ParameterError("standard attention requires identity weights")
-    return weighted_kernel(q, k, v, np.ones(cfg.head_dim), cfg.temperature, causal=False)
-
-
 def masa(q, keys, w: EllipticalWeights) -> np.ndarray:
     """Metric-weighted softmax over keys at unit temperature, on the last axis.
 
@@ -135,31 +94,6 @@ def masa_jacobian(q, keys, w: EllipticalWeights) -> np.ndarray:
     # minus the p-weighted key average, one vector-matrix product per query
     centered = keys - np.matmul(p[..., None, :], keys)
     return p[..., :, None] * centered * w.m[..., None, :]
-
-
-def elliptical_attention(
-    q,
-    k,
-    v,
-    v_prev,
-    cfg: AttentionConfig,
-    delta: float,
-    rng: np.random.Generator | None = None,
-) -> AttentionOutput:
-    """Non-causal single-layer attention with a metric estimated from values.
-
-    One (dim,) metric comes from the layer-difference estimator over all
-    rows of (v, v_prev); ``cfg.weights`` contributes only its scaling mode,
-    and the metric carries no gradient.  Causal models estimate one metric
-    row per position, from its prefix, in ``model.forward``.
-    """
-    q, k, v = _check_qkv(q, k, v, cfg)
-    v_prev = as_matrix(v_prev)
-    if v_prev.shape != v.shape:
-        raise ShapeError(f"v_prev shape {v_prev.shape} != v shape {v.shape}")
-    raw = estimate_overlayers(v, v_prev, delta).raw
-    m = apply_scaling(raw, cfg.weights.mode, rng=rng).m
-    return weighted_kernel(q, k, v, m, cfg.temperature, causal=False)
 
 
 def minmax_scale_rows(matrix) -> np.ndarray:

@@ -530,8 +530,15 @@ COMMANDS: dict[str, tuple[dict[str, Option], Callable[..., int]]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's errors, its subcommands' too, become one-line UsageErrors."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elliptical",
         description="Experiment runner for metric-weighted attention",
     )
@@ -548,10 +555,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         if name in ("nw-sparse", "edge-preserve"):  # the commands that map over seeds
             cmd.add_argument("--jobs", type=int, default=1, help="threads across seeds")
-    args = parser.parse_args(argv)
-    schema, runner = COMMANDS[args.command]
-    jobs = getattr(args, "jobs", None)
     try:
+        args = parser.parse_args(argv)
+        schema, runner = COMMANDS[args.command]
+        jobs = getattr(args, "jobs", None)
         if jobs is not None and jobs < 1:
             raise UsageError(f"bad value for --jobs: need at least 1, got {jobs}")
         cfg = load_config(schema, args)

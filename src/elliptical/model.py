@@ -252,11 +252,12 @@ def forward(
 
     Layer 0 always runs with an identity metric.  Each later layer of the
     metric-weighted variant estimates its metric for every block and head in
-    one call, and every layer runs as one multi-head attention node in which
-    each block attends only within itself, so a block's logits do not depend
-    on the other blocks (random mode aside: one stream draws for the whole
-    stack).  Returns flat (batch * t_len, vocab) logits and one state per
-    layer.
+    one call, identity scaling included: its rows are ones, and scaling the
+    queries by one is exact.  Every layer runs as one multi-head attention
+    node in which each block attends only within itself, so a block's logits
+    do not depend on the other blocks (random mode aside: one stream draws
+    for the whole stack).  Returns flat (batch * t_len, vocab) logits and one
+    state per layer.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim not in (1, 2):
@@ -276,7 +277,6 @@ def forward(
         tape.embedding(params["pos_emb"], np.tile(np.arange(t_len), batch)),
     )
     temp = float(np.sqrt(cfg.head_dim))
-    use_metric = cfg.elliptical and cfg.scaling != "identity"
     prev_values: np.ndarray | None = None
     states: list[AttentionLayerState] = []
 
@@ -287,7 +287,7 @@ def forward(
         vm = tape.matmul(xn, params[f"l{li}.wv"])
         values = vm.value.reshape(batch, t_len, width)
         m, estimator_values = None, [None] * cfg.heads
-        if use_metric and li >= 1:
+        if cfg.elliptical and li >= 1:
             m, held = _metric_rows(
                 values, prev_values, cfg.heads, cfg.scaling, cfg.delta, rng=metric_rng
             )
@@ -626,9 +626,9 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a file that is not one, is cut short, or holds a
-    table whose name or shape differs from what its config builds raises a
-    ``ParameterError`` that names it."""
+    """Read a checkpoint; a file that is not one, is cut short, has a step or
+    Adam count that is not an int >= 0, or holds a table whose name or shape
+    differs from what its config builds raises a ParameterError naming it."""
     with open(path, "rb") as fh:
         if fh.readline().strip() != _CKPT_MAGIC.encode():
             raise ParameterError(f"{path} is not a model checkpoint")
@@ -636,6 +636,8 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(fh.readline())
             cfg = ModelConfig(**header["config"])
             step, adam_t = header["step"], header["adam_t"]
+            if not all(type(n) is int and n >= 0 for n in (step, adam_t)):  # no bool either
+                raise ValueError(f"step {step!r} and adam_t {adam_t!r} must be ints >= 0")
             shapes = {name: shape for name, shape, _ in param_table(cfg)}
         except (ValueError, KeyError, TypeError) as exc:
             raise ParameterError(f"{path}: malformed checkpoint header ({exc})") from None

@@ -6,6 +6,7 @@ A random instance is drawn as n, d, the (n, d) keys, the (d,) query, then the
 (d,) uniform row maxscaled into its weights.  The masa-Jacobian suite draws its
 instances one after another from its stream, then evaluates each (n, d) shape as
 one stack: every instance keeps its own bits, and a max is exact in any order.
+The identity-reduction suite instead draws value stacks for the model's metric path.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionConfig, elliptical_attention, masa, masa_jacobian, standard_attention
-from .metric import (EllipticalWeights, apply_scaling, compute_kappa, identity_weights,
-                     robustness_bound, scale_rows, sq_distances)
+from . import model
+from .attention import masa, masa_jacobian, split_heads, weighted_kernel
+from .metric import (EllipticalWeights, apply_scaling, compute_kappa, robustness_bound,
+                     scale_rows, sq_distances)
 from .numerics import central_differences, derive_rng, softmax_rows
 
 _NS_VERIFY = 21
@@ -107,26 +109,24 @@ def suite_robustness_bound(
 
 
 def suite_identity_reduction(n_instances: int = 50, seed: int = 0) -> SuiteResult:
-    """With an identity metric the weighted kernel must reproduce the plain
-    kernel bit for bit, including through the layer-difference path."""
+    """Identity scaling on the model's causal path must reproduce the plain
+    kernel bit for bit: ``model._metric_rows`` estimates per-position rows from
+    (v, v_prev) as a metric-weighted layer does, and the causal kernel runs on
+    the head stacks once with those rows and once with no metric."""
     rng = derive_rng(seed, _NS_VERIFY, 3)
     worst = 0.0
     for _ in range(n_instances):
-        n = int(rng.integers(2, 9))
-        d = int(rng.integers(2, 7))
-        q = rng.standard_normal((n, d))
-        k = rng.standard_normal((n, d))
-        v = rng.standard_normal((n, d))
-        v_prev = rng.standard_normal((n, d))
-        cfg = AttentionConfig(head_dim=d, weights=identity_weights(d))
-        std = standard_attention(q, k, v, cfg)
-        ell = elliptical_attention(q, k, v, v_prev, cfg, delta=1.0)
-        same_bits = (
-            std.logits.tobytes() == ell.logits.tobytes()
-            and std.attn.tobytes() == ell.attn.tobytes()
-            and std.h.tobytes() == ell.h.tobytes()
-        )
-        if not same_bits:
+        batch, heads = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        t_len, dh = int(rng.integers(2, 25)), int(rng.integers(2, 7))
+        q, k, v, v_prev = (rng.standard_normal((batch, t_len, heads * dh)) for _ in range(4))
+        m, _ = model._metric_rows(v, v_prev, heads, "identity", 1.0)
+        qh, kh, vh, mh = (split_heads(a.reshape(batch * t_len, -1), batch, heads)
+                          for a in (q, k, v, m))
+        temp = float(np.sqrt(dh))
+        std = weighted_kernel(qh, kh, vh, 1.0, temp, causal=True)
+        ell = weighted_kernel(qh, kh, vh, mh, temp, causal=True)
+        fields = ("logits", "attn", "h")
+        if any(getattr(std, f).tobytes() != getattr(ell, f).tobytes() for f in fields):
             worst = max(worst, float(np.max(np.abs(std.logits - ell.logits))), 1e-300)
     return SuiteResult(
         name="identity-reduction",

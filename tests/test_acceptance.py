@@ -10,10 +10,8 @@ import pytest
 from scipy import stats
 
 from elliptical import estimators, model, nwlab, verification
-from elliptical.attention import AttentionConfig, elliptical_attention, standard_attention
 from elliptical.autodiff import GradTape, backward
 from elliptical.cli import main
-from elliptical.metric import identity_weights
 from elliptical.numerics import derive_rng, make_rng
 
 # -- frozen thresholds -------------------------------------------------------
@@ -45,29 +43,29 @@ def _default_corpus():
 
 class TestCriterion1IdentityReduction:
     def test_attention_level_bitwise(self):
-        rng = make_rng(101)
-        for _ in range(50):
-            n = int(rng.integers(2, 9))
-            d = int(rng.integers(2, 7))
-            q, k, v, v_prev = (rng.standard_normal((n, d)) for _ in range(4))
-            cfg = AttentionConfig(head_dim=d, weights=identity_weights(d))
-            std = standard_attention(q, k, v, cfg)
-            ell = elliptical_attention(q, k, v, v_prev, cfg, delta=1.0)
-            assert std.logits.tobytes() == ell.logits.tobytes()
-            assert std.attn.tobytes() == ell.attn.tobytes()
-            assert std.h.tobytes() == ell.h.tobytes()
+        # the model's causal metric path with identity scaling vs the plain kernel
+        result = verification.suite_identity_reduction(n_instances=200, seed=101)
+        assert result.passed and result.slack == 0.0, result.detail
 
-    def test_model_level_bitwise_loss_curve(self):
+    def test_model_level_bitwise_loss_curve(self, monkeypatch):
         train_corpus, _ = _default_corpus()
         base = dict(vocab_size=train_corpus.vocab_size, seed=11)
         tp = model.TrainParams(steps=200, batch_size=8)
         std = model.train(train_corpus, model.ModelConfig(elliptical=False, **base), tp)
-        idn = model.train(
-            train_corpus, model.ModelConfig(elliptical=True, scaling="identity", **base), tp
+        # the identity model runs the metric estimator on every layer after the first
+        calls = []
+        real = model._metric_rows
+        monkeypatch.setattr(
+            model, "_metric_rows", lambda *a, **kw: calls.append(1) or real(*a, **kw)
         )
+        idn_cfg = model.ModelConfig(elliptical=True, scaling="identity", **base)
+        idn = model.train(train_corpus, idn_cfg, tp)
+        assert len(calls) == tp.steps * (idn_cfg.layers - 1)
         assert std.losses == idn.losses
         for name in std.params:
             assert np.array_equal(std.params[name].value, idn.params[name].value)
+            assert np.array_equal(std.opt.m[name], idn.opt.m[name])
+            assert np.array_equal(std.opt.v[name], idn.opt.v[name])
         _passline(1, "identity reduction")
 
 

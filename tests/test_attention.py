@@ -7,15 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptical.attention import (
-    AttentionConfig,
     causal_mask,
-    elliptical_attention,
     masa,
     masa_jacobian,
     merge_heads,
     minmax_scale_rows,
     split_heads,
-    standard_attention,
     weighted_kernel,
 )
 from elliptical.metric import (
@@ -26,12 +23,8 @@ from elliptical.metric import (
     identity_weights,
     scale_rows,
 )
-from elliptical.numerics import (
-    ParameterError,
-    ShapeError,
-    make_rng,
-    softmax_rows,
-)
+from elliptical.model import METRIC_WARMUP, _metric_rows
+from elliptical.numerics import ShapeError, make_rng, softmax_rows
 
 from oracles import finite_diff_jacobian
 
@@ -46,61 +39,49 @@ def _random_instance(rng, n_max=8, d_max=6):
 
 
 class TestStandardAttention:
+    """``weighted_kernel`` with m = 1.0: plain scaled dot-product attention."""
+
     def test_single_key_returns_its_value(self):
         rng = make_rng(0)
-        cfg = AttentionConfig(head_dim=3, weights=identity_weights(3))
         v = rng.standard_normal((1, 4))
-        out = standard_attention(rng.standard_normal((1, 3)), rng.standard_normal((1, 3)), v, cfg)
+        q, k = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+        out = weighted_kernel(q, k, v, 1.0, np.sqrt(3.0), causal=False)
         np.testing.assert_array_equal(out.h, v)
 
     def test_identical_keys_average_values(self):
         rng = make_rng(1)
-        cfg = AttentionConfig(head_dim=2, weights=identity_weights(2))
         k = np.tile(rng.standard_normal((1, 2)), (5, 1))
         v = rng.standard_normal((5, 3))
-        out = standard_attention(rng.standard_normal((2, 2)), k, v, cfg)
+        out = weighted_kernel(rng.standard_normal((2, 2)), k, v, 1.0, np.sqrt(2.0), causal=False)
         np.testing.assert_allclose(out.h, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
 
     def test_hand_case(self):
-        cfg = AttentionConfig(head_dim=2, weights=identity_weights(2))
-        out = standard_attention(
-            [[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], cfg
-        )
+        eye = np.eye(2)
+        out = weighted_kernel(eye[:1], eye, eye, 1.0, np.sqrt(2.0), causal=False)
         logit = 1.0 / np.sqrt(2.0)
         p1 = np.exp(logit) / (np.exp(logit) + 1.0)
         np.testing.assert_allclose(out.attn, [[p1, 1.0 - p1]], atol=1e-12)
         np.testing.assert_allclose(out.h, [[p1, 1.0 - p1]], atol=1e-12)
         np.testing.assert_allclose(out.attn, [[0.6698, 0.3302]], atol=1e-3)
 
-    def test_requires_identity_weights(self):
-        cfg = AttentionConfig(
-            head_dim=2, weights=EllipticalWeights(np.array([1.0, 0.5]), "unscaled")
-        )
-        with pytest.raises(ParameterError):
-            standard_attention(np.ones((1, 2)), np.ones((2, 2)), np.ones((2, 2)), cfg)
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_rows_are_distributions(self, seed):
         rng = make_rng(seed)
         n, d = int(rng.integers(1, 8)), int(rng.integers(1, 6))
-        cfg = AttentionConfig(head_dim=d, weights=identity_weights(d))
-        out = standard_attention(
-            rng.standard_normal((n, d)), rng.standard_normal((n, d)),
-            rng.standard_normal((n, d)), cfg,
-        )
+        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        out = weighted_kernel(q, k, v, 1.0, np.sqrt(d), causal=False)
         np.testing.assert_allclose(out.attn.sum(axis=1), 1.0, atol=1e-9)
         assert np.all((out.attn >= 0.0) & (out.attn <= 1.0))
 
     def test_permuting_keys_permutes_columns_and_preserves_output(self):
         rng = make_rng(2)
-        cfg = AttentionConfig(head_dim=4, weights=identity_weights(4))
         q = rng.standard_normal((3, 4))
         k = rng.standard_normal((5, 4))
         v = rng.standard_normal((5, 4))
         perm = make_rng(3).permutation(5)
-        base = standard_attention(q, k, v, cfg)
-        shuffled = standard_attention(q, k[perm], v[perm], cfg)
+        base = weighted_kernel(q, k, v, 1.0, 2.0, causal=False)
+        shuffled = weighted_kernel(q, k[perm], v[perm], 1.0, 2.0, causal=False)
         np.testing.assert_allclose(shuffled.attn, base.attn[:, perm], atol=1e-12)
         np.testing.assert_allclose(shuffled.h, base.h, atol=1e-12)
 
@@ -281,41 +262,31 @@ class TestMasaJacobian:
 
 
 class TestEllipticalAttention:
-    def _cfg(self, d, mode="maxscale"):
-        return AttentionConfig(
-            head_dim=d, weights=apply_scaling(np.ones(d), mode, rng=make_rng(0))
-        )
+    """The path a metric-weighted model layer runs: ``model._metric_rows``
+    estimates per-position rows from two value stacks, and the causal kernel
+    scales the queries by them."""
+
+    def _both(self, v_prev, mode, seed):
+        rng = make_rng(seed)
+        batch, heads, t_len, dh = 2, 2, METRIC_WARMUP + 5, 3
+        q, k, v = (rng.standard_normal((batch, t_len, heads * dh)) for _ in range(3))
+        m, _ = _metric_rows(v, v_prev(v, rng), heads, mode, 1.0)
+        qh, kh, vh, mh = (split_heads(a.reshape(batch * t_len, -1), batch, heads)
+                          for a in (q, k, v, m))
+        std = weighted_kernel(qh, kh, vh, 1.0, np.sqrt(dh), causal=True)
+        return std, weighted_kernel(qh, kh, vh, mh, np.sqrt(dh), causal=True)
 
     def test_equal_value_layers_reduce_to_standard(self):
-        rng = make_rng(12)
-        q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
-        out = elliptical_attention(q, k, v, v.copy(), self._cfg(3), delta=1.0)
-        std = standard_attention(q, k, v, AttentionConfig(3, identity_weights(3)))
-        assert out.logits.tobytes() == std.logits.tobytes()
-        assert out.h.tobytes() == std.h.tobytes()
+        # no variability between the layers: every row is the identity metric
+        std, ell = self._both(lambda v, rng: v.copy(), "maxscale", 12)
+        assert ell.logits.tobytes() == std.logits.tobytes()
+        assert ell.h.tobytes() == std.h.tobytes()
 
     def test_identity_mode_is_bitwise_standard(self):
-        rng = make_rng(13)
-        q, k, v, v_prev = (rng.standard_normal((6, 4)) for _ in range(4))
-        out = elliptical_attention(q, k, v, v_prev, self._cfg(4, "identity"), delta=1.0)
-        std = standard_attention(q, k, v, AttentionConfig(4, identity_weights(4)))
-        assert out.logits.tobytes() == std.logits.tobytes()
-        assert out.attn.tobytes() == std.attn.tobytes()
-        assert out.h.tobytes() == std.h.tobytes()
-
-    def test_identity_mode_runs_the_layer_difference_path(self, monkeypatch):
-        from elliptical import attention
-
-        calls = []
-        real = attention.estimate_overlayers
-        monkeypatch.setattr(
-            attention, "estimate_overlayers", lambda *a: calls.append(a) or real(*a)
-        )
-        q, k, v, v_prev = (make_rng(15).standard_normal((4, 3)) for _ in range(4))
-        elliptical_attention(q, k, v, v_prev, self._cfg(3, "identity"), delta=1.0)
-        assert len(calls) == 1
-        with pytest.raises(ParameterError, match="delta"):
-            elliptical_attention(q, k, v, v_prev, self._cfg(3, "identity"), delta=0.0)
+        std, ell = self._both(lambda v, rng: rng.standard_normal(v.shape), "identity", 13)
+        assert ell.logits.tobytes() == std.logits.tobytes()
+        assert ell.attn.tobytes() == std.attn.tobytes()
+        assert ell.h.tobytes() == std.h.tobytes()
 
     def test_matches_bruteforce_summation(self):
         # direct per-query loop over exp(q' M k / sqrt(D)) weighted values
@@ -323,8 +294,6 @@ class TestEllipticalAttention:
         k = np.array([[0.1, 0.9], [-0.5, 0.2]])
         v = np.array([[1.0, 2.0], [3.0, -1.0]])
         m = np.array([1.0, 0.5])
-        w = EllipticalWeights(m, "unscaled")
-        cfg = AttentionConfig(head_dim=2, weights=w)
         out = weighted_kernel(q, k, v, m, float(np.sqrt(2.0)), causal=False)
         for i in range(2):
             scores = np.array(
@@ -334,29 +303,6 @@ class TestEllipticalAttention:
             weights = scores / scores.sum()
             expected = weights @ v
             np.testing.assert_allclose(out.h[i], expected, atol=1e-12)
-        assert cfg.temperature == pytest.approx(np.sqrt(2.0))
-
-    def test_head_dim_must_match_query_width(self):
-        # a 1-wide config on 4-wide q/k/v would run at temperature 1, not 2
-        q, k, v = (make_rng(14).standard_normal((3, 4)) for _ in range(3))
-        cfg = AttentionConfig(head_dim=1, weights=identity_weights(1))
-        with pytest.raises(ShapeError, match="head_dim"):
-            standard_attention(q, k, v, cfg)
-        with pytest.raises(ShapeError, match="head_dim"):
-            elliptical_attention(q, k, v, v.copy(), cfg, delta=1.0)
-
-    def test_shape_contracts(self):
-        cfg = self._cfg(3)
-        with pytest.raises(ShapeError):
-            elliptical_attention(
-                np.ones((2, 3)), np.ones((4, 3)), np.ones((4, 3)), np.ones((3, 3)),
-                cfg, delta=1.0,
-            )
-        with pytest.raises(ParameterError):
-            elliptical_attention(
-                np.ones((2, 3)), np.ones((4, 3)), np.ones((4, 3)), np.ones((4, 3)),
-                cfg, delta=0.0,
-            )
 
 
 class TestRowStochasticityBulk:
@@ -369,14 +315,10 @@ class TestRowStochasticityBulk:
             k = rng.uniform(-3, 3, (n, d))
             v = rng.uniform(-3, 3, (n, d))
             v_prev = rng.uniform(-3, 3, (n, d))
-            cfg_std = AttentionConfig(head_dim=d, weights=identity_weights(d))
-            cfg_ell = AttentionConfig(
-                head_dim=d, weights=apply_scaling(np.ones(d), "maxscale")
-            )
-            for out in (
-                standard_attention(q, k, v, cfg_std),
-                elliptical_attention(q, k, v, v_prev, cfg_ell, delta=1.0),
-            ):
+            # one metric row: the maxscaled layer-difference estimate
+            m = scale_rows(np.abs(v - v_prev).mean(axis=0), "maxscale")
+            for row in (1.0, m):
+                out = weighted_kernel(q, k, v, row, np.sqrt(d), causal=False)
                 sums = out.attn.sum(axis=1)
                 assert np.all(np.abs(sums - 1.0) <= 1e-9)
                 assert np.all((out.attn >= 0.0) & (out.attn <= 1.0))

@@ -236,12 +236,28 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["estimator-bench", "train-lm", "diagnose", "verify"])
     def test_jobs_is_not_an_option_where_it_does_nothing(self, tmp_path, monkeypatch, capsys, command):
-        monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--jobs", "2"])
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert _run(tmp_path, monkeypatch, command, "--jobs", "2") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["usage error: unrecognized arguments: --jobs 2"], err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["nw-sparse", "--jobs", "abc"], [], ["bogus"], ["verify", "--bogus"]],
+        ids=["jobs-abc", "no-command", "unknown-command", "unknown-flag"],
+    )
+    def test_argparse_errors_are_one_usage_line(self, tmp_path, monkeypatch, capsys, argv):
+        assert _run(tmp_path, monkeypatch, *argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: "), err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train-lm", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     @pytest.mark.parametrize("command", ["nw-sparse", "edge-preserve"])
@@ -298,6 +314,16 @@ def _header_edit(old: bytes, new: bytes):
     return damage
 
 
+def _resume_with_count(tmp_path, key: str, value: str):
+    """train-lm resumed from a 2-step checkpoint whose header has ``key`` (step
+    or adam_t) set to the JSON text ``value``."""
+    assert main(["train-lm", "--set", "steps=2", "--set", "out=m", *TINY]) == 0
+    path = tmp_path / "m" / "checkpoint.bin"
+    edit = _header_edit(f'"{key}": 2'.encode(), f'"{key}": {value}'.encode())
+    path.write_bytes(edit(path.read_bytes()))
+    return _train_with(f"resume={path}", "out=r")
+
+
 def _train_with(*items):
     return ["train-lm", "--set", "steps=3", *TINY, *(a for kv in items for a in ("--set", kv))]
 
@@ -324,6 +350,12 @@ FAILURE_PROBES = {
         tmp, _header_edit(b'"context": 8', b'"context": 12')),
     "checkpoint-header-ff-dim": lambda tmp: _damaged_checkpoint(
         tmp, _header_edit(b'"ff_dim": 8', b'"ff_dim": 6')),
+    # a resumed step or Adam count that is not an int >= 0, bools included
+    "checkpoint-step-string": lambda tmp: _resume_with_count(tmp, "step", '"2"'),
+    "checkpoint-adam_t-string": lambda tmp: _resume_with_count(tmp, "adam_t", '"3"'),
+    "checkpoint-step-float": lambda tmp: _resume_with_count(tmp, "step", "2.5"),
+    "checkpoint-adam_t-negative": lambda tmp: _resume_with_count(tmp, "adam_t", "-1"),
+    "checkpoint-step-bool": lambda tmp: _resume_with_count(tmp, "step", "true"),
     "corpus-not-utf8": _random_bytes_corpus,
     "checkpoint-bad-magic": lambda tmp: _damaged_checkpoint(tmp, lambda b: b"NOT A CKPT\n" + b),
     "checkpoint-is-directory": lambda tmp: ["diagnose", "--set", f"checkpoint={tmp}"],
@@ -365,6 +397,11 @@ PROBES_NAME = {
     "edge-n-zero": "error: n ", "edge-n-below-folds": "error: n ",
     "sparse-n-zero": "error: n ", "sparse-n-below-folds": "error: n ",
     "bench-noise-std-negative": "error: noise_std ",
+    **dict.fromkeys(
+        ("checkpoint-step-string", "checkpoint-adam_t-string", "checkpoint-step-float",
+         "checkpoint-adam_t-negative", "checkpoint-step-bool"),
+        "checkpoint.bin: malformed checkpoint header (step ",
+    ),
 }
 
 #: rates outside [0, 1]: each is a usage error that names its key, before a
@@ -492,6 +529,22 @@ class TestVerifyCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert "masa-jacobian: FAIL" in out
+
+    def test_identity_metric_off_by_an_ulp_fails_identity_suite(self, tmp_path, monkeypatch, capsys):
+        # negative control: identity rows one ulp above 1 must break the bitwise reduction
+        from elliptical import model
+
+        true_scale_rows = model.scale_rows
+
+        def off_by_an_ulp(raw, mode, rng=None):
+            rows = true_scale_rows(raw, mode, rng=rng)
+            return np.full_like(rows, np.nextafter(1.0, 2.0)) if mode == "identity" else rows
+
+        monkeypatch.setattr(model, "scale_rows", off_by_an_ulp)
+        code = _run(tmp_path, monkeypatch, "verify", "--set", "out=v4")
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "identity-reduction: FAIL" in out and out.count("PASS") == 3
 
     def test_exit_status_contract(self, tmp_path, monkeypatch):
         assert _run(tmp_path, monkeypatch, "verify", "--set", "out=v3") == 0

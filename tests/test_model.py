@@ -204,6 +204,21 @@ class TestForward:
         assert np.all(states[0].metric == 1.0)
         assert np.any(states[1].metric != 1.0)  # row 15 has METRIC_WARMUP samples
 
+    def test_identity_mode_runs_the_layer_difference_path(self, monkeypatch):
+        # identity scaling estimates its rows like every other mode; scaling makes them ones
+        modes = []
+        real = model._metric_rows
+        monkeypatch.setattr(
+            model, "_metric_rows", lambda *a, **kw: modes.append(a[3]) or real(*a, **kw)
+        )
+        cfg = _tiny_cfg(13, elliptical=True, scaling="identity", layers=3)
+        toks = make_rng(9).integers(0, 13, METRIC_WARMUP + 4)
+        _, states = forward(toks, init_params(cfg), cfg, GradTape())
+        assert modes == ["identity"] * (cfg.layers - 1)
+        assert states[0].estimator_values == [None] * cfg.heads
+        assert all(None not in st.estimator_values for st in states[1:])
+        assert all(np.all(st.metric == 1.0) for st in states)
+
 
 #: standard plus every scaling mode of the metric-weighted variant
 VARIANTS = (

@@ -11,13 +11,12 @@ import elliptical
 
 
 EXPORTS = [
-    "AttentionConfig", "AttentionOutput", "EllipticalWeights", "ModelConfig", "NWDataset",
-    "SyntheticFunction", "TrainParams", "VariabilityEstimate", "apply_scaling",
-    "compute_kappa", "corrupt_tokens", "diagnose", "elliptical_attention",
-    "estimate_consistent", "estimate_overlayers", "forward", "identity_weights", "make_rng",
-    "masa", "masa_jacobian", "nw_estimate_batch", "oracle_variability", "robustness_bound",
-    "run_sparse_mse_experiment", "scale_rows", "softmax_rows", "sq_distances",
-    "standard_attention", "train",
+    "AttentionOutput", "EllipticalWeights", "ModelConfig", "NWDataset", "SyntheticFunction",
+    "TrainParams", "VariabilityEstimate", "apply_scaling", "compute_kappa", "corrupt_tokens",
+    "diagnose", "estimate_consistent", "estimate_overlayers", "forward", "identity_weights",
+    "make_rng", "masa", "masa_jacobian", "nw_estimate_batch", "oracle_variability",
+    "robustness_bound", "run_sparse_mse_experiment", "scale_rows", "softmax_rows",
+    "sq_distances", "train",
 ]
 
 
@@ -27,13 +26,17 @@ def test_exports_are_pinned():
 
 def test_test_only_code_is_gone():
     # one weighted distance (metric.sq_distances); the Jacobian and smoothness
-    # oracles live in tests/oracles.py
-    from elliptical import autodiff, estimators, metric, numerics, nwlab
+    # oracles live in tests/oracles.py; one metric-weighted attention, the
+    # model's causal path (model._metric_rows, then attention.weighted_kernel)
+    from elliptical import attention, autodiff, estimators, metric, numerics, nwlab
 
     gone = [(metric, "mahalanobis_distance"), (numerics, "finite_diff_jacobian"),
             (numerics, "as_vector"), (nwlab, "check_lipschitz_transfer"),
             (nwlab, "_weighted_sq_dists"), (elliptical, "mahalanobis_distance"),
             (elliptical, "finite_diff_jacobian")]
+    gone += [(module, name) for name in ("AttentionConfig", "standard_attention",
+                                         "elliptical_attention", "_check_qkv")
+             for module in (attention, elliptical)]
     assert [name for module, name in gone if hasattr(module, name)] == []
     assert "gradient_bounds" not in {f.name for f in fields(estimators.SyntheticFunction)}
     assert autodiff.Tensor.__repr__ is object.__repr__
