@@ -12,16 +12,12 @@ robustness diagnostics.
 from .attention import AttentionOutput, masa, masa_jacobian
 from .estimators import (
     SyntheticFunction,
-    VariabilityEstimate,
     estimate_consistent,
     estimate_overlayers,
     oracle_variability,
 )
 from .metric import (
-    EllipticalWeights,
-    apply_scaling,
     compute_kappa,
-    identity_weights,
     robustness_bound,
     scale_rows,
     sq_distances,
@@ -32,20 +28,16 @@ from .nwlab import NWDataset, nw_estimate_batch, run_sparse_mse_experiment
 
 __all__ = [
     "AttentionOutput",
-    "EllipticalWeights",
     "ModelConfig",
     "NWDataset",
     "SyntheticFunction",
     "TrainParams",
-    "VariabilityEstimate",
-    "apply_scaling",
     "compute_kappa",
     "corrupt_tokens",
     "diagnose",
     "estimate_consistent",
     "estimate_overlayers",
     "forward",
-    "identity_weights",
     "make_rng",
     "masa",
     "masa_jacobian",

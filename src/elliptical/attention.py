@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import EllipticalWeights
 from .numerics import ShapeError, as_matrices, as_matrix, softmax_rows
 
 
@@ -65,11 +64,11 @@ def weighted_kernel(
     return AttentionOutput(h=np.matmul(attn, v), attn=attn, logits=logits)
 
 
-def masa(q, keys, w: EllipticalWeights) -> np.ndarray:
+def masa(q, keys, m: np.ndarray) -> np.ndarray:
     """Metric-weighted softmax over keys at unit temperature, on the last axis.
 
     ``q`` (dim,) or (..., dim), ``keys`` (n_keys, dim) or (..., n_keys, dim) and
-    ``w.m`` (dim,) or (..., dim) broadcast on their leading axes.  For each query
+    ``m`` (dim,) or (..., dim) broadcast on their leading axes.  For each query
     component j is exp(q' M k_j) normalized over its keys, one matrix-vector
     product per query, so a stacked call gives each query's 1-D bits.
     """
@@ -77,23 +76,23 @@ def masa(q, keys, w: EllipticalWeights) -> np.ndarray:
     if q.ndim == 0 or not np.isfinite(q).all():
         raise ShapeError("query must be a finite vector or stack of vectors")
     keys = as_matrices(keys)
-    if not keys.shape[-1] == q.shape[-1] == w.dim:
-        raise ShapeError(f"dimension mismatch: q={q.shape[-1]}, keys={keys.shape}, m={w.dim}")
-    return softmax_rows(np.matmul(keys, (w.m * q)[..., None])[..., 0])
+    if not keys.shape[-1] == q.shape[-1] == m.shape[-1]:
+        raise ShapeError(f"dimension mismatch: q={q.shape[-1]}, keys={keys.shape}, m={m.shape[-1]}")
+    return softmax_rows(np.matmul(keys, (m * q)[..., None])[..., 0])
 
 
-def masa_jacobian(q, keys, w: EllipticalWeights) -> np.ndarray:
+def masa_jacobian(q, keys, m: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of the metric-weighted softmax, (..., n_keys, dim) on masa's stacks.
 
     Entry (j, i) is m_i * (k_j^i - sum_s k_s^i p_s) * p_j, which is linear in
     m_i and bounded in magnitude by the per-key sensitivity coefficient
     kappa[i, j] times m_i.
     """
-    p = masa(q, keys, w)
+    p = masa(q, keys, m)
     keys = as_matrices(keys)
     # minus the p-weighted key average, one vector-matrix product per query
     centered = keys - np.matmul(p[..., None, :], keys)
-    return p[..., :, None] * centered * w.m[..., None, :]
+    return p[..., :, None] * centered * m[..., None, :]
 
 
 def minmax_scale_rows(matrix) -> np.ndarray:

@@ -302,7 +302,7 @@ def cmd_estimator_bench(cfg: dict[str, Any]) -> int:
         )
         over = estimators.estimate_overlayers(pair.v_curr, pair.v_prev, cfg["delta"])
         oracle = estimators.oracle_variability(catalog, sampler, 200, rng)
-        tau = float(stats.kendalltau(over.raw, oracle.raw).statistic)
+        tau = float(stats.kendalltau(over, oracle).statistic)
         taus.append(tau)
         rows.append(("estimator-bench", "overlayers", s, cfg["n"], 0.0, "kendall_tau", tau))
     rows.append(("estimator-bench", "overlayers", AGGREGATE_SEED, cfg["n"], 0.0, "kendall_tau_min", float(np.min(taus))))

@@ -29,19 +29,6 @@ _NS_CONSISTENCY = 31
 
 
 @dataclass(frozen=True)
-class VariabilityEstimate:
-    """Raw (pre-scaling) per-dimension variability estimates."""
-
-    raw: np.ndarray
-
-    def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=np.float64)
-        if raw.ndim != 1 or not np.all(np.isfinite(raw)) or np.any(raw < 0):
-            raise ParameterError("raw estimates must be finite nonnegative 1-D")
-        object.__setattr__(self, "raw", raw)
-
-
-@dataclass(frozen=True)
 class SyntheticFunction:
     """A target function from the fixed catalog, evaluable in batches.
 
@@ -178,13 +165,13 @@ def uniform_sampler(low: float, high: float, dim: int):
 # ---------------------------------------------------------------------------
 
 
-def estimate_overlayers(v_curr, v_prev, delta: float) -> VariabilityEstimate:
+def estimate_overlayers(v_curr, v_prev, delta: float) -> np.ndarray:
     """Column-wise mean absolute difference of consecutive-layer values / delta.
 
     The inputs are read as plain arrays and never participate in gradient
     computation; callers inside a training graph must pass detached copies.
     """
-    if delta <= 0:
+    if not delta > 0:  # NaN fails too
         raise ParameterError("delta must be positive")
     v_curr = as_matrix(v_curr)
     v_prev = as_matrix(v_prev)
@@ -192,13 +179,12 @@ def estimate_overlayers(v_curr, v_prev, delta: float) -> VariabilityEstimate:
         raise ShapeError(f"value shapes differ: {v_curr.shape} vs {v_prev.shape}")
     if v_curr.shape[0] == 0:
         raise ParameterError("need at least one value row")
-    raw = np.mean(np.abs(v_curr - v_prev), axis=0) / delta
-    return VariabilityEstimate(raw)
+    return np.mean(np.abs(v_curr - v_prev), axis=0) / delta
 
 
 def estimate_consistent(
     f: Callable[[np.ndarray], np.ndarray], sample_points, t: float
-) -> VariabilityEstimate:
+) -> np.ndarray:
     """Centered-difference estimate: mean ||f(x + t e_i) - f(x - t e_i)||_1 / 2t.
 
     ``f`` may be a catalog function or any fitted predictor mapping (n, dim)
@@ -222,7 +208,7 @@ def estimate_consistent(
         if not (np.all(np.isfinite(up)) and np.all(np.isfinite(um))):
             raise EvaluationError("predictor produced non-finite values")
         raw[i] = np.mean(np.sum(np.abs(up - um), axis=1)) / (2.0 * t)
-    return VariabilityEstimate(raw)
+    return raw
 
 
 def oracle_variability(
@@ -230,7 +216,7 @@ def oracle_variability(
     mu_sampler: Callable[[np.random.Generator, int], np.ndarray],
     n_mc: int,
     rng: np.random.Generator,
-) -> VariabilityEstimate:
+) -> np.ndarray:
     """Brute-force Monte Carlo of E ||J_f(k) e_i||_1 with numeric Jacobians.
 
     The Jacobians come from ``numerics.central_differences`` at every sampled
@@ -243,8 +229,7 @@ def oracle_variability(
     # a contiguous [point, output, input] array sums each point's outputs as
     # np.sum sums down one Jacobian; cumsum adds the points one at a time
     per_point = np.abs(np.ascontiguousarray(jac.transpose(0, 2, 1))).sum(axis=1)
-    raw = np.cumsum(per_point, axis=0)[-1] / n_mc
-    return VariabilityEstimate(raw)
+    return np.cumsum(per_point, axis=0)[-1] / n_mc
 
 
 @dataclass(frozen=True)
@@ -296,7 +281,7 @@ def noise_drift_slack(
     every coordinate.
     """
     pair = simulate_layer_pair(f, n, 1.0, noise_std, rng)
-    m = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0).raw
+    m = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)
     clean = np.mean(np.abs(f(pair.k_curr) - f(pair.k_prev)), axis=0)
     gap = np.abs(m - clean)
     allowance = (2.0 / np.sqrt(np.pi)) * noise_std + 3.0 * noise_std / np.sqrt(n)
@@ -328,8 +313,6 @@ def consistency_error_curve(
             rng = derive_rng(seed, _NS_CONSISTENCY, idx * 10_000 + s)
             pts = rng.uniform(-np.pi, np.pi, (int(n), f.dim))
             est = estimate_consistent(f, pts, t)
-            per_seed.append(
-                np.mean(np.abs(est.raw[active] - f.analytic_variability[active]))
-            )
+            per_seed.append(np.mean(np.abs(est[active] - f.analytic_variability[active])))
         errors[idx] = float(np.mean(per_seed))
     return sizes, errors

@@ -5,8 +5,6 @@ worst-case perturbation bound for the weighted-softmax estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import ParameterError, ShapeError, as_matrices, as_matrix
@@ -18,62 +16,19 @@ SCALING_MODES = ("maxscale", "meanscale", "unscaled", "identity", "random")
 FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
-class EllipticalWeights:
-    """Per-dimension relevance weights m defining d(q, k) = sqrt((q-k)' M (q-k)).
-
-    M = diag(m); every entry is >= FLOOR > 0.  ``m`` is one (dim,) row or a
-    (..., dim) stack of rows, one metric per row; each row is checked on its own.
-    """
-
-    m: np.ndarray
-    mode: str = "identity"
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
-        if m.ndim == 0 or not np.isfinite(m).all():
-            raise ShapeError("weights must be finite rows along the last axis")
-        if self.mode not in SCALING_MODES:
-            raise ParameterError(f"unknown scaling mode {self.mode!r}")
-        if np.any(m < FLOOR):
-            raise ParameterError("weights must be >= FLOOR")
-        if self.mode == "identity" and not np.all(m == 1.0):
-            raise ParameterError("identity weights must all equal 1")
-        if self.mode in ("maxscale", "random") and np.any(m.max(axis=-1) != 1.0):
-            raise ParameterError(f"{self.mode} weights must have row max exactly 1")
-        object.__setattr__(self, "m", m)
-
-    @property
-    def dim(self) -> int:
-        return self.m.shape[-1]
-
-
-def identity_weights(dim: int) -> EllipticalWeights:
-    """All-ones weights: the induced distance is Euclidean."""
-    return EllipticalWeights(np.ones(dim), "identity")
-
-
-def apply_scaling(raw, mode: str, *, rng: np.random.Generator | None = None) -> EllipticalWeights:
-    """Turn raw nonnegative variability estimates into usable weights.
-
-    maxscale divides by the maximum (the most variable direction gets weight
-    exactly 1), meanscale by the mean (entries above 1 are kept), unscaled
-    only clamps to FLOOR.  identity ignores ``raw``; random ignores it too
-    and draws fresh uniform [0, 1] weights which are then maxscaled.  An
-    all-zero ``raw`` falls back to identity weights in every mode, so a
-    degenerate estimate can never produce a degenerate kernel.  This is the
-    one-row case of :func:`scale_rows`.
-    """
-    return EllipticalWeights(scale_rows(np.ravel(raw), mode, rng=rng), mode)
-
-
 def scale_rows(raw, mode: str, *, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Scale every row (last axis) of a (..., dim) array of raw estimates on its own.
+    """Turn raw nonnegative variability estimates into relevance weights m,
+    scaling every row (last axis) of a (..., dim) array on its own.  A row m
+    defines d(q, k) = sqrt((q - k)' diag(m) (q - k)).
 
-    Each row gets the rule documented in :func:`apply_scaling`, all-zero rows
-    included.  random draws one fresh uniform row per nonzero row, in the C
-    order of the leading axes, so a stream gives the same weights as scaling
-    the rows one at a time in that order.
+    maxscale divides by the row maximum (the most variable direction gets
+    weight exactly 1), meanscale by the row mean (entries above 1 are kept),
+    unscaled only clamps to FLOOR.  identity ignores ``raw`` and gives ones;
+    random ignores it too and draws one fresh uniform [0, 1] row per nonzero
+    row, in the C order of the leading axes, which is then maxscaled, so a
+    stream gives the same weights as scaling the rows one at a time in that
+    order.  An all-zero row gets ones in every mode, so a degenerate estimate
+    never gives a degenerate kernel.  Every weight is >= FLOOR.
     """
     if mode not in SCALING_MODES:
         raise ParameterError(f"unknown scaling mode {mode!r}")
@@ -128,7 +83,7 @@ def compute_kappa(keys) -> np.ndarray:
     return kappa
 
 
-def robustness_bound(keys, values, w: EllipticalWeights) -> float:
+def robustness_bound(keys, values, m: np.ndarray) -> float:
     """Worst-case output change per unit query perturbation.
 
     Returns sum_j sqrt(tr(K_j^2 M^2)) * ||v_j|| with K_j = diag(kappa[:, j]).
@@ -141,8 +96,8 @@ def robustness_bound(keys, values, w: EllipticalWeights) -> float:
         raise ShapeError(
             f"keys and values disagree on row count: {keys.shape} vs {values.shape}"
         )
-    if w.m.shape != (keys.shape[1],):  # one metric row, not a stack
-        raise ShapeError(f"keys have dim {keys.shape[1]}, weights have shape {w.m.shape}")
+    if m.shape != (keys.shape[1],):  # one metric row, not a stack
+        raise ShapeError(f"keys have dim {keys.shape[1]}, weights have shape {m.shape}")
     kappa = compute_kappa(keys)  # (dim, n)
-    per_key = np.sqrt(np.sum((kappa * w.m[:, None]) ** 2, axis=0))  # (n,)
+    per_key = np.sqrt(np.sum((kappa * m[:, None]) ** 2, axis=0))  # (n,)
     return float(np.sum(per_key * np.linalg.norm(values, axis=1)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -137,6 +137,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a checkpoint header is JSON, so a float or a bool may stand where an int
+        # belongs; under ``from __future__ import annotations`` f.type is the type's name
+        kinds = {"int": int, "bool": bool, "str": str, "float": (int, float)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, kinds[f.type]):
+                raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
         if self.embed_dim != self.heads * self.head_dim:
             raise ParameterError("embed_dim must equal heads * head_dim")
         if self.layers < 1 or (self.elliptical and self.layers < 2):
@@ -156,9 +163,6 @@ class AttentionLayerState:
     block.  They are read-only views of the pass's own arrays, except the
     metric: read-only ones on layers without one, else rows the attention
     node has copied, so editing them cannot reach the gradients.
-    ``estimator_values`` holds, per head, the (batch, t_len, head_dim)
-    (v_curr, v_prev) copies the variability estimator read (None on layers
-    without a metric); mutating them must not affect gradients.
     """
 
     layer: int
@@ -166,7 +170,6 @@ class AttentionLayerState:
     keys: np.ndarray
     values: np.ndarray
     metric: np.ndarray
-    estimator_values: list[tuple[np.ndarray, np.ndarray] | None]
     representation: np.ndarray
 
 
@@ -214,7 +217,7 @@ def _metric_rows(
     mode: str,
     delta: float,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> np.ndarray:
     """Per-position metric rows for a (batch, t_len, heads * head_dim) stack.
 
     Row t of each block and head is mean(|v_curr - v_prev|) / delta over
@@ -222,17 +225,15 @@ def _metric_rows(
     honest; the first METRIC_WARMUP - 1 rows are zero, which scaling turns
     into the identity metric.  Rows are scaled in (head, block, row) order,
     the order in which random mode draws.  Returns
-    (batch * t_len, heads * head_dim) rows in the merged column layout, and
-    the (batch, heads, t_len, head_dim) copies of both value stacks that the
-    estimator read.
+    (batch * t_len, heads * head_dim) rows in the merged column layout.
     """
     batch, t_len, width = v_curr.shape
-    held = tuple(split_heads(a.reshape(-1, width), batch, heads) for a in (v_curr, v_prev))
+    curr, prev = (split_heads(a.reshape(-1, width), batch, heads) for a in (v_curr, v_prev))
     counts = np.arange(1, t_len + 1, dtype=np.float64)[:, None]
-    raw = np.cumsum(np.abs(held[0] - held[1]) / delta, axis=2) / counts
+    raw = np.cumsum(np.abs(curr - prev) / delta, axis=2) / counts
     raw[:, :, : METRIC_WARMUP - 1] = 0.0
     m = scale_rows(raw.swapaxes(0, 1), mode, rng=rng)
-    return merge_heads(m.swapaxes(0, 1)), held
+    return merge_heads(m.swapaxes(0, 1))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -286,12 +287,9 @@ def forward(
         km = tape.matmul(xn, params[f"l{li}.wk"])
         vm = tape.matmul(xn, params[f"l{li}.wv"])
         values = vm.value.reshape(batch, t_len, width)
-        m, estimator_values = None, [None] * cfg.heads
+        m = None
         if cfg.elliptical and li >= 1:
-            m, held = _metric_rows(
-                values, prev_values, cfg.heads, cfg.scaling, cfg.delta, rng=metric_rng
-            )
-            estimator_values = [(held[0][:, h], held[1][:, h]) for h in range(cfg.heads)]
+            m = _metric_rows(values, prev_values, cfg.heads, cfg.scaling, cfg.delta, rng=metric_rng)
         merged = tape.block_causal_attention(
             qm, km, vm, 1.0 if m is None else m, temp, batch, cfg.heads
         )
@@ -310,7 +308,6 @@ def forward(
                 keys=_read_only(km.value),
                 values=_read_only(vm.value),
                 metric=ones if m is None else m,
-                estimator_values=estimator_values,
                 representation=_read_only(x.value),
             )
         )
@@ -433,7 +430,7 @@ def train(
                 offsets = rng.integers(0, tokens.size - window + 1, size=tp.batch_size)
                 windows = np.stack([tokens[off : off + window] for off in offsets])
                 tape = GradTape()
-                # drop the layer states at once: backward does not need their copies
+                # drop the layer states at once: backward does not need them
                 logits = forward(windows[:, :-1], params, cfg, tape, metric_rng)[0]
                 loss = tape.cross_entropy(logits, windows[:, 1:].reshape(-1))
                 value = float(loss.value[0, 0])
@@ -479,9 +476,9 @@ def perplexity(
     starts = range(0, max(toks.size - window + 1, 1), cfg.context)
     stack = np.stack([toks[a : a + window] for a in starts])
     targets = np.stack([target_stream[a + 1 : a + window] for a in starts]).reshape(-1)
-    probs = softmax_rows(forward(stack[:, :-1], params, cfg, GradTape(record=False))[0].value)
-    nll = -np.log(probs[np.arange(targets.size), targets]).sum()
-    return float(np.exp(float(nll) / targets.size))
+    tape = GradTape(record=False)
+    nll = tape.cross_entropy(forward(stack[:, :-1], params, cfg, tape)[0], targets)
+    return float(np.exp(nll.value[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +624,9 @@ class Checkpoint:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a file that is not one, is cut short, has a step or
-    Adam count that is not an int >= 0, or holds a table whose name or shape
-    differs from what its config builds raises a ParameterError naming it."""
+    Adam count that is not an int >= 0 or an Adam count other than its step,
+    or holds a table whose name or shape differs from what its config builds
+    raises a ParameterError naming it."""
     with open(path, "rb") as fh:
         if fh.readline().strip() != _CKPT_MAGIC.encode():
             raise ParameterError(f"{path} is not a model checkpoint")
@@ -638,6 +636,8 @@ def load_checkpoint(path) -> Checkpoint:
             step, adam_t = header["step"], header["adam_t"]
             if not all(type(n) is int and n >= 0 for n in (step, adam_t)):  # no bool either
                 raise ValueError(f"step {step!r} and adam_t {adam_t!r} must be ints >= 0")
+            if adam_t != step:  # Adam's bias correction counts the steps taken
+                raise ValueError(f"adam_t {adam_t} differs from step {step}")
             shapes = {name: shape for name, shape, _ in param_table(cfg)}
         except (ValueError, KeyError, TypeError) as exc:
             raise ParameterError(f"{path}: malformed checkpoint header ({exc})") from None

@@ -18,7 +18,7 @@ from .estimators import (
     piecewise_step,
     uniform_sampler,
 )
-from .metric import EllipticalWeights, apply_scaling, identity_weights, sq_distances
+from .metric import scale_rows, sq_distances
 from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, softmax_rows, unit_rows
 
 _NS_SPARSE = 11
@@ -105,26 +105,26 @@ def _kernel_average(neg_sq_dists: np.ndarray, bandwidth: float, values: np.ndarr
 
 
 def nw_estimate_batch(
-    queries, data: NWDataset, bandwidth: float, w: EllipticalWeights
+    queries, data: NWDataset, bandwidth: float, m: np.ndarray
 ) -> np.ndarray:
     """Kernel-weighted value averages at each query row.
 
-    Weights are exp(-d(q, k_j)^2 / (2 bandwidth^2)) under the weighted
-    distance; each output is a convex combination of dataset values.
+    Kernel weights are exp(-d(q, k_j)^2 / (2 bandwidth^2)) under the distance
+    weighted by ``m``; each output is a convex combination of dataset values.
     """
     if bandwidth <= 0:
         raise ParameterError("bandwidth must be positive")
     if data.n == 0:
         raise ParameterError("empty dataset")
     queries = as_matrix(queries)
-    if queries.shape[1] != data.keys.shape[1] or w.m.shape != (queries.shape[1],):
+    if queries.shape[1] != data.keys.shape[1] or m.shape != (queries.shape[1],):
         raise ShapeError("query, key and weight dimensions must agree")
-    return _kernel_average(-sq_distances(queries[:, None], data.keys, w.m), bandwidth, data.values)
+    return _kernel_average(-sq_distances(queries[:, None], data.keys, m), bandwidth, data.values)
 
 
-def cross_validate_bandwidth(data: NWDataset, w: EllipticalWeights) -> float:
+def cross_validate_bandwidth(data: NWDataset, m: np.ndarray) -> float:
     """Pick the BANDWIDTH_GRID bandwidth with the lowest CV_FOLDS-fold
-    prediction error.
+    prediction error under the weights ``m``.
 
     Folds are contiguous index blocks: the keys are i.i.d. so block folds
     are unbiased, and the split is deterministic.
@@ -136,7 +136,7 @@ def cross_validate_bandwidth(data: NWDataset, w: EllipticalWeights) -> float:
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         train = np.ones(data.n, dtype=bool)
         train[lo:hi] = False
-        neg = -sq_distances(data.keys[lo:hi, None], data.keys[train], w.m)
+        neg = -sq_distances(data.keys[lo:hi, None], data.keys[train], m)
         values = data.values[train]
         for j, bw in enumerate(BANDWIDTH_GRID):
             pred = _kernel_average(neg, bw, values)
@@ -186,7 +186,7 @@ class SparseMSEResult:
     p_value_less: float  # one-sided paired test: elliptical < euclidean
 
 
-def _variability_weights(cfg: SparseMSEConfig, rng) -> EllipticalWeights:
+def _variability_weights(cfg: SparseMSEConfig, rng) -> np.ndarray:
     sampler = uniform_sampler(-np.pi, np.pi, cfg.truth.dim)
     if cfg.weights_source == "oracle":
         est = oracle_variability(cfg.truth, sampler, ORACLE_POINTS, rng)
@@ -195,7 +195,7 @@ def _variability_weights(cfg: SparseMSEConfig, rng) -> EllipticalWeights:
         est = estimate_consistent(cfg.truth, pts, CONSISTENT_T)
     else:
         raise ParameterError(f"unknown weights_source {cfg.weights_source!r}")
-    return apply_scaling(est.raw, cfg.scaling)
+    return scale_rows(est, cfg.scaling)
 
 
 def _report(label: str, bandwidths, per_seed, cfg_n, seeds) -> MSEReport:
@@ -213,7 +213,7 @@ def _report(label: str, bandwidths, per_seed, cfg_n, seeds) -> MSEReport:
 def _sparse_one_seed(cfg: SparseMSEConfig, s: int) -> tuple[float, float, float, float]:
     rng = derive_rng(cfg.seed, _NS_SPARSE, s)
     data = sample_dataset(cfg.truth, cfg.n, cfg.noise_std, rng)
-    w_euc = identity_weights(cfg.truth.dim)
+    w_euc = np.ones(cfg.truth.dim)
     w_ell = _variability_weights(cfg, rng)
     bwe = cross_validate_bandwidth(data, w_euc)
     bwm = cross_validate_bandwidth(data, w_ell)
@@ -289,18 +289,17 @@ class EdgeResult:
     piece_distance: float
 
 
-def _edge_distance(data, w, bandwidth, q1, q2) -> float:
-    est = unit_rows(nw_estimate_batch(np.vstack([q1, q2]), data, bandwidth, w))
+def _edge_distance(data, m, bandwidth, q1, q2) -> float:
+    est = unit_rows(nw_estimate_batch(np.vstack([q1, q2]), data, bandwidth, m))
     return float(np.linalg.norm(est[0] - est[1]))
 
 
 def _edge_one_seed(cfg: EdgeConfig, q1, q2, s: int) -> tuple[float, float]:
     rng = derive_rng(cfg.seed, _NS_EDGE, s)
     data = sample_dataset(EDGE_TRUTH, cfg.n, cfg.noise_std, rng, -1.0, 1.0)
-    w_euc = identity_weights(EDGE_TRUTH.dim)
+    w_euc = np.ones(EDGE_TRUTH.dim)
     pts = rng.uniform(-1.0, 1.0, (cfg.est_points, EDGE_TRUTH.dim))
-    raw = estimate_consistent(EDGE_TRUTH, pts, cfg.est_t).raw
-    w_ell = apply_scaling(raw, "maxscale")
+    w_ell = scale_rows(estimate_consistent(EDGE_TRUTH, pts, cfg.est_t), "maxscale")
     bwe = cross_validate_bandwidth(data, w_euc)
     bwm = cross_validate_bandwidth(data, w_ell)
     return (

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import model
 from .attention import masa, masa_jacobian, split_heads, weighted_kernel
-from .metric import (EllipticalWeights, apply_scaling, compute_kappa, robustness_bound,
-                     scale_rows, sq_distances)
+from .metric import compute_kappa, robustness_bound, scale_rows, sq_distances
 from .numerics import central_differences, derive_rng, softmax_rows
 
 _NS_VERIFY = 21
@@ -63,12 +62,12 @@ def suite_masa_jacobian(n_instances: int = 1000, seed: int = 0) -> SuiteResult:
     for group in groups.values():
         # axis 0 is the instance, axis 1 its one query point: (G, 1, ...) throughout
         q, keys, u = (np.stack(a)[:, None] for a in zip(*group))
-        w = EllipticalWeights(scale_rows(u, "maxscale"), "maxscale")
-        jac = masa_jacobian(q, keys, w)
-        fd = central_differences(lambda x: masa(x, keys, w), q).swapaxes(-1, -2)
+        m = scale_rows(u, "maxscale")
+        jac = masa_jacobian(q, keys, m)
+        fd = central_differences(lambda x: masa(x, keys, m), q).swapaxes(-1, -2)
         rel = np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))
         worst_rel = max(worst_rel, float(rel))
-        envelope = compute_kappa(keys).swapaxes(-1, -2) * w.m[..., None, :]
+        envelope = compute_kappa(keys).swapaxes(-1, -2) * m[..., None, :]
         worst_bound = max(worst_bound, float(np.max(np.abs(jac) - envelope)))
     slack = max(worst_rel - JACOBIAN_RTOL, worst_bound)
     return SuiteResult(
@@ -88,16 +87,16 @@ def suite_robustness_bound(
     worst = -np.inf
     for _ in range(n_instances):
         q, keys, u = _random_instance(rng)
-        w = apply_scaling(u, "maxscale")
+        m = scale_rows(u, "maxscale")
         d = q.size
         values = rng.uniform(-2.0, 2.0, (keys.shape[0], int(rng.integers(1, 5))))
-        bound = robustness_bound(keys, values, w)
-        base = masa(q, keys, w) @ values
+        bound = robustness_bound(keys, values, m)
+        base = masa(q, keys, m) @ values
         dirs = rng.standard_normal((n_eps, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         norms = np.exp(rng.uniform(np.log(1e-3), np.log(1.0), n_eps))
         eps = dirs * norms[:, None]
-        moved = softmax_rows((q + eps) @ (keys * w.m).T) @ values
+        moved = softmax_rows((q + eps) @ (keys * m).T) @ values
         ratios = np.linalg.norm(moved - base[None, :], axis=1) / norms
         worst = max(worst, float(np.max(ratios - bound)))
     return SuiteResult(
@@ -119,7 +118,7 @@ def suite_identity_reduction(n_instances: int = 50, seed: int = 0) -> SuiteResul
         batch, heads = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         t_len, dh = int(rng.integers(2, 25)), int(rng.integers(2, 7))
         q, k, v, v_prev = (rng.standard_normal((batch, t_len, heads * dh)) for _ in range(4))
-        m, _ = model._metric_rows(v, v_prev, heads, "identity", 1.0)
+        m = model._metric_rows(v, v_prev, heads, "identity", 1.0)
         qh, kh, vh, mh = (split_heads(a.reshape(batch * t_len, -1), batch, heads)
                           for a in (q, k, v, m))
         temp = float(np.sqrt(dh))
@@ -143,10 +142,10 @@ def suite_nw_equivalence(n_instances: int = 200, seed: int = 0) -> SuiteResult:
     worst = 0.0
     for _ in range(n_instances):
         q, keys, u = _random_instance(rng)
-        w = apply_scaling(u, "maxscale")
-        keys = keys / np.sqrt(sq_distances(keys, 0.0, w.m))[:, None]  # unit weighted norm
-        probs = masa(q, keys, w)
-        d2 = sq_distances(q, keys, w.m)
+        m = scale_rows(u, "maxscale")
+        keys = keys / np.sqrt(sq_distances(keys, 0.0, m))[:, None]  # unit weighted norm
+        probs = masa(q, keys, m)
+        d2 = sq_distances(q, keys, m)
         gauss = np.exp(-(d2 - d2.min()) / 2.0)
         gauss /= gauss.sum()
         worst = max(worst, float(np.max(np.abs(probs - gauss))))

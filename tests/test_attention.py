@@ -15,14 +15,7 @@ from elliptical.attention import (
     split_heads,
     weighted_kernel,
 )
-from elliptical.metric import (
-    FLOOR,
-    EllipticalWeights,
-    apply_scaling,
-    compute_kappa,
-    identity_weights,
-    scale_rows,
-)
+from elliptical.metric import FLOOR, compute_kappa, scale_rows
 from elliptical.model import METRIC_WARMUP, _metric_rows
 from elliptical.numerics import ShapeError, make_rng, softmax_rows
 
@@ -34,7 +27,7 @@ def _random_instance(rng, n_max=8, d_max=6):
     d = int(rng.integers(2, d_max + 1))
     keys = rng.uniform(-2, 2, (n, d))
     q = rng.uniform(-2, 2, d)
-    w = apply_scaling(rng.uniform(0, 1, d), "maxscale")
+    w = scale_rows(rng.uniform(0, 1, d), "maxscale")
     return q, keys, w
 
 
@@ -160,11 +153,11 @@ class TestMasa:
     def test_zero_query_is_uniform(self):
         rng = make_rng(6)
         keys = rng.standard_normal((5, 3))
-        w = apply_scaling(rng.uniform(0, 1, 3), "maxscale")
+        w = scale_rows(rng.uniform(0, 1, 3), "maxscale")
         np.testing.assert_allclose(masa(np.zeros(3), keys, w), 0.2, atol=1e-12)
 
     def test_hand_case(self):
-        w = identity_weights(2)
+        w = np.ones(2)
         p = masa([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], w)
         np.testing.assert_allclose(p, softmax_rows(np.array([[1.0, 0.0]]))[0], atol=1e-15)
         np.testing.assert_allclose(p, [0.73106, 0.26894], atol=1e-5)
@@ -196,28 +189,26 @@ class TestMasa:
             keys = rng.uniform(-2, 2, (7, n, d))
             q = rng.uniform(-2, 2, (7, 3, d))
             m = scale_rows(rng.uniform(0, 1, (7, 1, d)), "maxscale")
-            w = EllipticalWeights(m, "maxscale")
-            p = masa(q, keys[:, None], w)
-            jac = masa_jacobian(q, keys[:, None], w)
+            p = masa(q, keys[:, None], m)
+            jac = masa_jacobian(q, keys[:, None], m)
             assert p.shape == (7, 3, n) and jac.shape == (7, 3, n, d)
             for g, t in np.ndindex(7, 3):
-                one = EllipticalWeights(m[g, 0], "maxscale")
-                assert p[g, t].tobytes() == masa(q[g, t], keys[g], one).tobytes()
-                assert jac[g, t].tobytes() == masa_jacobian(q[g, t], keys[g], one).tobytes()
+                assert p[g, t].tobytes() == masa(q[g, t], keys[g], m[g, 0]).tobytes()
+                assert jac[g, t].tobytes() == masa_jacobian(q[g, t], keys[g], m[g, 0]).tobytes()
 
     def test_rejects_scalar_and_non_finite_queries(self):
         keys = np.eye(2)
         with pytest.raises(ShapeError):
-            masa(1.0, keys, identity_weights(2))
+            masa(1.0, keys, np.ones(2))
         with pytest.raises(ShapeError):
-            masa([[0.0, np.nan]], keys, identity_weights(2))
+            masa([[0.0, np.nan]], keys, np.ones(2))
         with pytest.raises(ShapeError):
-            masa(np.zeros(3), keys, identity_weights(2))
+            masa(np.zeros(3), keys, np.ones(2))
 
 
 class TestMasaJacobian:
     def test_identical_keys_zero_jacobian(self):
-        w = identity_weights(3)
+        w = np.ones(3)
         keys = np.tile([[0.3, -1.0, 2.0]], (4, 1))
         jac = masa_jacobian(np.array([0.1, 0.2, 0.3]), keys, w)
         np.testing.assert_allclose(jac, 0.0, atol=1e-15)
@@ -234,7 +225,7 @@ class TestMasaJacobian:
         rng = make_rng(9)
         keys = rng.uniform(-2, 2, (4, 3))
         q = rng.uniform(-2, 2, 3)
-        w = EllipticalWeights(np.array([1.0, FLOOR, 0.5]), "unscaled")
+        w = np.array([1.0, FLOOR, 0.5])
         jac = masa_jacobian(q, keys, w)
         assert np.max(np.abs(jac[:, 1])) <= FLOOR * np.max(np.abs(compute_kappa(keys)))
 
@@ -245,8 +236,8 @@ class TestMasaJacobian:
         q, keys, w = _random_instance(rng)
         p = masa(q, keys, w)
         centered = keys - p @ keys
-        col_full = p[:, None] * centered * w.m[None, :]
-        half = w.m.copy()
+        col_full = p[:, None] * centered * w[None, :]
+        half = w.copy()
         half[0] *= 0.5
         col_half = p[:, None] * centered * half[None, :]
         np.testing.assert_allclose(col_half[:, 0], 0.5 * col_full[:, 0], rtol=1e-15)
@@ -257,7 +248,7 @@ class TestMasaJacobian:
         for _ in range(1000):
             q, keys, w = _random_instance(rng)
             jac = masa_jacobian(q, keys, w)
-            envelope = compute_kappa(keys).T * w.m[None, :]
+            envelope = compute_kappa(keys).T * w[None, :]
             assert np.all(np.abs(jac) <= envelope)
 
 
@@ -270,7 +261,7 @@ class TestEllipticalAttention:
         rng = make_rng(seed)
         batch, heads, t_len, dh = 2, 2, METRIC_WARMUP + 5, 3
         q, k, v = (rng.standard_normal((batch, t_len, heads * dh)) for _ in range(3))
-        m, _ = _metric_rows(v, v_prev(v, rng), heads, mode, 1.0)
+        m = _metric_rows(v, v_prev(v, rng), heads, mode, 1.0)
         qh, kh, vh, mh = (split_heads(a.reshape(batch * t_len, -1), batch, heads)
                           for a in (q, k, v, m))
         std = weighted_kernel(qh, kh, vh, 1.0, np.sqrt(dh), causal=True)
@@ -329,11 +320,11 @@ class TestKernelEquivalence:
         rng = make_rng(15)
         for _ in range(200):
             q, keys, w = _random_instance(rng)
-            mnorm = np.sqrt(np.einsum("nd,d->n", keys * keys, w.m))
+            mnorm = np.sqrt(np.einsum("nd,d->n", keys * keys, w))
             keys = keys / mnorm[:, None]
             p = masa(q, keys, w)
             diff = q[None, :] - keys
-            d2 = np.einsum("nd,d->n", diff * diff, w.m)
+            d2 = np.einsum("nd,d->n", diff * diff, w)
             gauss = np.exp(-(d2 - d2.min()) / 2.0)
             gauss /= gauss.sum()
             np.testing.assert_allclose(p, gauss, atol=1e-9)

@@ -356,6 +356,15 @@ FAILURE_PROBES = {
     "checkpoint-step-float": lambda tmp: _resume_with_count(tmp, "step", "2.5"),
     "checkpoint-adam_t-negative": lambda tmp: _resume_with_count(tmp, "adam_t", "-1"),
     "checkpoint-step-bool": lambda tmp: _resume_with_count(tmp, "step", "true"),
+    # an Adam count other than the step would resume with the wrong bias correction
+    "checkpoint-adam_t-mismatch": lambda tmp: _resume_with_count(tmp, "adam_t", "7"),
+    # a config value of the wrong JSON type: an int field given a float, a bool given an int
+    "checkpoint-header-seed-float": lambda tmp: _damaged_checkpoint(
+        tmp, _header_edit(b'"seed": 0', b'"seed": 1.5')),
+    "checkpoint-header-vocab-float": lambda tmp: _damaged_checkpoint(
+        tmp, _header_edit(b'"vocab_size": 13', b'"vocab_size": 13.0')),
+    "checkpoint-header-elliptical-int": lambda tmp: _damaged_checkpoint(
+        tmp, _header_edit(b'"elliptical": false', b'"elliptical": 1')),
     "corpus-not-utf8": _random_bytes_corpus,
     "checkpoint-bad-magic": lambda tmp: _damaged_checkpoint(tmp, lambda b: b"NOT A CKPT\n" + b),
     "checkpoint-is-directory": lambda tmp: ["diagnose", "--set", f"checkpoint={tmp}"],
@@ -402,6 +411,10 @@ PROBES_NAME = {
          "checkpoint-adam_t-negative", "checkpoint-step-bool"),
         "checkpoint.bin: malformed checkpoint header (step ",
     ),
+    "checkpoint-adam_t-mismatch": "checkpoint.bin: malformed checkpoint header (adam_t 7 differs from step 2)",
+    "checkpoint-header-seed-float": "checkpoint.bin: malformed checkpoint header (seed must be int, got 1.5)",
+    "checkpoint-header-vocab-float": "checkpoint.bin: malformed checkpoint header (vocab_size must be int, got 13.0)",
+    "checkpoint-header-elliptical-int": "checkpoint.bin: malformed checkpoint header (elliptical must be bool, got 1)",
 }
 
 #: rates outside [0, 1]: each is a usage error that names its key, before a

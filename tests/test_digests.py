@@ -29,7 +29,7 @@ from elliptical.estimators import (
     sparse_sinusoid,
     uniform_sampler,
 )
-from elliptical.metric import apply_scaling, compute_kappa, identity_weights
+from elliptical.metric import compute_kappa, scale_rows
 from elliptical.model import (
     Corpus,
     ModelConfig,
@@ -218,11 +218,11 @@ def _masa_jacobian_suite_reference(n_instances: int, seed: int) -> verification.
         d = int(rng.integers(2, 7))
         keys = rng.uniform(-2.0, 2.0, (n, d))
         q = rng.uniform(-2.0, 2.0, d)
-        w = apply_scaling(rng.uniform(0.0, 1.0, d), "maxscale")
-        jac = masa_jacobian(q, keys, w)
-        fd = central_differences(lambda x: masa(x, keys, w), q[None])[0].T
+        m = scale_rows(rng.uniform(0.0, 1.0, d), "maxscale")
+        jac = masa_jacobian(q, keys, m)
+        fd = central_differences(lambda x: masa(x, keys, m), q[None])[0].T
         worst_rel = max(worst_rel, float(np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))))
-        envelope = compute_kappa(keys).T * w.m[None, :]
+        envelope = compute_kappa(keys).T * m[None, :]
         worst_bound = max(worst_bound, float(np.max(np.abs(jac) - envelope)))
     slack = max(worst_rel - verification.JACOBIAN_RTOL, worst_bound)
     detail = f"max rel fd error {worst_rel:.3e}, max envelope excess {worst_bound:.3e}"
@@ -250,7 +250,7 @@ def test_lab_outputs_match_pinned_digests(run, tmp_path, monkeypatch):
     assert got == LAB_EXPECTED[run], f"{run} bits moved: {got}"
 
 
-def _cv_scores_reference(data, w) -> list[float]:
+def _cv_scores_reference(data, m) -> list[float]:
     """Summed held-out error per grid bandwidth, one distance matrix and one
     validated training set per (bandwidth, fold) pair."""
     bounds = np.linspace(0, data.n, nwlab.CV_FOLDS + 1, dtype=int)
@@ -261,7 +261,7 @@ def _cv_scores_reference(data, w) -> list[float]:
             mask = np.ones(data.n, dtype=bool)
             mask[lo:hi] = False
             train = nwlab.NWDataset(data.keys[mask], data.values[mask], data.truth, data.noise_std)
-            pred = nwlab.nw_estimate_batch(data.keys[lo:hi], train, bw, w)
+            pred = nwlab.nw_estimate_batch(data.keys[lo:hi], train, bw, m)
             err += float(np.sum((pred - data.values[lo:hi]) ** 2))
         scores.append(err)
     return scores
@@ -275,13 +275,13 @@ def test_cross_validation_scores_match_the_per_pair_loop(n, weighted, monkeypatc
     truth = sparse_sinusoid(3, [0], [1.0], [2])
     rng = derive_rng(8, 0, n)
     data = nwlab.sample_dataset(truth, n, 0.3, rng)
-    w = apply_scaling(np.array([1.3, 0.2, 0.05]), "maxscale") if weighted else identity_weights(3)
+    m = scale_rows(np.array([1.3, 0.2, 0.05]), "maxscale") if weighted else np.ones(3)
     seen = []
     argmin = np.argmin
     monkeypatch.setattr(np, "argmin", lambda a, *args, **kw: seen.append(a) or argmin(a, *args, **kw))
-    got = nwlab.cross_validate_bandwidth(data, w)
+    got = nwlab.cross_validate_bandwidth(data, m)
     monkeypatch.undo()
-    want = _cv_scores_reference(data, w)
+    want = _cv_scores_reference(data, m)
     assert len(seen) == 1
     assert np.asarray(seen[0], dtype=np.float64).tobytes() == np.asarray(want).tobytes()
     assert got == float(nwlab.BANDWIDTH_GRID[int(np.argmin(want))])
@@ -320,7 +320,7 @@ ORACLE_TRUTHS = {
 def test_oracle_matches_the_per_point_loop_bitwise(name, seed):
     f = ORACLE_TRUTHS[name]()
     sampler = uniform_sampler(-3.0, 3.0, f.dim)
-    got = oracle_variability(f, sampler, 200, derive_rng(9, 0, seed)).raw
+    got = oracle_variability(f, sampler, 200, derive_rng(9, 0, seed))
     want = _oracle_reference(f, sampler, 200, derive_rng(9, 0, seed))
     assert got.tobytes() == want.tobytes()
 
@@ -329,6 +329,6 @@ def test_oracle_on_a_linear_map_matches_the_per_point_loop():
     # a many-row matrix product may round differently from a one-row one
     f = linear_function(derive_rng(9, 1, 0).standard_normal((3, 4)))
     sampler = uniform_sampler(-3.0, 3.0, f.dim)
-    got = oracle_variability(f, sampler, 200, derive_rng(9, 0, 1)).raw
+    got = oracle_variability(f, sampler, 200, derive_rng(9, 0, 1))
     want = _oracle_reference(f, sampler, 200, derive_rng(9, 0, 1))
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)

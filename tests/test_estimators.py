@@ -66,24 +66,25 @@ class TestOverlayersEstimator:
     def test_equal_values_give_zero(self):
         v = make_rng(2).standard_normal((6, 3))
         est = estimate_overlayers(v, v.copy(), delta=0.7)
-        assert np.all(est.raw == 0.0)
+        assert np.all(est == 0.0)
 
     def test_hand_case(self):
         est = estimate_overlayers([[1.0, 2.0], [3.0, 4.0]], [[0.0, 2.0], [1.0, 4.0]], 1.0)
-        np.testing.assert_allclose(est.raw, [1.5, 0.0])
+        np.testing.assert_allclose(est, [1.5, 0.0])
 
     def test_delta_scales_inversely(self):
         rng = make_rng(3)
         a, b = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
         one = estimate_overlayers(a, b, 1.0)
         two = estimate_overlayers(a, b, 2.0)
-        np.testing.assert_allclose(two.raw, one.raw / 2.0, rtol=1e-12)
+        np.testing.assert_allclose(two, one / 2.0, rtol=1e-12)
 
     def test_shape_and_delta_validation(self):
         with pytest.raises(ShapeError):
             estimate_overlayers(np.ones((2, 3)), np.ones((3, 2)), 1.0)
-        with pytest.raises(ParameterError):
-            estimate_overlayers(np.ones((2, 3)), np.ones((2, 3)), 0.0)
+        for delta in (0.0, float("nan")):
+            with pytest.raises(ParameterError, match="delta"):
+                estimate_overlayers(np.ones((2, 3)), np.ones((2, 3)), delta)
         with pytest.raises(ParameterError, match="row"):
             estimate_overlayers(np.ones((0, 3)), np.ones((0, 3)), 1.0)
 
@@ -93,7 +94,7 @@ class TestConsistentEstimator:
         f = piecewise_step((1.0,), (1.0,), dim=3)  # both pieces equal: constant
         pts = make_rng(6).uniform(-2, 2, (20, 3))
         est = estimate_consistent(f, pts, t=0.3)
-        assert np.all(est.raw == 0.0)
+        assert np.all(est == 0.0)
 
     def test_exact_on_linear_maps(self):
         rng = make_rng(7)
@@ -102,14 +103,14 @@ class TestConsistentEstimator:
         for t in (1e-3, 0.1, 1.0):
             pts = rng.uniform(-3, 3, (11, 3))
             est = estimate_consistent(f, pts, t)
-            np.testing.assert_allclose(est.raw, np.abs(a).sum(axis=0), atol=1e-10)
+            np.testing.assert_allclose(est, np.abs(a).sum(axis=0), atol=1e-10)
 
     def test_sine_matches_expected_absolute_cosine(self):
         f = separable_sinusoid([1.0, 0.0], [1, 1])
         pts = make_rng(8).uniform(-np.pi, np.pi, (10_000, 2))
         est = estimate_consistent(f, pts, t=0.01)
-        assert est.raw[0] == pytest.approx(2.0 / np.pi, abs=0.02)
-        assert est.raw[1] == 0.0
+        assert est[0] == pytest.approx(2.0 / np.pi, abs=0.02)
+        assert est[1] == 0.0
 
     def test_accepts_fitted_predictors(self):
         # any batch-callable works, not only catalog functions
@@ -118,8 +119,8 @@ class TestConsistentEstimator:
 
         pts = make_rng(9).uniform(-1, 1, (50, 2))
         est = estimate_consistent(predictor, pts, t=0.05)
-        assert est.raw[0] > 0.5
-        assert est.raw[1] == 0.0
+        assert est[0] > 0.5
+        assert est[1] == 0.0
 
     def test_non_finite_predictor_raises(self):
         def bad(pts):
@@ -137,17 +138,17 @@ class TestOracle:
     def test_identity_function(self):
         f = linear_function(np.eye(4))
         est = oracle_variability(f, uniform_sampler(-3, 3, 4), 50, make_rng(10))
-        np.testing.assert_allclose(est.raw, np.ones(4), atol=1e-9)
+        np.testing.assert_allclose(est, np.ones(4), atol=1e-9)
 
     def test_diagonal_scaling(self):
         f = linear_function(np.diag([2.0, 1.0]))
         est = oracle_variability(f, uniform_sampler(-3, 3, 2), 50, make_rng(11))
-        np.testing.assert_allclose(est.raw, [2.0, 1.0], atol=1e-9)
+        np.testing.assert_allclose(est, [2.0, 1.0], atol=1e-9)
 
     def test_constant_function_gives_zero(self):
         f = piecewise_step((0.5,), (0.5,), dim=2)
         est = oracle_variability(f, uniform_sampler(-3, 3, 2), 50, make_rng(12))
-        np.testing.assert_allclose(est.raw, 0.0, atol=1e-12)
+        np.testing.assert_allclose(est, 0.0, atol=1e-12)
 
 
 class TestLayerPairProcess:
@@ -170,7 +171,7 @@ class TestLayerPairProcess:
         pair = simulate_layer_pair(f, 2048, 1.0, 0.01, rng)
         over = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)
         oracle = oracle_variability(f, sampler, 200, rng)
-        tau = stats.kendalltau(over.raw, oracle.raw).statistic
+        tau = stats.kendalltau(over, oracle).statistic
         assert tau == pytest.approx(1.0)
 
     def test_noise_drift_bound_holds(self):

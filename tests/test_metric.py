@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from elliptical.attention import masa
 from elliptical.metric import (
     FLOOR,
-    EllipticalWeights,
-    apply_scaling,
+    SCALING_MODES,
     compute_kappa,
-    identity_weights,
     robustness_bound,
     scale_rows,
     sq_distances,
@@ -21,22 +19,23 @@ from elliptical.numerics import ParameterError, ShapeError, derive_rng, make_rng
 
 
 class TestApplyScaling:
+    """Each scaling mode's rule, applied by ``scale_rows`` to one row."""
+
     def test_maxscale_hand_case(self):
-        w = apply_scaling([3.0, 1.5, 0.0], "maxscale")
-        np.testing.assert_allclose(w.m, [1.0, 0.5, FLOOR])
+        np.testing.assert_allclose(scale_rows([3.0, 1.5, 0.0], "maxscale"), [1.0, 0.5, FLOOR])
 
     def test_all_zero_falls_back_to_identity(self):
         for mode in ("maxscale", "meanscale", "unscaled", "identity", "random"):
-            w = apply_scaling([0.0, 0.0, 0.0], mode, rng=make_rng(0))
-            assert np.array_equal(w.m, [1.0, 1.0, 1.0])
+            m = scale_rows([0.0, 0.0, 0.0], mode, rng=make_rng(0))
+            assert np.array_equal(m, [1.0, 1.0, 1.0])
 
     def test_maxscale_scale_invariance(self):
         rng = make_rng(1)
         raw = rng.uniform(0.0, 2.0, 6)
         for c in (0.5, 3.0, 1e4):
-            a = apply_scaling(raw, "maxscale")
-            b = apply_scaling(c * raw, "maxscale")
-            np.testing.assert_allclose(a.m, b.m, rtol=1e-12)
+            a = scale_rows(raw, "maxscale")
+            b = scale_rows(c * raw, "maxscale")
+            np.testing.assert_allclose(a, b, rtol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -45,37 +44,36 @@ class TestApplyScaling:
         raw = rng.uniform(0.0, 5.0, int(rng.integers(1, 9)))
         if not np.any(raw > 0):
             raw[0] = 1.0
-        w = apply_scaling(raw, "maxscale")
-        assert w.m.max() == 1.0
+        assert scale_rows(raw, "maxscale").max() == 1.0
 
     def test_meanscale_allows_entries_above_one(self):
-        w = apply_scaling([4.0, 1.0, 1.0], "meanscale")
-        assert w.m[0] == pytest.approx(2.0)
-        assert w.m.max() > 1.0
+        m = scale_rows([4.0, 1.0, 1.0], "meanscale")
+        assert m[0] == pytest.approx(2.0)
+        assert m.max() > 1.0
 
     def test_unscaled_only_clamps(self):
-        w = apply_scaling([0.5, 0.0, 2.0], "unscaled")
-        np.testing.assert_allclose(w.m, [0.5, FLOOR, 2.0])
+        np.testing.assert_allclose(scale_rows([0.5, 0.0, 2.0], "unscaled"), [0.5, FLOOR, 2.0])
 
     def test_identity_ignores_raw(self):
-        w = apply_scaling([5.0, 1.0], "identity")
-        assert np.array_equal(w.m, [1.0, 1.0])
+        assert np.array_equal(scale_rows([5.0, 1.0], "identity"), [1.0, 1.0])
 
     def test_random_is_seeded_and_maxscaled(self):
-        a = apply_scaling([1.0, 1.0], "random", rng=make_rng(9))
-        b = apply_scaling([123.0, 4.5], "random", rng=make_rng(9))
-        assert np.array_equal(a.m, b.m)  # raw is ignored
-        assert a.m.max() == 1.0
+        a = scale_rows([1.0, 1.0], "random", rng=make_rng(9))
+        b = scale_rows([123.0, 4.5], "random", rng=make_rng(9))
+        assert np.array_equal(a, b)  # raw is ignored
+        assert a.max() == 1.0
         with pytest.raises(ParameterError):
-            apply_scaling([1.0, 1.0], "random")
+            scale_rows([1.0, 1.0], "random")
 
     def test_negative_raw_rejected(self):
         with pytest.raises(ParameterError):
-            apply_scaling([-0.1, 1.0], "maxscale")
+            scale_rows([-0.1, 1.0], "maxscale")
+        with pytest.raises(ParameterError):  # in any row of a stack
+            scale_rows([[1.0, 1.0], [0.5, -0.1]], "maxscale")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ParameterError):
-            apply_scaling([1.0], "minscale")
+            scale_rows([1.0], "minscale")
 
 
 class TestScaleRows:
@@ -124,48 +122,48 @@ class TestScaleRows:
         with pytest.raises(ShapeError):
             scale_rows(np.array([[1.0, np.nan]]), "maxscale")
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SCALING_MODES))
+    @settings(max_examples=100, deadline=None)
+    def test_every_row_meets_its_mode_postconditions(self, seed, mode):
+        # random stacks with zero, floor-hitting and all-zero rows
+        rng = make_rng(seed)
+        lead = rng.integers(1, 5, int(rng.integers(1, 4)))  # 1 to 3 leading axes
+        shape = (*(int(n) for n in lead), int(rng.integers(1, 9)))
+        raw = rng.uniform(0.0, 3.0, shape) * (rng.random(shape) < 0.7)
+        raw[rng.random(shape[:-1]) < 0.3] = 0.0
+        raw.reshape(-1)[rng.random(raw.size) < 0.1] = 1e-9
+        m = scale_rows(raw, mode, rng=rng)
+        assert m.shape == raw.shape and m.dtype == np.float64
+        assert np.all(m >= FLOOR)
+        if mode == "identity":
+            assert np.all(m == 1.0)
+        if mode in ("maxscale", "random"):
+            assert np.all(m.max(axis=-1) == 1.0)
+        assert np.all(m[raw.max(axis=-1) == 0.0] == 1.0)  # an all-zero row gets ones
 
-class TestEllipticalWeightsInvariants:
-    def test_floor_enforced(self):
-        with pytest.raises(ParameterError):
-            EllipticalWeights(np.array([0.0, 1.0]), "unscaled")
 
-    def test_identity_must_be_ones(self):
-        with pytest.raises(ParameterError):
-            EllipticalWeights(np.array([1.0, 2.0]), "identity")
-
-    def test_a_stack_is_checked_row_by_row(self):
-        rows = scale_rows(make_rng(3).uniform(0.0, 1.0, (4, 1, 3)), "maxscale")
-        assert EllipticalWeights(rows, "maxscale").dim == 3
-        rows[2] *= 0.5  # the stack's max is still 1, this row's is not
-        with pytest.raises(ParameterError):
-            EllipticalWeights(rows, "maxscale")
-        with pytest.raises(ShapeError):
-            EllipticalWeights(np.float64(1.0), "unscaled")
-
-
-def _dist(x, y, w) -> float:
+def _dist(x, y, m) -> float:
     """The Mahalanobis distance sqrt((x - y)' diag(m) (x - y)) nw-sparse runs."""
-    return float(np.sqrt(sq_distances(x, y, w.m)))
+    return float(np.sqrt(sq_distances(x, y, m)))
 
 
 class TestMahalanobisDistance:
     def test_coincidence(self):
         rng = make_rng(2)
-        w = apply_scaling(rng.uniform(0.1, 1.0, 5), "maxscale")
+        w = scale_rows(rng.uniform(0.1, 1.0, 5), "maxscale")
         for _ in range(10):
             x = rng.standard_normal(5)
             assert _dist(x, x, w) == 0.0
 
     def test_identity_weights_give_euclidean(self):
         rng = make_rng(3)
-        w = identity_weights(4)
+        w = np.ones(4)
         for _ in range(100):
             q, k = rng.standard_normal(4), rng.standard_normal(4)
             assert _dist(q, k, w) == pytest.approx(float(np.linalg.norm(q - k)), abs=1e-12)
 
     def test_hand_case(self):
-        w = EllipticalWeights(np.array([1.0, 0.25]), "unscaled")
+        w = np.array([1.0, 0.25])
         d = _dist([1.0, 0.0], [0.0, 1.0], w)
         assert d == pytest.approx(np.sqrt(1.25), abs=1e-12)
         assert d == pytest.approx(1.118034, abs=1e-6)
@@ -175,7 +173,7 @@ class TestMahalanobisDistance:
     def test_metric_axioms(self, seed):
         rng = make_rng(seed)
         dim = int(rng.integers(1, 7))
-        w = apply_scaling(rng.uniform(0.0, 1.0, dim), "maxscale")
+        w = scale_rows(rng.uniform(0.0, 1.0, dim), "maxscale")
         x, y, z = (rng.uniform(-5, 5, dim) for _ in range(3))
         dxy = _dist(x, y, w)
         dyx = _dist(y, x, w)
@@ -187,7 +185,7 @@ class TestMahalanobisDistance:
 
     def test_metric_axioms_bulk(self):
         rng = make_rng(4)
-        w = apply_scaling(rng.uniform(0.0, 1.0, 5), "maxscale")
+        w = scale_rows(rng.uniform(0.0, 1.0, 5), "maxscale")
         pts = rng.uniform(-5, 5, (1000, 3, 5))
         for x, y, z in pts:
             dxy = _dist(x, y, w)
@@ -281,7 +279,7 @@ class TestRobustnessBound:
     def test_zero_values_give_zero_bound(self):
         rng = make_rng(7)
         keys = rng.uniform(-2, 2, (4, 3))
-        w = apply_scaling(rng.uniform(0, 1, 3), "maxscale")
+        w = scale_rows(rng.uniform(0, 1, 3), "maxscale")
         assert robustness_bound(keys, np.zeros((4, 2)), w) == 0.0
 
     def test_monotone_in_weights(self):
@@ -289,24 +287,23 @@ class TestRobustnessBound:
         keys = rng.uniform(-2, 2, (5, 4))
         values = rng.uniform(-1, 1, (5, 3))
         m = rng.uniform(0.2, 1.0, 4)
-        big = EllipticalWeights(m, "unscaled")
-        small = EllipticalWeights(m * 0.5, "unscaled")
+        big, small = m, m * 0.5
         assert robustness_bound(keys, values, small) <= robustness_bound(
             keys, values, big
         )
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            robustness_bound(np.ones((3, 2)), np.ones((4, 2)), identity_weights(2))
+            robustness_bound(np.ones((3, 2)), np.ones((4, 2)), np.ones(2))
         with pytest.raises(ShapeError):  # a stack of metrics is not one metric
-            robustness_bound(np.ones((3, 2)), np.ones((3, 2)), EllipticalWeights(np.ones((3, 2))))
+            robustness_bound(np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 2)))
 
     def test_empirical_perturbations_stay_below_bound(self):
         # unit-temperature weighted-softmax estimator on a random instance
         rng = make_rng(9)
         keys = rng.uniform(-2, 2, (4, 3))
         values = rng.uniform(-2, 2, (4, 3))
-        w = apply_scaling(rng.uniform(0, 1, 3), "maxscale")
+        w = scale_rows(rng.uniform(0, 1, 3), "maxscale")
         bound = robustness_bound(keys, values, w)
         q = rng.uniform(-2, 2, 3)
         base = masa(q, keys, w) @ values

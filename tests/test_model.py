@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from elliptical import model
 from elliptical.autodiff import GradTape, backward, leaf
 from elliptical.estimators import estimate_overlayers
-from elliptical.metric import apply_scaling
+from elliptical.metric import scale_rows
 from elliptical.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -215,8 +215,6 @@ class TestForward:
         toks = make_rng(9).integers(0, 13, METRIC_WARMUP + 4)
         _, states = forward(toks, init_params(cfg), cfg, GradTape())
         assert modes == ["identity"] * (cfg.layers - 1)
-        assert states[0].estimator_values == [None] * cfg.heads
-        assert all(None not in st.estimator_values for st in states[1:])
         assert all(np.all(st.metric == 1.0) for st in states)
 
 
@@ -275,7 +273,7 @@ class TestMetricRows:
         v_prev[1] = v_curr[1]  # no variability in block 1: identity rows
         for mode in ("maxscale", "meanscale", "unscaled", "identity", "random"):
             stream, twin = derive_rng(5, 3, 0), derive_rng(5, 3, 0)
-            got, held = _metric_rows(v_curr, v_prev, heads, mode, delta, rng=stream)
+            got = _metric_rows(v_curr, v_prev, heads, mode, delta, rng=stream)
             ref = np.empty((batch * t_len, heads * dh))
             for h in range(heads):
                 cols = slice(h * dh, (h + 1) * dh)
@@ -284,35 +282,32 @@ class TestMetricRows:
                     for t in range(t_len):
                         total = total + np.abs(v_curr[b, t, cols] - v_prev[b, t, cols]) / delta
                         raw = total / (t + 1) if t >= METRIC_WARMUP - 1 else np.zeros(dh)
-                        ref[b * t_len + t, cols] = apply_scaling(raw, mode, rng=twin).m
+                        ref[b * t_len + t, cols] = scale_rows(raw, mode, rng=twin)
             assert got.tobytes() == ref.tobytes(), mode
             assert stream.random() == twin.random()  # same number of draws
             assert np.all(got[t_len : 2 * t_len] == 1.0)
             for b in range(batch):
                 assert np.all(got[b * t_len : b * t_len + METRIC_WARMUP - 1] == 1.0)
-            for copy, stack in zip(held, (v_curr, v_prev)):
-                by_head = stack.reshape(batch, t_len, heads, dh).transpose(0, 2, 1, 3)
-                assert np.array_equal(copy, by_head)
 
     def test_row_t_uses_first_t_plus_one_rows(self):
         # unscaled mode returns the raw estimate (all of it above the floor here)
         batch, t_len, heads, dh, delta = 2, METRIC_WARMUP + 8, 2, 3, 0.5
         rng = make_rng(4)
         v_curr, v_prev = (rng.standard_normal((batch, t_len, heads * dh)) for _ in range(2))
-        got, _ = _metric_rows(v_curr, v_prev, heads, "unscaled", delta)
+        got = _metric_rows(v_curr, v_prev, heads, "unscaled", delta)
         for b in range(batch):
             for h in range(heads):
                 cols = slice(h * dh, (h + 1) * dh)
                 for t in range(METRIC_WARMUP - 1, t_len):
                     prefix = (v_curr[b, : t + 1, cols], v_prev[b, : t + 1, cols])
-                    expected = estimate_overlayers(*prefix, delta).raw
+                    expected = estimate_overlayers(*prefix, delta)
                     np.testing.assert_allclose(got[b * t_len + t, cols], expected, rtol=1e-12)
 
     def test_last_row_matches_full_estimate(self):
         rng = make_rng(5)
         v_curr, v_prev = (rng.standard_normal((1, METRIC_WARMUP + 4, 2)) for _ in range(2))
-        got, _ = _metric_rows(v_curr, v_prev, 1, "unscaled", 1.0)
-        expected = estimate_overlayers(v_curr[0], v_prev[0], 1.0).raw
+        got = _metric_rows(v_curr, v_prev, 1, "unscaled", 1.0)
+        expected = estimate_overlayers(v_curr[0], v_prev[0], 1.0)
         np.testing.assert_allclose(got[-1], expected, rtol=1e-12)
 
 
@@ -341,9 +336,9 @@ class TestStackedPathStructure:
     def test_one_attention_node_per_layer_and_no_per_row_scaling(self, monkeypatch):
         from elliptical import attention, metric, model
 
-        calls = {"block_causal_attention": 0, "apply_scaling": 0, "weighted_kernel": 0}
+        calls = {"block_causal_attention": 0, "scale_rows": 0, "weighted_kernel": 0}
         nodes = []
-        _count_everywhere(monkeypatch, calls, metric.apply_scaling)
+        _count_everywhere(monkeypatch, calls, metric.scale_rows)
         _count_everywhere(monkeypatch, calls, attention.weighted_kernel)
         op = GradTape.block_causal_attention
         monkeypatch.setattr(GradTape, "block_causal_attention", _counted(calls, op))
@@ -359,8 +354,9 @@ class TestStackedPathStructure:
             calls.update(dict.fromkeys(calls, 0))
             nodes.clear()
             train(corpus, cfg, TrainParams(steps=1))
-            # the fused op's forward pass is the one kernel call of each layer
-            assert calls == {"block_causal_attention": cfg.layers, "apply_scaling": 0,
+            # the fused op's forward pass is the one kernel call of each layer,
+            # and every metric layer scales all of its rows in one call
+            assert calls == {"block_causal_attention": cfg.layers, "scale_rows": cfg.layers - 1,
                              "weighted_kernel": cfg.layers}
             # 3 embedding nodes, 14 per layer, 3 for the final norm and head, 1 loss
             assert nodes == [63], scaling
@@ -406,10 +402,8 @@ class TestEvaluationTape:
 
     @staticmethod
     def _state_bits(st):
-        arrays = [st.queries, st.keys, st.values, st.metric, st.representation]
-        for held in st.estimator_values:
-            arrays.extend(() if held is None else held)
-        return [a.view(np.int64) for a in arrays], [h is None for h in st.estimator_values]
+        arrays = (st.queries, st.keys, st.values, st.metric, st.representation)
+        return [a.view(np.int64) for a in arrays]
 
     def test_non_recording_forward_matches_recording_bitwise(self):
         corpus = synthetic_corpus(22, 600)
@@ -432,9 +426,7 @@ class TestEvaluationTape:
                 assert np.array_equal(ref.value.view(np.int64), got.value.view(np.int64)), key
                 assert len(ref_states) == len(got_states) == cfg.layers
                 for a, b in zip(ref_states, got_states):
-                    (bits_a, none_a), (bits_b, none_b) = self._state_bits(a), self._state_bits(b)
-                    assert none_a == none_b and len(bits_a) == len(bits_b), (key, a.layer)
-                    for x, y in zip(bits_a, bits_b):
+                    for x, y in zip(self._state_bits(a), self._state_bits(b)):
                         assert np.array_equal(x, y), (key, a.layer)
                 live = elliptical and scaling != "identity"
                 assert live == bool(np.any(ref_states[-1].metric != 1.0)), key
@@ -454,10 +446,6 @@ class TestStopGradient:
                 logits, states = forward(toks[:-1], params, cfg, tape)
                 if tamper:
                     for st in states:
-                        for held in st.estimator_values:
-                            if held is not None:
-                                held[0][:] += 97.0
-                                held[1][:] -= 13.0
                         if st.metric.flags.writeable:  # layer 0 holds read-only ones
                             st.metric *= 3.0
                             scaled.append(st.layer)
@@ -504,12 +492,9 @@ class TestStopGradient:
             p.grad = None
         backward(tape, loss)
 
-        estimate, pending = model._metric_rows, []
-
-        def frozen_rows(*args, **kwargs):  # the metric at params, not at the bumped copy
-            return pending.pop(0), estimate(*args, **kwargs)[1]
-
-        monkeypatch.setattr(model, "_metric_rows", frozen_rows)
+        pending = []
+        # the metric at params, not at the bumped copy
+        monkeypatch.setattr(model, "_metric_rows", lambda *args, **kwargs: pending.pop(0))
 
         def frozen_loss(values, name):
             trial = {k: leaf(v if k != name else values) for k, v in

@@ -11,7 +11,7 @@ from elliptical.estimators import (
     separable_sinusoid,
     sparse_sinusoid,
 )
-from elliptical.metric import EllipticalWeights, apply_scaling, identity_weights
+from elliptical.metric import scale_rows
 from elliptical.numerics import ParameterError, ShapeError, make_rng, softmax_rows
 from elliptical.nwlab import (
     EdgeConfig,
@@ -33,16 +33,16 @@ def _toy_dataset(rng, n=40, dim=2, noise=0.1):
     return sample_dataset(truth, n, noise, rng)
 
 
-def nw_estimate(query, data, bandwidth, w):
+def nw_estimate(query, data, bandwidth, m):
     """One query through the batch estimator."""
-    return nw_estimate_batch(np.asarray(query, dtype=float)[None, :], data, bandwidth, w)[0]
+    return nw_estimate_batch(np.asarray(query, dtype=float)[None, :], data, bandwidth, m)[0]
 
 
 class TestNWEstimate:
     def test_single_sample_returns_its_value(self):
         truth = linear_function(np.eye(2))
         data = NWDataset(np.array([[0.3, -0.4]]), np.array([[5.0, 7.0]]), truth, 0.0)
-        out = nw_estimate([10.0, 10.0], data, bandwidth=0.5, w=identity_weights(2))
+        out = nw_estimate([10.0, 10.0], data, bandwidth=0.5, m=np.ones(2))
         np.testing.assert_array_equal(out, [5.0, 7.0])
 
     def test_equidistant_query_returns_midpoint(self):
@@ -53,7 +53,7 @@ class TestNWEstimate:
             truth,
             0.0,
         )
-        out = nw_estimate([0.0, 0.7], data, 0.8, identity_weights(2))
+        out = nw_estimate([0.0, 0.7], data, 0.8, np.ones(2))
         np.testing.assert_allclose(out, [3.0, 1.0], atol=1e-12)
 
     def test_three_point_hand_case_matches_direct_summation(self):
@@ -62,7 +62,7 @@ class TestNWEstimate:
         truth = linear_function(np.zeros((1, 2)))
         data = NWDataset(keys, values, truth, 0.0)
         q = np.array([0.25, 0.5])
-        got = nw_estimate(q, data, 1.0, identity_weights(2))
+        got = nw_estimate(q, data, 1.0, np.ones(2))
         weights = np.exp(-np.sum((q - keys) ** 2, axis=1) / 2.0)
         expected = (weights / weights.sum()) @ values
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -71,7 +71,7 @@ class TestNWEstimate:
         rng = make_rng(0)
         data = _toy_dataset(rng)
         queries = rng.uniform(-3, 3, (50, 2))
-        preds = nw_estimate_batch(queries, data, 0.4, identity_weights(2))
+        preds = nw_estimate_batch(queries, data, 0.4, np.ones(2))
         lo = data.values.min(axis=0) - 1e-12
         hi = data.values.max(axis=0) + 1e-12
         assert np.all(preds >= lo) and np.all(preds <= hi)
@@ -85,7 +85,7 @@ class TestNWEstimate:
         data = NWDataset(keys, values, truth, 0.0)
         sigma2 = 0.9
         q = rng.standard_normal(3)
-        kernel_out = nw_estimate(q, data, np.sqrt(sigma2), identity_weights(3))
+        kernel_out = nw_estimate(q, data, np.sqrt(sigma2), np.ones(3))
         attn = softmax_rows((q @ keys.T / sigma2)[None, :])
         np.testing.assert_allclose(kernel_out, (attn @ values)[0], atol=1e-9)
 
@@ -93,42 +93,42 @@ class TestNWEstimate:
         truth = linear_function(np.eye(2))
         empty = NWDataset(np.zeros((0, 2)), np.zeros((0, 2)), truth, 0.0)
         with pytest.raises(ParameterError):
-            nw_estimate([0.0, 0.0], empty, 0.5, identity_weights(2))
+            nw_estimate([0.0, 0.0], empty, 0.5, np.ones(2))
 
     def test_bad_bandwidth_rejected(self):
         data = _toy_dataset(make_rng(2))
         with pytest.raises(ParameterError):
-            nw_estimate([0.0, 0.0], data, 0.0, identity_weights(2))
+            nw_estimate([0.0, 0.0], data, 0.0, np.ones(2))
 
     def test_dimension_mismatch_rejected(self):
         # sq_distances broadcasts, so a (1, dim) query or a (1,) metric would run
         # without this check
         data = _toy_dataset(make_rng(2))
         with pytest.raises(ShapeError):
-            nw_estimate([0.0, 0.0, 0.0], data, 0.5, identity_weights(3))
+            nw_estimate([0.0, 0.0, 0.0], data, 0.5, np.ones(3))
         with pytest.raises(ShapeError):
-            nw_estimate([0.0, 0.0], data, 0.5, identity_weights(1))
+            nw_estimate([0.0, 0.0], data, 0.5, np.ones(1))
         with pytest.raises(ShapeError):  # a stack of metrics is not one metric
-            nw_estimate([0.0, 0.0], data, 0.5, EllipticalWeights(np.ones((3, 2))))
+            nw_estimate([0.0, 0.0], data, 0.5, np.ones((3, 2)))
 
     def test_one_row_queries_match_batch(self):
         rng = make_rng(3)
         data = _toy_dataset(rng)
         queries = rng.uniform(-2, 2, (9, 2))
-        batch = nw_estimate_batch(queries, data, 0.5, identity_weights(2))
+        batch = nw_estimate_batch(queries, data, 0.5, np.ones(2))
         for q, row in zip(queries, batch):
-            np.testing.assert_allclose(nw_estimate(q, data, 0.5, identity_weights(2)), row,
+            np.testing.assert_allclose(nw_estimate(q, data, 0.5, np.ones(2)), row,
                                        rtol=1e-13, atol=1e-15)
 
     def test_consistent_estimator_composes_with_predictor(self):
         rng = make_rng(4)
         data = _toy_dataset(rng, n=100, noise=0.05)
         def pred(points):
-            return nw_estimate_batch(points, data, 0.3, identity_weights(2))
+            return nw_estimate_batch(points, data, 0.3, np.ones(2))
 
         est = estimate_consistent(pred, rng.uniform(-2, 2, (64, 2)), t=0.1)
-        assert est.raw.shape == (2,)
-        assert np.all(est.raw >= 0.0)
+        assert est.shape == (2,)
+        assert np.all(est >= 0.0)
 
 
 class TestBandwidthSelection:
@@ -136,7 +136,7 @@ class TestBandwidthSelection:
         rng = make_rng(5)
         truth = separable_sinusoid([1.0], [1])
         data = sample_dataset(truth, 200, 0.1, rng)
-        bw = cross_validate_bandwidth(data, identity_weights(1))
+        bw = cross_validate_bandwidth(data, np.ones(1))
         assert 0.05 <= bw <= 2.0
         # far-too-small and far-too-large bandwidths must lose to the pick
         assert bw not in (0.05, 2.0)
@@ -149,12 +149,12 @@ class TestBandwidthSelection:
         calls = []
         dists = nwlab.sq_distances
         monkeypatch.setattr(nwlab, "sq_distances", lambda *a: calls.append(1) or dists(*a))
-        cross_validate_bandwidth(_toy_dataset(make_rng(6), n=60), identity_weights(2))
+        cross_validate_bandwidth(_toy_dataset(make_rng(6), n=60), np.ones(2))
         assert len(calls) == nwlab.CV_FOLDS
 
     def test_more_data_at_fixed_bandwidth_does_not_hurt(self):
         truth = sparse_sinusoid(2, [0], [1.0], [1])
-        w = identity_weights(2)
+        w = np.ones(2)
         bandwidth = 0.4
         small, big = [], []
         for s in range(8):
@@ -230,8 +230,8 @@ class TestEdgeExperiment:
         rng = make_rng(6)
         truth = piecewise_step((1.0, 0.0), (0.0, 1.0), coord=0, dim=2)
         data = sample_dataset(truth, 100, 0.2, rng, -1.0, 1.0)
-        w_a = identity_weights(2)
-        w_b = apply_scaling([1.0, 0.01], "maxscale")
+        w_a = np.ones(2)
+        w_b = scale_rows([1.0, 0.01], "maxscale")
         q1, q2 = np.array([-0.3, 0.0]), np.array([0.3, 0.0])
         d_ab = (
             _edge_distance(data, w_a, 0.2, q1, q2),
@@ -249,14 +249,14 @@ class TestLipschitzTransfer:
         rng = make_rng(7)
         a = rng.standard_normal((3, 4))
         f = linear_function(a)
-        w = apply_scaling(rng.uniform(0.1, 1.0, 4), "maxscale")
+        w = scale_rows(rng.uniform(0.1, 1.0, 4), "maxscale")
         # G_i = ||A column i||_2
         assert check_lipschitz_transfer(f, np.linalg.norm(a, axis=0), w, 5000, rng) <= 0.0
 
     def test_sine_function_never_violates(self):
         rng = make_rng(8)
         f = separable_sinusoid([1.0, 0.0], [1, 1])
-        w = apply_scaling([1.0, 0.3], "maxscale")
+        w = scale_rows([1.0, 0.3], "maxscale")
         # G_i = |a_i w_i|
         assert check_lipschitz_transfer(f, [1.0, 0.0], w, 10_000, rng) <= 0.0
 
@@ -267,4 +267,4 @@ class TestLipschitzTransfer:
             def uniform(self, lo, hi, shape):
                 return np.zeros(shape)
 
-        assert check_lipschitz_transfer(f, np.ones(2), identity_weights(2), 10, _ZeroRng()) <= 0.0
+        assert check_lipschitz_transfer(f, np.ones(2), np.ones(2), 10, _ZeroRng()) <= 0.0

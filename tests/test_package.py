@@ -11,10 +11,9 @@ import elliptical
 
 
 EXPORTS = [
-    "AttentionOutput", "EllipticalWeights", "ModelConfig", "NWDataset", "SyntheticFunction",
-    "TrainParams", "VariabilityEstimate", "apply_scaling", "compute_kappa", "corrupt_tokens",
-    "diagnose", "estimate_consistent", "estimate_overlayers", "forward", "identity_weights",
-    "make_rng", "masa", "masa_jacobian", "nw_estimate_batch", "oracle_variability",
+    "AttentionOutput", "ModelConfig", "NWDataset", "SyntheticFunction", "TrainParams",
+    "compute_kappa", "corrupt_tokens", "diagnose", "estimate_consistent", "estimate_overlayers",
+    "forward", "make_rng", "masa", "masa_jacobian", "nw_estimate_batch", "oracle_variability",
     "robustness_bound", "run_sparse_mse_experiment", "scale_rows", "softmax_rows",
     "sq_distances", "train",
 ]
@@ -27,7 +26,8 @@ def test_exports_are_pinned():
 def test_test_only_code_is_gone():
     # one weighted distance (metric.sq_distances); the Jacobian and smoothness
     # oracles live in tests/oracles.py; one metric-weighted attention, the
-    # model's causal path (model._metric_rows, then attention.weighted_kernel)
+    # model's causal path (model._metric_rows, then attention.weighted_kernel);
+    # a metric is one plain array of weights, as scale_rows returns it
     from elliptical import attention, autodiff, estimators, metric, numerics, nwlab
 
     gone = [(metric, "mahalanobis_distance"), (numerics, "finite_diff_jacobian"),
@@ -37,6 +37,10 @@ def test_test_only_code_is_gone():
     gone += [(module, name) for name in ("AttentionConfig", "standard_attention",
                                          "elliptical_attention", "_check_qkv")
              for module in (attention, elliptical)]
+    wrappers = {metric: ("EllipticalWeights", "apply_scaling", "identity_weights"),
+                estimators: ("VariabilityEstimate",)}
+    gone += [(where, name) for home, names in wrappers.items() for name in names
+             for where in (home, elliptical)]
     assert [name for module, name in gone if hasattr(module, name)] == []
     assert "gradient_bounds" not in {f.name for f in fields(estimators.SyntheticFunction)}
     assert autodiff.Tensor.__repr__ is object.__repr__
