@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metric import check_weights
 from .numerics import ShapeError, as_matrices, as_matrix, softmax_rows
 
 
@@ -78,6 +79,7 @@ def masa(q, keys, m: np.ndarray) -> np.ndarray:
     keys = as_matrices(keys)
     if not keys.shape[-1] == q.shape[-1] == m.shape[-1]:
         raise ShapeError(f"dimension mismatch: q={q.shape[-1]}, keys={keys.shape}, m={m.shape[-1]}")
+    check_weights(m)
     return softmax_rows(np.matmul(keys, (m * q)[..., None])[..., 0])
 
 

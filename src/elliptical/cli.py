@@ -291,7 +291,6 @@ def cmd_estimator_bench(cfg: dict[str, Any]) -> int:
 
     out_dir = resolve_out_dir(cfg["out"])
     catalog = estimators.ranking_catalog()
-    sampler = estimators.uniform_sampler(-np.pi, np.pi, catalog.dim)
     rows = []
 
     taus = []
@@ -301,7 +300,7 @@ def cmd_estimator_bench(cfg: dict[str, Any]) -> int:
             catalog, cfg["n"], cfg["delta"], cfg["noise_std"], rng
         )
         over = estimators.estimate_overlayers(pair.v_curr, pair.v_prev, cfg["delta"])
-        oracle = estimators.oracle_variability(catalog, sampler, 200, rng)
+        oracle = estimators.oracle_variability(catalog, rng.uniform(-np.pi, np.pi, (200, catalog.dim)))
         tau = float(stats.kendalltau(over, oracle).statistic)
         taus.append(tau)
         rows.append(("estimator-bench", "overlayers", s, cfg["n"], 0.0, "kendall_tau", tau))

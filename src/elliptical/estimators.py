@@ -135,29 +135,20 @@ def sparse_sinusoid(dim: int, active, amplitudes, frequencies) -> SyntheticFunct
     )
 
 
-def piecewise_step(low_value, high_value, coord: int = 0, dim: int = 2) -> SyntheticFunction:
-    """Two constant pieces split at 0 along one coordinate; derivative is 0 a.e."""
+def piecewise_step(low_value, high_value, dim: int = 2) -> SyntheticFunction:
+    """Two constant pieces split at x_0 = 0; derivative is 0 a.e."""
     lo = np.asarray(low_value, dtype=np.float64)
     hi = np.asarray(high_value, dtype=np.float64)
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ShapeError("piece values must be equal-length vectors")
 
     def fn(pts):
-        mask = pts[:, coord] >= 0.0
+        mask = pts[:, 0] >= 0.0
         return np.where(mask[:, None], hi[None, :], lo[None, :])
 
     return SyntheticFunction(
         name="piecewise_step", dim=dim, out_dim=lo.size, fn=fn
     )
-
-
-def uniform_sampler(low: float, high: float, dim: int):
-    """Sampler for the uniform-box key marginal used across experiments."""
-
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(low, high, (n, dim))
-
-    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +202,22 @@ def estimate_consistent(
     return raw
 
 
-def oracle_variability(
-    f: SyntheticFunction,
-    mu_sampler: Callable[[np.random.Generator, int], np.ndarray],
-    n_mc: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Brute-force Monte Carlo of E ||J_f(k) e_i||_1 with numeric Jacobians.
+def oracle_variability(f: SyntheticFunction, sample_points) -> np.ndarray:
+    """Brute-force Monte Carlo of E ||J_f(k) e_i||_1 with numeric Jacobians,
+    averaged over the (n, dim) ``sample_points`` drawn from the key marginal.
 
-    The Jacobians come from ``numerics.central_differences`` at every sampled
-    point at once.  Outputs and points are summed in the order a loop over
+    The Jacobians come from ``numerics.central_differences`` at every point
+    at once.  Outputs and points are summed in the order a loop over
     per-point Jacobians would sum them.
     """
-    if n_mc < 1:
+    pts = as_matrix(sample_points)
+    if pts.shape[0] == 0:
         raise ParameterError("need at least one Monte-Carlo point")
-    jac = central_differences(f, mu_sampler(rng, n_mc))  # [point, input, output]
+    jac = central_differences(f, pts)  # [point, input, output]
     # a contiguous [point, output, input] array sums each point's outputs as
     # np.sum sums down one Jacobian; cumsum adds the points one at a time
     per_point = np.abs(np.ascontiguousarray(jac.transpose(0, 2, 1))).sum(axis=1)
-    return np.cumsum(per_point, axis=0)[-1] / n_mc
+    return np.cumsum(per_point, axis=0)[-1] / pts.shape[0]
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,17 @@ def scale_rows(raw, mode: str, *, rng: np.random.Generator | None = None) -> np.
     return np.maximum(m, FLOOR, out=m)
 
 
-def sq_distances(x, y, m) -> np.ndarray:
+def check_weights(m: np.ndarray) -> None:
+    """Raise ``ParameterError`` unless every weight in ``m`` is finite and > 0,
+    as d must be a metric; a NaN fails the first comparison."""
+    if not (m.min() > 0 and m.max() < np.inf):
+        raise ParameterError("weights must be finite and positive")
+
+
+def sq_distances(x, y, m: np.ndarray) -> np.ndarray:
     """(x - y)' diag(m) (x - y) along the last axis, with x and y broadcast
     against each other: the one weighted squared distance of the package."""
+    check_weights(m)
     diff = np.subtract(x, y)
     return np.einsum("...d,d->...", diff * diff, m)
 
@@ -98,6 +106,7 @@ def robustness_bound(keys, values, m: np.ndarray) -> float:
         )
     if m.shape != (keys.shape[1],):  # one metric row, not a stack
         raise ShapeError(f"keys have dim {keys.shape[1]}, weights have shape {m.shape}")
+    check_weights(m)
     kappa = compute_kappa(keys)  # (dim, n)
     per_key = np.sqrt(np.sum((kappa * m[:, None]) ** 2, axis=0))  # (n,)
     return float(np.sum(per_key * np.linalg.norm(values, axis=1)))

@@ -162,10 +162,10 @@ class AttentionLayerState:
     head h in columns [h * head_dim, (h + 1) * head_dim); rows run block by
     block.  They are read-only views of the pass's own arrays, except the
     metric: read-only ones on layers without one, else rows the attention
-    node has copied, so editing them cannot reach the gradients.
+    node has copied, so editing them cannot reach the gradients.  ``forward``
+    returns one per layer, in layer order.
     """
 
-    layer: int
     queries: np.ndarray
     keys: np.ndarray
     values: np.ndarray
@@ -303,7 +303,6 @@ def forward(
         )
         states.append(
             AttentionLayerState(
-                layer=li,
                 queries=_read_only(qm.value),
                 keys=_read_only(km.value),
                 values=_read_only(vm.value),

@@ -70,17 +70,19 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0)
 
 
-def central_differences(f: Callable[[np.ndarray], np.ndarray], pts, h: float = 1e-5) -> np.ndarray:
+#: relative step of every central difference: h_pi = FD_STEP * (1 + |x_pi|)
+FD_STEP = 1e-5
+
+
+def central_differences(f: Callable[[np.ndarray], np.ndarray], pts) -> np.ndarray:
     """[..., point, input, output] central-difference Jacobians of a row-wise ``f``,
     (..., rows, dim) -> (..., rows, out), at each row x_p of ``pts``, a (P, dim) matrix or a
     (..., P, dim) stack: entry [..., p, i, o] is (f(x_p + h_pi e_i) - f(x_p - h_pi e_i))_o /
-    (2 h_pi), h_pi = h (1 + |x_pi|).  ``f`` is called three times, at ``pts`` and at every
-    shift of each sign; a non-finite output raises ``EvaluationError``."""
-    if h <= 0:
-        raise ParameterError("finite difference step must be positive")
+    (2 h_pi), h_pi = FD_STEP (1 + |x_pi|).  ``f`` is called three times, at ``pts`` and at
+    every shift of each sign; a non-finite output raises ``EvaluationError``."""
     pts = as_matrices(pts)
     *lead, n, dim = pts.shape
-    steps = h * (1.0 + np.abs(pts))
+    steps = FD_STEP * (1.0 + np.abs(pts))
     eye = np.eye(dim, dtype=bool)  # row (p, i) of a shifted stack moves coordinate i of point p
     shifted = (np.where(eye, (pts + s)[..., None, :], pts[..., None, :])
                .reshape(*lead, n * dim, dim) for s in (steps, -steps))

@@ -16,7 +16,6 @@ from .estimators import (
     estimate_consistent,
     oracle_variability,
     piecewise_step,
-    uniform_sampler,
 )
 from .metric import scale_rows, sq_distances
 from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, softmax_rows, unit_rows
@@ -44,20 +43,16 @@ CONSISTENT_POINTS = 2000
 
 @dataclass(frozen=True)
 class NWDataset:
-    """(key, value) pairs v = f(k) + noise, plus the generating truth."""
+    """(key, value) pairs, one row each, such as v = f(k) + noise."""
 
     keys: np.ndarray
     values: np.ndarray
-    truth: SyntheticFunction
-    noise_std: float
 
     def __post_init__(self):
         keys = as_matrix(self.keys)
         values = as_matrix(self.values)
         if keys.shape[0] != values.shape[0]:
             raise ShapeError("keys and values must have one row per sample")
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be nonnegative")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
 
@@ -68,20 +63,11 @@ class NWDataset:
 
 @dataclass(frozen=True)
 class MSEReport:
-    """Seed-aggregated held-out error for one estimator configuration."""
+    """One kernel's seed means of bandwidth and held-out MSE, and the MSE's stderr."""
 
-    estimator: str
     bandwidth: float
-    n: int
     mse: float
-    seeds: int
     stderr: float
-
-    def __post_init__(self):
-        if self.mse < 0:
-            raise ParameterError("mse must be nonnegative")
-        if self.seeds < 5:
-            raise ParameterError("standard error needs at least 5 seeds")
 
 
 def sample_dataset(
@@ -95,9 +81,11 @@ def sample_dataset(
     """Draw keys i.i.d. uniform on the box and values from the truth + noise."""
     if n < 1:
         raise ParameterError("need at least one sample")
+    if noise_std < 0:
+        raise ParameterError("noise_std must be nonnegative")
     keys = rng.uniform(low, high, (n, truth.dim))
     values = truth(keys) + noise_std * rng.standard_normal((n, truth.out_dim))
-    return NWDataset(keys, values, truth, noise_std)
+    return NWDataset(keys, values)
 
 
 def _kernel_average(neg_sq_dists: np.ndarray, bandwidth: float, values: np.ndarray) -> np.ndarray:
@@ -187,46 +175,40 @@ class SparseMSEResult:
 
 
 def _variability_weights(cfg: SparseMSEConfig, rng) -> np.ndarray:
-    sampler = uniform_sampler(-np.pi, np.pi, cfg.truth.dim)
     if cfg.weights_source == "oracle":
-        est = oracle_variability(cfg.truth, sampler, ORACLE_POINTS, rng)
+        pts = rng.uniform(-np.pi, np.pi, (ORACLE_POINTS, cfg.truth.dim))
+        est = oracle_variability(cfg.truth, pts)
     elif cfg.weights_source == "consistent":
-        pts = sampler(rng, CONSISTENT_POINTS)
+        pts = rng.uniform(-np.pi, np.pi, (CONSISTENT_POINTS, cfg.truth.dim))
         est = estimate_consistent(cfg.truth, pts, CONSISTENT_T)
     else:
         raise ParameterError(f"unknown weights_source {cfg.weights_source!r}")
     return scale_rows(est, cfg.scaling)
 
 
-def _report(label: str, bandwidths, per_seed, cfg_n, seeds) -> MSEReport:
-    per_seed = np.asarray(per_seed)
+def _report(bandwidths, per_seed) -> MSEReport:
     return MSEReport(
-        estimator=label,
         bandwidth=float(np.mean(bandwidths)),
-        n=cfg_n,
         mse=float(per_seed.mean()),
-        seeds=seeds,
-        stderr=float(per_seed.std(ddof=1) / np.sqrt(seeds)),
+        stderr=float(per_seed.std(ddof=1) / np.sqrt(per_seed.size)),
     )
+
+
+def _paired_fit(data: NWDataset, w_ell: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """One seed's two kernels, Euclidean (all-ones weights) then ``w_ell``,
+    each as (weights, bandwidth) with its own cross-validated bandwidth."""
+    return [(w, cross_validate_bandwidth(data, w)) for w in (np.ones(data.keys.shape[1]), w_ell)]
 
 
 def _sparse_one_seed(cfg: SparseMSEConfig, s: int) -> tuple[float, float, float, float]:
     rng = derive_rng(cfg.seed, _NS_SPARSE, s)
     data = sample_dataset(cfg.truth, cfg.n, cfg.noise_std, rng)
-    w_euc = np.ones(cfg.truth.dim)
-    w_ell = _variability_weights(cfg, rng)
-    bwe = cross_validate_bandwidth(data, w_euc)
-    bwm = cross_validate_bandwidth(data, w_ell)
+    fits = _paired_fit(data, _variability_weights(cfg, rng))
     queries = rng.uniform(-np.pi, np.pi, (cfg.n_queries, cfg.truth.dim))
     target = cfg.truth(queries)
-    pred_e = nw_estimate_batch(queries, data, bwe, w_euc)
-    pred_m = nw_estimate_batch(queries, data, bwm, w_ell)
-    return (
-        float(np.mean((pred_e - target) ** 2)),
-        float(np.mean((pred_m - target) ** 2)),
-        bwe,
-        bwm,
-    )
+    mse = [float(np.mean((nw_estimate_batch(queries, data, bw, w) - target) ** 2))
+           for w, bw in fits]
+    return (*mse, *(bw for _, bw in fits))
 
 
 def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int = 1) -> SparseMSEResult:
@@ -249,8 +231,8 @@ def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int = 1) -> SparseMSER
 
         p = float(stats.ttest_rel(ell, euc, alternative="less").pvalue)
     return SparseMSEResult(
-        euclidean=_report("euclidean", bw_e, euc, cfg.n, cfg.seeds),
-        elliptical=_report("elliptical", bw_m, ell, cfg.n, cfg.seeds),
+        euclidean=_report(bw_e, euc),
+        elliptical=_report(bw_m, ell),
         per_seed_euclidean=euc,
         per_seed_elliptical=ell,
         bandwidths_euclidean=bw_e,
@@ -297,15 +279,9 @@ def _edge_distance(data, m, bandwidth, q1, q2) -> float:
 def _edge_one_seed(cfg: EdgeConfig, q1, q2, s: int) -> tuple[float, float]:
     rng = derive_rng(cfg.seed, _NS_EDGE, s)
     data = sample_dataset(EDGE_TRUTH, cfg.n, cfg.noise_std, rng, -1.0, 1.0)
-    w_euc = np.ones(EDGE_TRUTH.dim)
     pts = rng.uniform(-1.0, 1.0, (cfg.est_points, EDGE_TRUTH.dim))
     w_ell = scale_rows(estimate_consistent(EDGE_TRUTH, pts, cfg.est_t), "maxscale")
-    bwe = cross_validate_bandwidth(data, w_euc)
-    bwm = cross_validate_bandwidth(data, w_ell)
-    return (
-        _edge_distance(data, w_euc, bwe, q1, q2),
-        _edge_distance(data, w_ell, bwm, q1, q2),
-    )
+    return tuple(_edge_distance(data, w, bw, q1, q2) for w, bw in _paired_fit(data, w_ell))
 
 
 def run_edge_preservation_experiment(cfg: EdgeConfig, jobs: int = 1) -> EdgeResult:

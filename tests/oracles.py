@@ -8,7 +8,7 @@ from elliptical.metric import sq_distances
 from elliptical.numerics import central_differences
 
 
-def finite_diff_jacobian(f, x, h: float = 1e-5) -> np.ndarray:
+def finite_diff_jacobian(f, x) -> np.ndarray:
     """C-contiguous (out, dim) Jacobian of a one-vector ``f`` at ``x``: the one-point
     case of ``central_differences``.  Exact for linear maps up to roundoff; the
     oracle for the analytic derivatives under test."""
@@ -16,7 +16,7 @@ def finite_diff_jacobian(f, x, h: float = 1e-5) -> np.ndarray:
     def rows(pts: np.ndarray) -> np.ndarray:
         return np.stack([np.asarray(f(p), dtype=np.float64).reshape(-1) for p in pts])
 
-    return np.ascontiguousarray(central_differences(rows, np.reshape(x, (1, -1)), h)[0].T)
+    return np.ascontiguousarray(central_differences(rows, np.reshape(x, (1, -1)))[0].T)
 
 
 def check_lipschitz_transfer(f, bounds, m: np.ndarray, n_pairs: int, rng) -> float:

@@ -395,6 +395,8 @@ FAILURE_PROBES = {
     "sparse-n-zero": lambda tmp: ["nw-sparse", "--set", "n=0", "--set", "dim=2"],
     "sparse-n-below-folds": lambda tmp: ["nw-sparse", "--set", "n=3", "--set", "dim=2"],
     "bench-noise-std-negative": lambda tmp: ["estimator-bench", "--set", "noise_std=-1"],
+    "sparse-noise-std-negative": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "noise_std=-1"],
+    "edge-noise-std-negative": lambda tmp: ["edge-preserve", "--set", "n=40", "--set", "noise_std=-1"],
 }
 
 #: what a probe's line must name: the step that diverged, the scale that overflows,
@@ -406,6 +408,8 @@ PROBES_NAME = {
     "edge-n-zero": "error: n ", "edge-n-below-folds": "error: n ",
     "sparse-n-zero": "error: n ", "sparse-n-below-folds": "error: n ",
     "bench-noise-std-negative": "error: noise_std ",
+    "sparse-noise-std-negative": "error: noise_std must be nonnegative",
+    "edge-noise-std-negative": "error: noise_std must be nonnegative",
     **dict.fromkeys(
         ("checkpoint-step-string", "checkpoint-adam_t-string", "checkpoint-step-float",
          "checkpoint-adam_t-negative", "checkpoint-step-bool"),

@@ -27,7 +27,6 @@ from elliptical.estimators import (
     piecewise_step,
     ranking_catalog,
     sparse_sinusoid,
-    uniform_sampler,
 )
 from elliptical.metric import compute_kappa, scale_rows
 from elliptical.model import (
@@ -260,7 +259,7 @@ def _cv_scores_reference(data, m) -> list[float]:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             mask = np.ones(data.n, dtype=bool)
             mask[lo:hi] = False
-            train = nwlab.NWDataset(data.keys[mask], data.values[mask], data.truth, data.noise_std)
+            train = nwlab.NWDataset(data.keys[mask], data.values[mask])
             pred = nwlab.nw_estimate_batch(data.keys[lo:hi], train, bw, m)
             err += float(np.sum((pred - data.values[lo:hi]) ** 2))
         scores.append(err)
@@ -287,13 +286,12 @@ def test_cross_validation_scores_match_the_per_pair_loop(n, weighted, monkeypatc
     assert got == float(nwlab.BANDWIDTH_GRID[int(np.argmin(want))])
 
 
-def _oracle_reference(f, sampler, n_mc, rng) -> np.ndarray:
+def _oracle_reference(f, pts) -> np.ndarray:
     """Monte-Carlo variability from one finite-difference Jacobian per point."""
-    pts = sampler(rng, n_mc)
     raw = np.zeros(pts.shape[1])
     for x in pts:
         raw += np.sum(np.abs(finite_diff_jacobian(f, x)), axis=0)
-    return raw / n_mc
+    return raw / len(pts)
 
 
 def _dense_outputs() -> SyntheticFunction:
@@ -319,16 +317,16 @@ ORACLE_TRUTHS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_TRUTHS))
 def test_oracle_matches_the_per_point_loop_bitwise(name, seed):
     f = ORACLE_TRUTHS[name]()
-    sampler = uniform_sampler(-3.0, 3.0, f.dim)
-    got = oracle_variability(f, sampler, 200, derive_rng(9, 0, seed))
-    want = _oracle_reference(f, sampler, 200, derive_rng(9, 0, seed))
+    pts = derive_rng(9, 0, seed).uniform(-3.0, 3.0, (200, f.dim))
+    got = oracle_variability(f, pts)
+    want = _oracle_reference(f, pts)
     assert got.tobytes() == want.tobytes()
 
 
 def test_oracle_on_a_linear_map_matches_the_per_point_loop():
     # a many-row matrix product may round differently from a one-row one
     f = linear_function(derive_rng(9, 1, 0).standard_normal((3, 4)))
-    sampler = uniform_sampler(-3.0, 3.0, f.dim)
-    got = oracle_variability(f, sampler, 200, derive_rng(9, 0, 1))
-    want = _oracle_reference(f, sampler, 200, derive_rng(9, 0, 1))
+    pts = derive_rng(9, 0, 1).uniform(-3.0, 3.0, (200, f.dim))
+    got = oracle_variability(f, pts)
+    want = _oracle_reference(f, pts)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)

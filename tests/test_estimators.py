@@ -18,7 +18,6 @@ from elliptical.estimators import (
     separable_sinusoid,
     simulate_layer_pair,
     sparse_sinusoid,
-    uniform_sampler,
 )
 from elliptical.numerics import EvaluationError, ParameterError, ShapeError, make_rng
 
@@ -42,7 +41,7 @@ class TestCatalog:
             f(np.ones(2))
 
     def test_piecewise_step_values(self):
-        f = piecewise_step((1.0, 0.0), (0.0, 1.0), coord=0, dim=2)
+        f = piecewise_step((1.0, 0.0), (0.0, 1.0), dim=2)
         np.testing.assert_allclose(f([-0.5, 2.0]), [1.0, 0.0])
         np.testing.assert_allclose(f([0.5, -2.0]), [0.0, 1.0])
         np.testing.assert_allclose(f([0.0, 0.0]), [0.0, 1.0])  # boundary joins high side
@@ -137,18 +136,22 @@ class TestConsistentEstimator:
 class TestOracle:
     def test_identity_function(self):
         f = linear_function(np.eye(4))
-        est = oracle_variability(f, uniform_sampler(-3, 3, 4), 50, make_rng(10))
+        est = oracle_variability(f, make_rng(10).uniform(-3, 3, (50, 4)))
         np.testing.assert_allclose(est, np.ones(4), atol=1e-9)
 
     def test_diagonal_scaling(self):
         f = linear_function(np.diag([2.0, 1.0]))
-        est = oracle_variability(f, uniform_sampler(-3, 3, 2), 50, make_rng(11))
+        est = oracle_variability(f, make_rng(11).uniform(-3, 3, (50, 2)))
         np.testing.assert_allclose(est, [2.0, 1.0], atol=1e-9)
 
     def test_constant_function_gives_zero(self):
         f = piecewise_step((0.5,), (0.5,), dim=2)
-        est = oracle_variability(f, uniform_sampler(-3, 3, 2), 50, make_rng(12))
+        est = oracle_variability(f, make_rng(12).uniform(-3, 3, (50, 2)))
         np.testing.assert_allclose(est, 0.0, atol=1e-12)
+
+    def test_zero_sample_points_raise(self):
+        with pytest.raises(ParameterError, match="Monte-Carlo point"):
+            oracle_variability(linear_function(np.eye(2)), np.zeros((0, 2)))
 
 
 class TestLayerPairProcess:
@@ -166,11 +169,10 @@ class TestLayerPairProcess:
 
     def test_ranking_matches_oracle(self):
         f = ranking_catalog()
-        sampler = uniform_sampler(-np.pi, np.pi, f.dim)
         rng = make_rng(14)
         pair = simulate_layer_pair(f, 2048, 1.0, 0.01, rng)
         over = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)
-        oracle = oracle_variability(f, sampler, 200, rng)
+        oracle = oracle_variability(f, rng.uniform(-np.pi, np.pi, (200, f.dim)))
         tau = stats.kendalltau(over, oracle).statistic
         assert tau == pytest.approx(1.0)
 

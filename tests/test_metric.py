@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptical.attention import masa
+from elliptical.attention import masa, masa_jacobian
 from elliptical.metric import (
     FLOOR,
     SCALING_MODES,
@@ -16,6 +16,7 @@ from elliptical.metric import (
     sq_distances,
 )
 from elliptical.numerics import ParameterError, ShapeError, derive_rng, make_rng
+from elliptical.nwlab import NWDataset, cross_validate_bandwidth, nw_estimate_batch
 
 
 class TestApplyScaling:
@@ -312,3 +313,31 @@ class TestRobustnessBound:
             eps *= rng.uniform(1e-3, 1.0) / np.linalg.norm(eps)
             moved = masa(q + eps, keys, w) @ values
             assert np.linalg.norm(moved - base) <= bound * np.linalg.norm(eps)
+
+
+#: weights for which d is no metric: one bad entry beside a good one
+BAD_WEIGHTS = {"zero": 0.0, "negative": -1.0, "inf": np.inf, "nan": np.nan}
+
+#: keys (0, 0) and (3, 0) with values 0 and 1, then filler rows so that every
+#: cross-validation fold has a sample
+_KEYS = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 1.0], [2.0, -1.0], [-1.0, 2.0]])
+_VALUES = np.array([[0.0], [1.0], [0.5], [0.2], [0.7]])
+
+WEIGHT_CONSUMERS = {
+    "sq_distances": lambda m: sq_distances(_KEYS, 0.0, m),
+    "masa": lambda m: masa(np.zeros(2), _KEYS, m),
+    "masa_jacobian": lambda m: masa_jacobian(np.zeros(2), _KEYS, m),
+    "robustness_bound": lambda m: robustness_bound(_KEYS, _VALUES, m),
+    "nw_estimate_batch": lambda m: nw_estimate_batch(np.zeros((1, 2)), NWDataset(_KEYS, _VALUES), 0.5, m),
+    "cross_validate_bandwidth": lambda m: cross_validate_bandwidth(NWDataset(_KEYS, _VALUES), m),
+}
+
+
+class TestWeightsCheck:
+    """Every consumer of weights rejects one that is not finite and > 0."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_WEIGHTS))
+    @pytest.mark.parametrize("consumer", sorted(WEIGHT_CONSUMERS))
+    def test_bad_weight_raises(self, consumer, bad):
+        with pytest.raises(ParameterError, match="weights must be finite and positive"):
+            WEIGHT_CONSUMERS[consumer](np.array([BAD_WEIGHTS[bad], 1.0]))

@@ -425,9 +425,9 @@ class TestEvaluationTape:
                 assert got._parents == () and got._backward is None, key
                 assert np.array_equal(ref.value.view(np.int64), got.value.view(np.int64)), key
                 assert len(ref_states) == len(got_states) == cfg.layers
-                for a, b in zip(ref_states, got_states):
+                for layer, (a, b) in enumerate(zip(ref_states, got_states)):
                     for x, y in zip(self._state_bits(a), self._state_bits(b)):
-                        assert np.array_equal(x, y), (key, a.layer)
+                        assert np.array_equal(x, y), (key, layer)
                 live = elliptical and scaling != "identity"
                 assert live == bool(np.any(ref_states[-1].metric != 1.0)), key
 
@@ -445,10 +445,10 @@ class TestStopGradient:
                 tape = GradTape()
                 logits, states = forward(toks[:-1], params, cfg, tape)
                 if tamper:
-                    for st in states:
+                    for layer, st in enumerate(states):
                         if st.metric.flags.writeable:  # layer 0 holds read-only ones
                             st.metric *= 3.0
-                            scaled.append(st.layer)
+                            scaled.append(layer)
                 loss = tape.cross_entropy(logits, toks[1:])
                 for p in params.values():
                     p.grad = None

@@ -15,7 +15,6 @@ from elliptical.metric import scale_rows
 from elliptical.numerics import ParameterError, ShapeError, make_rng, softmax_rows
 from elliptical.nwlab import (
     EdgeConfig,
-    MSEReport,
     NWDataset,
     SparseMSEConfig,
     cross_validate_bandwidth,
@@ -40,27 +39,19 @@ def nw_estimate(query, data, bandwidth, m):
 
 class TestNWEstimate:
     def test_single_sample_returns_its_value(self):
-        truth = linear_function(np.eye(2))
-        data = NWDataset(np.array([[0.3, -0.4]]), np.array([[5.0, 7.0]]), truth, 0.0)
+        data = NWDataset(np.array([[0.3, -0.4]]), np.array([[5.0, 7.0]]))
         out = nw_estimate([10.0, 10.0], data, bandwidth=0.5, m=np.ones(2))
         np.testing.assert_array_equal(out, [5.0, 7.0])
 
     def test_equidistant_query_returns_midpoint(self):
-        truth = linear_function(np.eye(2))
-        data = NWDataset(
-            np.array([[1.0, 0.0], [-1.0, 0.0]]),
-            np.array([[2.0, 0.0], [4.0, 2.0]]),
-            truth,
-            0.0,
-        )
+        data = NWDataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[2.0, 0.0], [4.0, 2.0]]))
         out = nw_estimate([0.0, 0.7], data, 0.8, np.ones(2))
         np.testing.assert_allclose(out, [3.0, 1.0], atol=1e-12)
 
     def test_three_point_hand_case_matches_direct_summation(self):
         keys = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         values = np.array([[1.0], [2.0], [-1.0]])
-        truth = linear_function(np.zeros((1, 2)))
-        data = NWDataset(keys, values, truth, 0.0)
+        data = NWDataset(keys, values)
         q = np.array([0.25, 0.5])
         got = nw_estimate(q, data, 1.0, np.ones(2))
         weights = np.exp(-np.sum((q - keys) ** 2, axis=1) / 2.0)
@@ -81,8 +72,7 @@ class TestNWEstimate:
         keys = rng.standard_normal((12, 3))
         keys /= np.linalg.norm(keys, axis=1, keepdims=True)
         values = rng.standard_normal((12, 2))
-        truth = linear_function(np.zeros((2, 3)))
-        data = NWDataset(keys, values, truth, 0.0)
+        data = NWDataset(keys, values)
         sigma2 = 0.9
         q = rng.standard_normal(3)
         kernel_out = nw_estimate(q, data, np.sqrt(sigma2), np.ones(3))
@@ -90,8 +80,7 @@ class TestNWEstimate:
         np.testing.assert_allclose(kernel_out, (attn @ values)[0], atol=1e-9)
 
     def test_empty_dataset_rejected(self):
-        truth = linear_function(np.eye(2))
-        empty = NWDataset(np.zeros((0, 2)), np.zeros((0, 2)), truth, 0.0)
+        empty = NWDataset(np.zeros((0, 2)), np.zeros((0, 2)))
         with pytest.raises(ParameterError):
             nw_estimate([0.0, 0.0], empty, 0.5, np.ones(2))
 
@@ -188,12 +177,6 @@ class TestSparseExperiment:
         assert res.elliptical.mse < res.euclidean.mse
         assert res.p_value_less < 0.05
 
-    def test_report_validation(self):
-        with pytest.raises(ParameterError):
-            MSEReport("x", 0.5, 10, -1.0, 10, 0.1)
-        with pytest.raises(ParameterError):
-            MSEReport("x", 0.5, 10, 1.0, 3, 0.1)
-
     def test_thread_fanout_does_not_change_results(self):
         truth = sparse_sinusoid(3, [0], [1.0], [1])
         cfg = SparseMSEConfig(truth=truth, n=120, n_queries=60, seeds=5, seed=3)
@@ -228,7 +211,7 @@ class TestEdgeExperiment:
         from elliptical.nwlab import _edge_distance
 
         rng = make_rng(6)
-        truth = piecewise_step((1.0, 0.0), (0.0, 1.0), coord=0, dim=2)
+        truth = piecewise_step((1.0, 0.0), (0.0, 1.0), dim=2)
         data = sample_dataset(truth, 100, 0.2, rng, -1.0, 1.0)
         w_a = np.ones(2)
         w_b = scale_rows([1.0, 0.01], "maxscale")

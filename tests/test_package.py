@@ -1,6 +1,7 @@
 """Public surface: every exported name resolves, importing the package stays
 cheap, and ``python -m elliptical`` runs the command line."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -44,6 +45,23 @@ def test_test_only_code_is_gone():
     assert [name for module, name in gone if hasattr(module, name)] == []
     assert "gradient_bounds" not in {f.name for f in fields(estimators.SyntheticFunction)}
     assert autodiff.Tensor.__repr__ is object.__repr__
+
+
+def test_test_only_knobs_and_fields_are_gone():
+    # points come in as an array, the lab's records keep only the fields that
+    # something reads, and the finite-difference step is numerics.FD_STEP
+    from elliptical import estimators, model, numerics, nwlab
+
+    assert [m for m in (estimators, elliptical) if hasattr(m, "uniform_sampler")] == []
+    assert [f.name for f in fields(nwlab.NWDataset)] == ["keys", "values"]
+    assert [f.name for f in fields(nwlab.MSEReport)] == ["bandwidth", "mse", "stderr"]
+    assert "layer" not in {f.name for f in fields(model.AttentionLayerState)}
+    params = {fn.__name__: list(inspect.signature(fn).parameters)
+              for fn in (numerics.central_differences, estimators.piecewise_step,
+                         estimators.oracle_variability)}
+    assert "h" not in params["central_differences"]
+    assert "coord" not in params["piecewise_step"]
+    assert params["oracle_variability"] == ["f", "sample_points"]
 
 
 def test_every_export_resolves():
