@@ -70,8 +70,13 @@ def sq_distances(x, y, m: np.ndarray) -> np.ndarray:
     """(x - y)' diag(m) (x - y) along the last axis, with x and y broadcast
     against each other: the one weighted squared distance of the package."""
     check_weights(m)
-    diff = np.subtract(x, y)
-    return np.einsum("...d,d->...", diff * diff, m)
+    # one C-ordered buffer: subtract and square run on whole rows, not d-element broadcast
+    # lanes, and einsum (whose summation order follows the layout) sees the same squares
+    diff = np.empty(np.broadcast(x, y).shape)
+    diff[...] = x
+    diff -= y
+    diff *= diff
+    return np.einsum("...d,d->...", diff, m)
 
 
 def compute_kappa(keys) -> np.ndarray:

@@ -18,7 +18,7 @@ from .estimators import (
     piecewise_step,
 )
 from .metric import scale_rows, sq_distances
-from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, softmax_rows, unit_rows
+from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, unit_rows
 
 _NS_SPARSE = 11
 _NS_EDGE = 12
@@ -33,6 +33,10 @@ CV_FOLDS = 5
 
 #: the edge experiment's target: two constant pieces split at x_0 = 0
 EDGE_TRUTH = piecewise_step((1.0, 0.0), (0.0, 1.0))
+
+#: kernel exponents more than 700 below their row's max weigh exactly 0: their exp is
+#: under half an ulp of the row sum (>= 1), and numpy's exp leaves its fast path below -708
+KERNEL_FLUSH = -700.0
 
 #: the sparse experiment's weight-estimation budget: Monte-Carlo points of
 #: the oracle, and probe width and sample points of the consistent estimator
@@ -89,7 +93,17 @@ def sample_dataset(
 
 
 def _kernel_average(neg_sq_dists: np.ndarray, bandwidth: float, values: np.ndarray) -> np.ndarray:
-    return softmax_rows(neg_sq_dists / (2.0 * bandwidth**2)) @ values
+    z = neg_sq_dists / (2.0 * bandwidth**2)
+    top = z.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ParameterError("kernel average: a query has no finite kernel exponent")
+    z -= top
+    live = z >= KERNEL_FLUSH
+    np.maximum(z, KERNEL_FLUSH, out=z)  # exp stays on numpy's fast path
+    np.exp(z, out=z)
+    z *= live
+    z /= z.sum(axis=-1, keepdims=True)
+    return z @ values
 
 
 def nw_estimate_batch(
@@ -99,9 +113,13 @@ def nw_estimate_batch(
 
     Kernel weights are exp(-d(q, k_j)^2 / (2 bandwidth^2)) under the distance
     weighted by ``m``; each output is a convex combination of dataset values.
+    A weight whose exponent lies more than ``-KERNEL_FLUSH`` below its query's
+    largest is exactly 0, since it is below half an ulp of the weight sum.
     """
-    if bandwidth <= 0:
-        raise ParameterError("bandwidth must be positive")
+    with np.errstate(over="ignore"):
+        scale = 2.0 * np.float64(bandwidth) ** 2
+    if not (bandwidth > 0 and 0.0 < scale < np.inf):
+        raise ParameterError(f"bandwidth must be > 0 with 2 * bandwidth**2 in (0, inf), got {bandwidth!r}")
     if data.n == 0:
         raise ParameterError("empty dataset")
     queries = as_matrix(queries)

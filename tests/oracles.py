@@ -1,11 +1,12 @@
-"""Oracles that only tests need: a one-point central-difference Jacobian and
-an empirical check of the smoothness transfer under a weighted distance.
+"""Oracles that only tests need: a one-point central-difference Jacobian, an
+empirical check of the smoothness transfer under a weighted distance, and the
+Gaussian-kernel average with no weight flushed.
 """
 
 import numpy as np
 
 from elliptical.metric import sq_distances
-from elliptical.numerics import central_differences
+from elliptical.numerics import central_differences, softmax_rows
 
 
 def finite_diff_jacobian(f, x) -> np.ndarray:
@@ -39,3 +40,10 @@ def check_lipschitz_transfer(f, bounds, m: np.ndarray, n_pairs: int, rng) -> flo
         return -bound
     ratios = nums[live] / dists[live]
     return float(ratios.max() - bound)
+
+
+def kernel_average(neg_sq_dists, bandwidth, values) -> np.ndarray:
+    """The Gaussian-kernel average as ``softmax_rows`` normalises it, every far
+    weight kept: the reference that ``nwlab._kernel_average`` reproduces bit for
+    bit where a prediction is not itself below about 1e-290."""
+    return softmax_rows(neg_sq_dists / (2.0 * bandwidth**2)) @ values

@@ -223,6 +223,15 @@ class TestSqDistances:
             want = np.einsum("nd,d->n", diff * diff, m)
             assert sq_distances(q, keys, m).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", range(1, 10))  # einsum sums in another order from d = 8
+    def test_package_shapes_match_subtract_then_square_bitwise(self, d):
+        rng = derive_rng(17, 1, d)
+        m = rng.uniform(FLOOR, 1.0, d)
+        queries, keys, q = rng.uniform(-3, 3, (30, d)), rng.uniform(-3, 3, (40, d)), rng.uniform(-3, 3, d)
+        for x, y in ((queries[:, None], keys), (keys, 0.0), (q, keys)):
+            want = np.einsum("...d,d->...", (x - y) ** 2, m)
+            assert sq_distances(x, y, m).tobytes() == want.tobytes()
+
     def test_broadcasts_on_the_last_axis(self):
         x = np.arange(6.0).reshape(2, 1, 3)
         y = np.ones((4, 3))

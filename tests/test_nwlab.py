@@ -1,6 +1,8 @@
 """Kernel regression: estimator identities, convexity, bandwidth selection
 and the fast variants of the statistical experiments."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,15 @@ from elliptical.estimators import (
     separable_sinusoid,
     sparse_sinusoid,
 )
-from elliptical.metric import scale_rows
-from elliptical.numerics import ParameterError, ShapeError, make_rng, softmax_rows
+from elliptical.metric import scale_rows, sq_distances
+from elliptical.numerics import ParameterError, ShapeError, derive_rng, make_rng, softmax_rows
 from elliptical.nwlab import (
+    BANDWIDTH_GRID,
+    KERNEL_FLUSH,
     EdgeConfig,
     NWDataset,
     SparseMSEConfig,
+    _kernel_average,
     cross_validate_bandwidth,
     nw_estimate_batch,
     run_edge_preservation_experiment,
@@ -24,7 +29,7 @@ from elliptical.nwlab import (
     sample_dataset,
 )
 
-from oracles import check_lipschitz_transfer
+from oracles import check_lipschitz_transfer, kernel_average
 
 
 def _toy_dataset(rng, n=40, dim=2, noise=0.1):
@@ -89,6 +94,14 @@ class TestNWEstimate:
         with pytest.raises(ParameterError):
             nw_estimate([0.0, 0.0], data, 0.0, np.ones(2))
 
+    @pytest.mark.parametrize("bandwidth", [-1.0, np.nan, np.inf, 1e-300, 1e200])
+    def test_bad_bandwidth_rejected_by_name(self, bandwidth):
+        # unchecked, NaN fails as a row with no finite exponent, inf returns the
+        # unweighted mean, 1e-300 makes 2 * bandwidth**2 == 0 and 1e200 overflows it
+        data = NWDataset(np.array([[0.0, 0.0], [3.0, 0.0]]), np.array([[0.0], [1.0]]))
+        with pytest.raises(ParameterError, match=re.escape(f"got {bandwidth!r}")):
+            nw_estimate([0.0, 0.0], data, bandwidth, np.ones(2))
+
     def test_dimension_mismatch_rejected(self):
         # sq_distances broadcasts, so a (1, dim) query or a (1,) metric would run
         # without this check
@@ -118,6 +131,53 @@ class TestNWEstimate:
         est = estimate_consistent(pred, rng.uniform(-2, 2, (64, 2)), t=0.1)
         assert est.shape == (2,)
         assert np.all(est >= 0.0)
+
+
+class TestKernelFlush:
+    """``_kernel_average`` flushes far weights to 0 and otherwise matches the
+    unflushed softmax form (``oracles.kernel_average``) bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_fold_shaped_draws_match_over_the_grid_bitwise(self, dim):
+        # one nw-sparse CV fold at n = 500: 100 held-out queries against 400 keys
+        rng = derive_rng(21, dim, 0)
+        data = sample_dataset(sparse_sinusoid(dim, [0], [1.0], [2]), 500, 0.3, rng)
+        queries, train = data.keys[:100], NWDataset(data.keys[100:], data.values[100:])
+        flushed = 0
+        for m in (np.ones(dim), scale_rows(rng.uniform(0.0, 1.0, dim), "maxscale")):
+            neg = -sq_distances(queries[:, None], train.keys, m)
+            for bw in BANDWIDTH_GRID:
+                got = nw_estimate_batch(queries, train, bw, m)
+                assert got.tobytes() == kernel_average(neg, bw, train.values).tobytes()
+                z = neg / (2.0 * bw**2)
+                flushed += int(np.sum(z - z.max(axis=1, keepdims=True) < KERNEL_FLUSH))
+        assert flushed > 0  # the draws reach the flushed range
+
+    def test_hand_built_rows_past_the_flush_match_bitwise(self):
+        # bandwidth 0.5 makes 2 * bandwidth**2 == 0.5, so each far exponent sits
+        # exactly its offset below the row max of -3
+        rng = derive_rng(21, 0, 1)
+        far = np.array([-705.0, -710.0, -740.0, -746.0, -800.0])
+        rows = [np.concatenate([[0.0], far, rng.uniform(-700.0, 0.0, 10)]) for _ in range(6)]
+        offsets = np.stack([rng.permutation(row) for row in rows])
+        neg = (offsets - 3.0) * 0.5
+        values = rng.standard_normal((offsets.shape[1], 3))
+        got = _kernel_average(neg, 0.5, values)
+        assert got.tobytes() == kernel_average(neg, 0.5, values).tobytes()
+
+    def test_flushed_weight_is_exactly_zero(self):
+        # the far key holds the only nonzero value, so the prediction is its weight
+        values = np.array([[0.0], [1.0]])
+        live = np.array([[0.0, KERNEL_FLUSH * 0.5]])
+        dead = np.array([[0.0, (KERNEL_FLUSH - 10.0) * 0.5]])
+        assert _kernel_average(live, 0.5, values)[0, 0] > 0.0
+        assert _kernel_average(dead, 0.5, values)[0, 0] == 0.0
+        assert kernel_average(dead, 0.5, values)[0, 0] > 0.0  # unflushed: exp(-710)
+
+    def test_query_whose_every_distance_overflows_rejected(self):
+        data = NWDataset(np.array([[1e155], [2e155]]), np.array([[0.0], [1.0]]))
+        with np.errstate(over="ignore"), pytest.raises(ParameterError):
+            nw_estimate_batch(np.array([[-1e155]]), data, 0.5, np.ones(1))
 
 
 class TestBandwidthSelection:
