@@ -9,7 +9,7 @@ laboratory, and a toy character-level transformer with collapse and
 robustness diagnostics.
 """
 
-from .attention import AttentionOutput, masa, masa_jacobian
+from .attention import AttentionOutput, attention_jacobian, weighted_kernel
 from .estimators import (
     SyntheticFunction,
     estimate_consistent,
@@ -32,6 +32,7 @@ __all__ = [
     "NWDataset",
     "SyntheticFunction",
     "TrainParams",
+    "attention_jacobian",
     "compute_kappa",
     "corrupt_tokens",
     "diagnose",
@@ -39,8 +40,6 @@ __all__ = [
     "estimate_overlayers",
     "forward",
     "make_rng",
-    "masa",
-    "masa_jacobian",
     "nw_estimate_batch",
     "oracle_variability",
     "robustness_bound",
@@ -49,4 +48,5 @@ __all__ = [
     "softmax_rows",
     "sq_distances",
     "train",
+    "weighted_kernel",
 ]

@@ -1,6 +1,6 @@
 """Attention kernels over dense matrices: the one metric-weighted kernel that
 the model's causal attention node runs, the head layout it runs on, and the
-unit-temperature weighted-softmax operator with its analytic Jacobian.
+analytic Jacobian of its unit-temperature attention.
 
 The kernel scales the queries by the relevance weights before the dot
 product, so weights of ones reproduce plain scaled dot-product attention bit
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import check_weights
-from .numerics import ShapeError, as_matrices, as_matrix, softmax_rows
+from .numerics import ShapeError, as_matrix, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -65,36 +64,18 @@ def weighted_kernel(
     return AttentionOutput(h=np.matmul(attn, v), attn=attn, logits=logits)
 
 
-def masa(q, keys, m: np.ndarray) -> np.ndarray:
-    """Metric-weighted softmax over keys at unit temperature, on the last axis.
-
-    ``q`` (dim,) or (..., dim), ``keys`` (n_keys, dim) or (..., n_keys, dim) and
-    ``m`` (dim,) or (..., dim) broadcast on their leading axes.  For each query
-    component j is exp(q' M k_j) normalized over its keys, one matrix-vector
-    product per query, so a stacked call gives each query's 1-D bits.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim == 0 or not np.isfinite(q).all():
-        raise ShapeError("query must be a finite vector or stack of vectors")
-    keys = as_matrices(keys)
-    if not keys.shape[-1] == q.shape[-1] == m.shape[-1]:
-        raise ShapeError(f"dimension mismatch: q={q.shape[-1]}, keys={keys.shape}, m={m.shape[-1]}")
-    check_weights(m)
-    return softmax_rows(np.matmul(keys, (m * q)[..., None])[..., 0])
-
-
-def masa_jacobian(q, keys, m: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the metric-weighted softmax, (..., n_keys, dim) on masa's stacks.
+def attention_jacobian(q: np.ndarray, keys: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Analytic query Jacobian of ``weighted_kernel``'s unit-temperature attention of
+    one query row over ``keys``: ``q`` (..., dim), ``keys`` (..., n_keys, dim) and ``m``
+    (..., dim) broadcast on their leading axes, giving (..., n_keys, dim).
 
     Entry (j, i) is m_i * (k_j^i - sum_s k_s^i p_s) * p_j, which is linear in
     m_i and bounded in magnitude by the per-key sensitivity coefficient
     kappa[i, j] times m_i.
     """
-    p = masa(q, keys, m)
-    keys = as_matrices(keys)
-    # minus the p-weighted key average, one vector-matrix product per query
-    centered = keys - np.matmul(p[..., None, :], keys)
-    return p[..., :, None] * centered * m[..., None, :]
+    # with the keys as values, the kernel's output row is the p-weighted key average
+    out = weighted_kernel(q[..., None, :], keys, keys, m[..., None, :], 1.0, causal=False)
+    return out.attn[..., 0, :, None] * (keys - out.h) * m[..., None, :]
 
 
 def minmax_scale_rows(matrix) -> np.ndarray:

@@ -299,7 +299,7 @@ def cmd_estimator_bench(cfg: dict[str, Any]) -> int:
         pair = estimators.simulate_layer_pair(
             catalog, cfg["n"], cfg["delta"], cfg["noise_std"], rng
         )
-        over = estimators.estimate_overlayers(pair.v_curr, pair.v_prev, cfg["delta"])
+        over = estimators.estimate_overlayers(pair.v_curr, pair.v_prev, cfg["delta"])[-1]
         oracle = estimators.oracle_variability(catalog, rng.uniform(-np.pi, np.pi, (200, catalog.dim)))
         tau = float(stats.kendalltau(over, oracle).statistic)
         taus.append(tau)

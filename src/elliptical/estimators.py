@@ -20,6 +20,7 @@ from .numerics import (
     EvaluationError,
     ParameterError,
     ShapeError,
+    as_matrices,
     as_matrix,
     central_differences,
     derive_rng,
@@ -157,20 +158,21 @@ def piecewise_step(low_value, high_value, dim: int = 2) -> SyntheticFunction:
 
 
 def estimate_overlayers(v_curr, v_prev, delta: float) -> np.ndarray:
-    """Column-wise mean absolute difference of consecutive-layer values / delta.
+    """Prefix means of |v_curr - v_prev| / delta down (..., t, dim) stacks: row t is the
+    mean over rows <= t, row -1 over all.  The one estimator ``model._metric_rows`` runs.
 
     The inputs are read as plain arrays and never participate in gradient
     computation; callers inside a training graph must pass detached copies.
     """
     if not delta > 0:  # NaN fails too
         raise ParameterError("delta must be positive")
-    v_curr = as_matrix(v_curr)
-    v_prev = as_matrix(v_prev)
+    v_curr, v_prev = as_matrices(v_curr), as_matrices(v_prev)
     if v_curr.shape != v_prev.shape:
         raise ShapeError(f"value shapes differ: {v_curr.shape} vs {v_prev.shape}")
-    if v_curr.shape[0] == 0:
+    if v_curr.shape[-2] == 0:
         raise ParameterError("need at least one value row")
-    return np.mean(np.abs(v_curr - v_prev), axis=0) / delta
+    counts = np.arange(1, v_curr.shape[-2] + 1, dtype=np.float64)[:, None]
+    return np.cumsum(np.abs(v_curr - v_prev) / delta, axis=-2) / counts
 
 
 def estimate_consistent(
@@ -269,7 +271,7 @@ def noise_drift_slack(
     every coordinate.
     """
     pair = simulate_layer_pair(f, n, 1.0, noise_std, rng)
-    m = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)
+    m = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)[-1]
     clean = np.mean(np.abs(f(pair.k_curr) - f(pair.k_prev)), axis=0)
     gap = np.abs(m - clean)
     allowance = (2.0 / np.sqrt(np.pi)) * noise_std + 3.0 * noise_std / np.sqrt(n)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .attention import merge_heads, split_heads, weighted_kernel
 from .autodiff import GradTape, Tensor, backward, leaf
+from .estimators import estimate_overlayers
 from .metric import SCALING_MODES, scale_rows
 from .numerics import ParameterError, derive_rng, softmax_rows, unit_rows
 
@@ -220,18 +221,17 @@ def _metric_rows(
 ) -> np.ndarray:
     """Per-position metric rows for a (batch, t_len, heads * head_dim) stack.
 
-    Row t of each block and head is mean(|v_curr - v_prev|) / delta over
-    that block's and head's value rows <= t, which keeps causal decoding
-    honest; the first METRIC_WARMUP - 1 rows are zero, which scaling turns
-    into the identity metric.  Rows are scaled in (head, block, row) order,
-    the order in which random mode draws.  Returns
+    Row t of each block and head is ``estimate_overlayers``' mean of
+    |v_curr - v_prev| / delta over that block's and head's value rows <= t,
+    which keeps causal decoding honest; the first METRIC_WARMUP - 1 rows are
+    zero, which scaling turns into the identity metric.  Rows are scaled in
+    (head, block, row) order, the order in which random mode draws.  Returns
     (batch * t_len, heads * head_dim) rows in the merged column layout.
     """
-    batch, t_len, width = v_curr.shape
-    curr, prev = (split_heads(a.reshape(-1, width), batch, heads) for a in (v_curr, v_prev))
-    counts = np.arange(1, t_len + 1, dtype=np.float64)[:, None]
-    raw = np.cumsum(np.abs(curr - prev) / delta, axis=2) / counts
-    raw[:, :, : METRIC_WARMUP - 1] = 0.0
+    batch, _, width = v_curr.shape
+    # the prefix means run along time, column by column, so heads can split after
+    raw = split_heads(estimate_overlayers(v_curr, v_prev, delta).reshape(-1, width), batch, heads)
+    raw[..., : METRIC_WARMUP - 1, :] = 0.0
     m = scale_rows(raw.swapaxes(0, 1), mode, rng=rng)
     return merge_heads(m.swapaxes(0, 1))
 

@@ -116,16 +116,16 @@ def nw_estimate_batch(
     A weight whose exponent lies more than ``-KERNEL_FLUSH`` below its query's
     largest is exactly 0, since it is below half an ulp of the weight sum.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an exponent overflowing to -inf weighs 0, as if flushed
         scale = 2.0 * np.float64(bandwidth) ** 2
-    if not (bandwidth > 0 and 0.0 < scale < np.inf):
-        raise ParameterError(f"bandwidth must be > 0 with 2 * bandwidth**2 in (0, inf), got {bandwidth!r}")
-    if data.n == 0:
-        raise ParameterError("empty dataset")
-    queries = as_matrix(queries)
-    if queries.shape[1] != data.keys.shape[1] or m.shape != (queries.shape[1],):
-        raise ShapeError("query, key and weight dimensions must agree")
-    return _kernel_average(-sq_distances(queries[:, None], data.keys, m), bandwidth, data.values)
+        if not (bandwidth > 0 and 0.0 < scale < np.inf):
+            raise ParameterError(f"bandwidth must be > 0 with 2 * bandwidth**2 in (0, inf), got {bandwidth!r}")
+        if data.n == 0:
+            raise ParameterError("empty dataset")
+        queries = as_matrix(queries)
+        if queries.shape[1] != data.keys.shape[1] or m.shape != (queries.shape[1],):
+            raise ShapeError("query, key and weight dimensions must agree")
+        return _kernel_average(-sq_distances(queries[:, None], data.keys, m), bandwidth, data.values)
 
 
 def cross_validate_bandwidth(data: NWDataset, m: np.ndarray) -> float:

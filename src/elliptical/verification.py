@@ -3,7 +3,8 @@ perturbation bounds and reduction/equivalence identities, each reporting its
 worst observed slack.  A suite passes when its slack is nonpositive.
 
 A random instance is drawn as n, d, the (n, d) keys, the (d,) query, then the
-(d,) uniform row maxscaled into its weights.  The masa-Jacobian suite draws its
+(d,) uniform row maxscaled into its weights.  Attention is ``weighted_kernel``'s,
+the kernel training runs.  The Jacobian suite (``masa-jacobian``) draws its
 instances one after another from its stream, then evaluates each (n, d) shape as
 one stack: every instance keeps its own bits, and a max is exact in any order.
 The identity-reduction suite instead draws value stacks for the model's metric path.
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .attention import masa, masa_jacobian, split_heads, weighted_kernel
+from .attention import attention_jacobian, split_heads, weighted_kernel
 from .metric import compute_kappa, robustness_bound, scale_rows, sq_distances
-from .numerics import central_differences, derive_rng, softmax_rows
+from .numerics import central_differences, derive_rng
 
 _NS_VERIFY = 21
 
@@ -50,7 +51,7 @@ def _random_instance(rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def suite_masa_jacobian(n_instances: int = 1000, seed: int = 0) -> SuiteResult:
-    """Analytic weighted-softmax Jacobian vs central differences, plus the
+    """Analytic attention Jacobian vs central differences of the kernel, plus the
     entrywise |J_ji| <= kappa_ij * m_i envelope, one stack per (n, d) shape."""
     rng = derive_rng(seed, _NS_VERIFY, 1)
     groups: dict[tuple[int, ...], list] = {}
@@ -63,8 +64,10 @@ def suite_masa_jacobian(n_instances: int = 1000, seed: int = 0) -> SuiteResult:
         # axis 0 is the instance, axis 1 its one query point: (G, 1, ...) throughout
         q, keys, u = (np.stack(a)[:, None] for a in zip(*group))
         m = scale_rows(u, "maxscale")
-        jac = masa_jacobian(q, keys, m)
-        fd = central_differences(lambda x: masa(x, keys, m), q).swapaxes(-1, -2)
+        jac = attention_jacobian(q, keys, m)
+        fd = central_differences(lambda x: weighted_kernel(  # one query row at a time
+            x[..., None, :], keys, keys, m[..., None, :], 1.0, causal=False
+        ).attn[..., 0, :], q).swapaxes(-1, -2)
         rel = np.max(np.abs(jac - fd) / (1.0 + np.abs(fd)))
         worst_rel = max(worst_rel, float(rel))
         envelope = compute_kappa(keys).swapaxes(-1, -2) * m[..., None, :]
@@ -91,12 +94,12 @@ def suite_robustness_bound(
         d = q.size
         values = rng.uniform(-2.0, 2.0, (keys.shape[0], int(rng.integers(1, 5))))
         bound = robustness_bound(keys, values, m)
-        base = masa(q, keys, m) @ values
+        base = weighted_kernel(q, keys, values, m, 1.0, causal=False).h
         dirs = rng.standard_normal((n_eps, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         norms = np.exp(rng.uniform(np.log(1e-3), np.log(1.0), n_eps))
         eps = dirs * norms[:, None]
-        moved = softmax_rows((q + eps) @ (keys * m).T) @ values
+        moved = weighted_kernel(q + eps, keys, values, m, 1.0, causal=False).h
         ratios = np.linalg.norm(moved - base[None, :], axis=1) / norms
         worst = max(worst, float(np.max(ratios - bound)))
     return SuiteResult(
@@ -144,7 +147,7 @@ def suite_nw_equivalence(n_instances: int = 200, seed: int = 0) -> SuiteResult:
         q, keys, u = _random_instance(rng)
         m = scale_rows(u, "maxscale")
         keys = keys / np.sqrt(sq_distances(keys, 0.0, m))[:, None]  # unit weighted norm
-        probs = masa(q, keys, m)
+        probs = weighted_kernel(q, keys, keys, m, 1.0, causal=False).attn
         d2 = sq_distances(q, keys, m)
         gauss = np.exp(-(d2 - d2.min()) / 2.0)
         gauss /= gauss.sum()

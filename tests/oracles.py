@@ -1,6 +1,7 @@
 """Oracles that only tests need: a one-point central-difference Jacobian, an
-empirical check of the smoothness transfer under a weighted distance, and the
-Gaussian-kernel average with no weight flushed.
+empirical check of the smoothness transfer under a weighted distance, the
+Gaussian-kernel average with no weight flushed, and the unit-temperature
+weighted softmax with its Jacobian spelled as matrix-vector products.
 """
 
 import numpy as np
@@ -47,3 +48,21 @@ def kernel_average(neg_sq_dists, bandwidth, values) -> np.ndarray:
     weight kept: the reference that ``nwlab._kernel_average`` reproduces bit for
     bit where a prediction is not itself below about 1e-290."""
     return softmax_rows(neg_sq_dists / (2.0 * bandwidth**2)) @ values
+
+
+def masa(q, keys, m) -> np.ndarray:
+    """Metric-weighted softmax over keys at unit temperature, on the last axis:
+    component j is exp(q' M k_j) normalized over its keys, one matrix-vector
+    product ``keys @ (m * q)`` per query.  ``q`` (..., dim), ``keys`` (..., n_keys,
+    dim) and ``m`` (..., dim) broadcast on their leading axes.  An independent
+    spelling of ``attention.weighted_kernel``'s unit-temperature attention."""
+    return softmax_rows(np.matmul(keys, (m * q)[..., None])[..., 0])
+
+
+def masa_jacobian(q, keys, m) -> np.ndarray:
+    """Query Jacobian of ``masa``, (..., n_keys, dim): entry (j, i) is
+    m_i * (k_j^i - sum_s k_s^i p_s) * p_j, the formula of
+    ``attention.attention_jacobian`` with ``masa``'s probabilities."""
+    p = masa(q, keys, m)
+    centered = keys - np.matmul(p[..., None, :], keys)
+    return p[..., :, None] * centered * m[..., None, :]

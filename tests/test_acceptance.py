@@ -116,7 +116,7 @@ class TestCriterion4EstimatorFidelity:
         for s in range(20):
             rng = derive_rng(0, 41, s)
             pair = estimators.simulate_layer_pair(catalog, 2048, 1.0, 0.01, rng)
-            over = estimators.estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)
+            over = estimators.estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)[-1]
             oracle = estimators.oracle_variability(catalog, rng.uniform(-np.pi, np.pi, (200, catalog.dim)))
             taus.append(float(stats.kendalltau(over, oracle).statistic))
         assert min(taus) >= KENDALL_TAU_THRESHOLD, f"min tau {min(taus)}"

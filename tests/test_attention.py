@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptical.attention import (
+    attention_jacobian,
     causal_mask,
-    masa,
-    masa_jacobian,
     merge_heads,
     minmax_scale_rows,
     split_heads,
@@ -19,7 +18,7 @@ from elliptical.metric import FLOOR, compute_kappa, scale_rows
 from elliptical.model import METRIC_WARMUP, _metric_rows
 from elliptical.numerics import ShapeError, make_rng, softmax_rows
 
-from oracles import finite_diff_jacobian
+from oracles import finite_diff_jacobian, masa, masa_jacobian
 
 
 def _random_instance(rng, n_max=8, d_max=6):
@@ -149,16 +148,24 @@ class TestHeadLayout:
             split_heads(np.zeros((6, 5)), 2, 2)
 
 
+def _probs(q, keys, w):
+    """The kernel's unit-temperature attention of the query rows ``q`` over ``keys``."""
+    return weighted_kernel(q, keys, keys, w, 1.0, causal=False).attn
+
+
 class TestMasa:
+    """The unit-temperature weighted softmax, which ``verify`` checks, is the
+    kernel that training runs."""
+
     def test_zero_query_is_uniform(self):
         rng = make_rng(6)
         keys = rng.standard_normal((5, 3))
         w = scale_rows(rng.uniform(0, 1, 3), "maxscale")
-        np.testing.assert_allclose(masa(np.zeros(3), keys, w), 0.2, atol=1e-12)
+        np.testing.assert_allclose(_probs(np.zeros(3), keys, w), 0.2, atol=1e-12)
 
     def test_hand_case(self):
         w = np.ones(2)
-        p = masa([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], w)
+        p = _probs(np.array([1.0, 0.0]), np.eye(2), w)
         np.testing.assert_allclose(p, softmax_rows(np.array([[1.0, 0.0]]))[0], atol=1e-15)
         np.testing.assert_allclose(p, [0.73106, 0.26894], atol=1e-5)
 
@@ -166,19 +173,20 @@ class TestMasa:
         rng = make_rng(7)
         for _ in range(100):
             q, keys, w = _random_instance(rng)
-            p = masa(q, keys, w)
+            p = _probs(q, keys, w)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all((p > 0.0) & (p < 1.0))
 
     def test_stack_matches_each_row_bitwise(self):
+        # one query row per block, as the Jacobian suite and its oracle call it
         rng = make_rng(11)
         for _ in range(200):
             q, keys, w = _random_instance(rng)
             stack = rng.uniform(-2, 2, (2, 3, q.size))
-            got = masa(stack, keys, w)
+            got = _probs(stack[..., None, :], keys, w)[..., 0, :]
             assert got.shape == (2, 3, keys.shape[0])
             for idx in np.ndindex(2, 3):
-                want = masa(stack[idx], keys, w)
+                want = _probs(stack[idx], keys, w)
                 assert got[idx].view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_instance_stack_matches_each_instance_bitwise(self):
@@ -189,44 +197,43 @@ class TestMasa:
             keys = rng.uniform(-2, 2, (7, n, d))
             q = rng.uniform(-2, 2, (7, 3, d))
             m = scale_rows(rng.uniform(0, 1, (7, 1, d)), "maxscale")
-            p = masa(q, keys[:, None], m)
-            jac = masa_jacobian(q, keys[:, None], m)
+            p = _probs(q[..., None, :], keys[:, None], m[..., None, :])[..., 0, :]
+            jac = attention_jacobian(q, keys[:, None], m)
             assert p.shape == (7, 3, n) and jac.shape == (7, 3, n, d)
             for g, t in np.ndindex(7, 3):
-                assert p[g, t].tobytes() == masa(q[g, t], keys[g], m[g, 0]).tobytes()
-                assert jac[g, t].tobytes() == masa_jacobian(q[g, t], keys[g], m[g, 0]).tobytes()
-
-    def test_rejects_scalar_and_non_finite_queries(self):
-        keys = np.eye(2)
-        with pytest.raises(ShapeError):
-            masa(1.0, keys, np.ones(2))
-        with pytest.raises(ShapeError):
-            masa([[0.0, np.nan]], keys, np.ones(2))
-        with pytest.raises(ShapeError):
-            masa(np.zeros(3), keys, np.ones(2))
+                assert p[g, t].tobytes() == _probs(q[g, t], keys[g], m[g, 0]).tobytes()
+                assert jac[g, t].tobytes() == attention_jacobian(q[g, t], keys[g], m[g, 0]).tobytes()
 
 
 class TestMasaJacobian:
     def test_identical_keys_zero_jacobian(self):
         w = np.ones(3)
         keys = np.tile([[0.3, -1.0, 2.0]], (4, 1))
-        jac = masa_jacobian(np.array([0.1, 0.2, 0.3]), keys, w)
+        jac = attention_jacobian(np.array([0.1, 0.2, 0.3]), keys, w)
         np.testing.assert_allclose(jac, 0.0, atol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = make_rng(8)
         for _ in range(100):
             q, keys, w = _random_instance(rng)
-            jac = masa_jacobian(q, keys, w)
-            fd = finite_diff_jacobian(lambda x: masa(x, keys, w), q)
+            jac = attention_jacobian(q, keys, w)
+            fd = finite_diff_jacobian(lambda x: _probs(x, keys, w), q)
             np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-9)
+
+    def test_matches_the_matrix_vector_spelling_bitwise(self):
+        # keys @ (m * q) per query, as the Jacobian suite's per-instance reference spells it
+        rng = make_rng(17)
+        for _ in range(200):
+            q, keys, w = _random_instance(rng)
+            assert _probs(q, keys, w).tobytes() == masa(q, keys, w).tobytes()
+            assert attention_jacobian(q, keys, w).tobytes() == masa_jacobian(q, keys, w).tobytes()
 
     def test_zero_weight_zeroes_the_column(self):
         rng = make_rng(9)
         keys = rng.uniform(-2, 2, (4, 3))
         q = rng.uniform(-2, 2, 3)
         w = np.array([1.0, FLOOR, 0.5])
-        jac = masa_jacobian(q, keys, w)
+        jac = attention_jacobian(q, keys, w)
         assert np.max(np.abs(jac[:, 1])) <= FLOOR * np.max(np.abs(compute_kappa(keys)))
 
     def test_column_is_linear_in_weight(self):
@@ -234,7 +241,7 @@ class TestMasaJacobian:
         # softmax probabilities fixed in the closed form
         rng = make_rng(10)
         q, keys, w = _random_instance(rng)
-        p = masa(q, keys, w)
+        p = _probs(q, keys, w)
         centered = keys - p @ keys
         col_full = p[:, None] * centered * w[None, :]
         half = w.copy()
@@ -247,7 +254,7 @@ class TestMasaJacobian:
         rng = make_rng(11)
         for _ in range(1000):
             q, keys, w = _random_instance(rng)
-            jac = masa_jacobian(q, keys, w)
+            jac = attention_jacobian(q, keys, w)
             envelope = compute_kappa(keys).T * w[None, :]
             assert np.all(np.abs(jac) <= envelope)
 
@@ -322,7 +329,7 @@ class TestKernelEquivalence:
             q, keys, w = _random_instance(rng)
             mnorm = np.sqrt(np.einsum("nd,d->n", keys * keys, w))
             keys = keys / mnorm[:, None]
-            p = masa(q, keys, w)
+            p = _probs(q, keys, w)
             diff = q[None, :] - keys
             d2 = np.einsum("nd,d->n", diff * diff, w)
             gauss = np.exp(-(d2 - d2.min()) / 2.0)

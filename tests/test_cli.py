@@ -1,6 +1,7 @@
 """Command-line contract: config parsing, usage errors, output files and
 byte-level determinism of every subcommand."""
 
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -566,39 +567,51 @@ class TestVerifyCommand:
     def test_exit_status_contract(self, tmp_path, monkeypatch):
         assert _run(tmp_path, monkeypatch, "verify", "--set", "out=v3") == 0
 
-    def test_jacobian_suite_calls_masa_at_most_four_times_per_instance(self, monkeypatch):
-        # one call inside the analytic Jacobian, three for all central differences
+    def _count_kernel_calls(self, monkeypatch) -> list:
         from elliptical import attention, verification
 
         calls = []
-        true_masa = attention.masa
+        true_kernel = attention.weighted_kernel
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return true_masa(*args)
+            return true_kernel(*args, **kwargs)
 
-        monkeypatch.setattr(attention, "masa", counting)
-        monkeypatch.setattr(verification, "masa", counting)
+        monkeypatch.setattr(attention, "weighted_kernel", counting)
+        monkeypatch.setattr(verification, "weighted_kernel", counting)
+        return calls
+
+    def test_jacobian_suite_calls_masa_at_most_four_times_per_instance(self, monkeypatch):
+        # the suite keeps its masa-jacobian name; it runs the kernel once inside the
+        # analytic Jacobian and three times for all central differences
+        from elliptical import verification
+
+        calls = self._count_kernel_calls(monkeypatch)
         assert verification.suite_masa_jacobian(n_instances=25).passed
         assert 0 < len(calls) <= 4 * 25
 
     def test_jacobian_suite_calls_masa_at_most_four_times_per_shape(self, monkeypatch):
-        # one stack per (n, d) shape: one call in the analytic Jacobian, three for the oracle
-        from elliptical import attention, verification
+        # one stack per (n, d) shape: one kernel call in the analytic Jacobian, three
+        # for the oracle
+        from elliptical import verification
 
         rng = derive_rng(0, 21, 1)  # the suite's stream at seed 0
         shapes = {verification._random_instance(rng)[1].shape for _ in range(200)}
-        calls = []
-        true_masa = attention.masa
-
-        def counting(*args):
-            calls.append(1)
-            return true_masa(*args)
-
-        monkeypatch.setattr(attention, "masa", counting)
-        monkeypatch.setattr(verification, "masa", counting)
+        calls = self._count_kernel_calls(monkeypatch)
         assert verification.suite_masa_jacobian(n_instances=200).passed
         assert 0 < len(calls) <= 4 * len(shapes)
+
+
+class TestNWSparseCommand:
+    def test_equal_truth_passes_when_the_gap_is_within_noise(self, tmp_path, monkeypatch, capsys):
+        # truth=equal: every coordinate matters, so no metric should beat Euclidean
+        code = _run(tmp_path, monkeypatch, "nw-sparse", "--set", "truth=equal",
+                    "--set", "n=100", "--set", "seeds=5", "--set", "out=nw")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"nw-sparse direction: PASS \(\|gap\|=\S+ vs 2\*pooled_se=\S+\)\n", out), out
+        last = (tmp_path / "nw" / "results.csv").read_text().splitlines()[-1]
+        assert last.split(",")[-2:] == ["direction_pass", "1.0"]
 
 
 class TestTrainCommand:

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from elliptical import nwlab, verification
-from elliptical.attention import masa, masa_jacobian
 from elliptical.cli import main
 from elliptical.estimators import (
     SyntheticFunction,
@@ -40,7 +39,7 @@ from elliptical.model import (
 )
 from elliptical.numerics import central_differences, derive_rng
 
-from oracles import finite_diff_jacobian
+from oracles import finite_diff_jacobian, masa, masa_jacobian
 
 VARIANTS = ("standard", "maxscale", "meanscale", "unscaled", "identity", "random")
 
@@ -192,10 +191,13 @@ def _bench_digest(tmp_path, monkeypatch) -> str:
     return hashlib.sha256((tmp_path / "b" / "results.csv").read_bytes()).hexdigest()
 
 
-#: verify seed -> sha256 of its verify.csv
+#: verify seed -> sha256 of its verify.csv.  Seed 5 was cacc7af7... while the
+#: robustness suite grouped its moved outputs as q . (k * m); the kernel groups
+#: them as (q * m) . k, which moved that suite's slack from -4.462708875935805
+#: to -4.462708875935797 and no other byte of the file.
 VERIFY_EXPECTED = {
     0: "52a9e0491682b8a121c25c27ce8b255ef240b282cf69edb2ddc318ac5f4988c4",
-    5: "cacc7af7236d1ac940b9f61a77fa6af5f096013cd930d2e5d4c0fb1a84f99906",
+    5: "ad23672f1fd0c3a6284418caf1613afe68279d72debd9552f0e8ef2e7905eef5",
 }
 
 

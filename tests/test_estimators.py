@@ -19,7 +19,7 @@ from elliptical.estimators import (
     simulate_layer_pair,
     sparse_sinusoid,
 )
-from elliptical.numerics import EvaluationError, ParameterError, ShapeError, make_rng
+from elliptical.numerics import EvaluationError, ParameterError, ShapeError, derive_rng, make_rng
 
 
 class TestCatalog:
@@ -69,7 +69,7 @@ class TestOverlayersEstimator:
 
     def test_hand_case(self):
         est = estimate_overlayers([[1.0, 2.0], [3.0, 4.0]], [[0.0, 2.0], [1.0, 4.0]], 1.0)
-        np.testing.assert_allclose(est, [1.5, 0.0])
+        np.testing.assert_allclose(est, [[1.0, 0.0], [1.5, 0.0]])
 
     def test_delta_scales_inversely(self):
         rng = make_rng(3)
@@ -86,6 +86,38 @@ class TestOverlayersEstimator:
                 estimate_overlayers(np.ones((2, 3)), np.ones((2, 3)), delta)
         with pytest.raises(ParameterError, match="row"):
             estimate_overlayers(np.ones((0, 3)), np.ones((0, 3)), 1.0)
+        for bad in (np.ones(3), np.array([[np.nan, 0.0]])):  # not rows, not finite
+            with pytest.raises(ShapeError):
+                estimate_overlayers(bad, np.zeros(bad.shape), 1.0)
+
+    def test_row_t_is_the_estimate_over_rows_up_to_t(self):
+        rng = make_rng(19)
+        a, b = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
+        est = estimate_overlayers(a, b, 0.7)
+        for t in range(9):
+            prefix = estimate_overlayers(a[: t + 1], b[: t + 1], 0.7)
+            assert est[t].tobytes() == prefix[-1].tobytes()
+            mean = np.mean(np.abs(a[: t + 1] - b[: t + 1]), axis=0) / 0.7
+            np.testing.assert_allclose(est[t], mean, rtol=1e-14)
+
+    def test_stack_matches_each_block_bitwise(self):
+        # the (batch, heads, t, d) head stacks a metric-weighted layer estimates on
+        rng = make_rng(20)
+        a, b = rng.standard_normal((2, 3, 7, 4)), rng.standard_normal((2, 3, 7, 4))
+        est = estimate_overlayers(a, b, 0.5)
+        assert est.shape == a.shape
+        for idx in np.ndindex(2, 3):
+            assert est[idx].tobytes() == estimate_overlayers(a[idx], b[idx], 0.5).tobytes()
+
+    def test_last_row_is_the_column_mean_bitwise_on_the_bench_draws(self):
+        # estimator-bench's 20 default draws (its stream 41, n = 2048, dim 6) at delta = 1:
+        # numpy reduces axis 0 of a C-ordered array row by row, as cumsum adds
+        f = ranking_catalog()
+        for s in range(20):
+            pair = simulate_layer_pair(f, 2048, 1.0, 0.01, derive_rng(0, 41, s))
+            est = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)[-1]
+            mean = np.mean(np.abs(pair.v_curr - pair.v_prev), axis=0)
+            assert est.tobytes() == mean.tobytes(), s
 
 
 class TestConsistentEstimator:
@@ -171,7 +203,7 @@ class TestLayerPairProcess:
         f = ranking_catalog()
         rng = make_rng(14)
         pair = simulate_layer_pair(f, 2048, 1.0, 0.01, rng)
-        over = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)
+        over = estimate_overlayers(pair.v_curr, pair.v_prev, 1.0)[-1]
         oracle = oracle_variability(f, rng.uniform(-np.pi, np.pi, (200, f.dim)))
         tau = stats.kendalltau(over, oracle).statistic
         assert tau == pytest.approx(1.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptical.attention import masa, masa_jacobian
+from elliptical.attention import weighted_kernel
 from elliptical.metric import (
     FLOOR,
     SCALING_MODES,
@@ -316,11 +316,11 @@ class TestRobustnessBound:
         w = scale_rows(rng.uniform(0, 1, 3), "maxscale")
         bound = robustness_bound(keys, values, w)
         q = rng.uniform(-2, 2, 3)
-        base = masa(q, keys, w) @ values
+        base = weighted_kernel(q, keys, values, w, 1.0, causal=False).h
         for _ in range(10_000):
             eps = rng.standard_normal(3)
             eps *= rng.uniform(1e-3, 1.0) / np.linalg.norm(eps)
-            moved = masa(q + eps, keys, w) @ values
+            moved = weighted_kernel(q + eps, keys, values, w, 1.0, causal=False).h
             assert np.linalg.norm(moved - base) <= bound * np.linalg.norm(eps)
 
 
@@ -334,8 +334,6 @@ _VALUES = np.array([[0.0], [1.0], [0.5], [0.2], [0.7]])
 
 WEIGHT_CONSUMERS = {
     "sq_distances": lambda m: sq_distances(_KEYS, 0.0, m),
-    "masa": lambda m: masa(np.zeros(2), _KEYS, m),
-    "masa_jacobian": lambda m: masa_jacobian(np.zeros(2), _KEYS, m),
     "robustness_bound": lambda m: robustness_bound(_KEYS, _VALUES, m),
     "nw_estimate_batch": lambda m: nw_estimate_batch(np.zeros((1, 2)), NWDataset(_KEYS, _VALUES), 0.5, m),
     "cross_validate_bandwidth": lambda m: cross_validate_bandwidth(NWDataset(_KEYS, _VALUES), m),

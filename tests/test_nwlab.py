@@ -2,6 +2,7 @@
 and the fast variants of the statistical experiments."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,14 @@ class TestNWEstimate:
         data = NWDataset(np.array([[0.0, 0.0], [3.0, 0.0]]), np.array([[0.0], [1.0]]))
         with pytest.raises(ParameterError, match=re.escape(f"got {bandwidth!r}")):
             nw_estimate([0.0, 0.0], data, bandwidth, np.ones(2))
+
+    def test_tiny_bandwidth_overflows_to_zero_weight_without_warning(self):
+        # 2 * 1e-160**2 is a positive subnormal, so the far key's exponent -9 / 2e-320
+        # overflows to -inf: it weighs exactly 0, as any exponent past the flush does
+        data = NWDataset(np.array([[0.0, 0.0], [3.0, 0.0]]), np.array([[0.0], [1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nw_estimate([0.0, 0.0], data, 1e-160, np.ones(2)).tolist() == [0.0]
 
     def test_dimension_mismatch_rejected(self):
         # sq_distances broadcasts, so a (1, dim) query or a (1,) metric would run

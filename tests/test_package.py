@@ -13,10 +13,10 @@ import elliptical
 
 EXPORTS = [
     "AttentionOutput", "ModelConfig", "NWDataset", "SyntheticFunction", "TrainParams",
-    "compute_kappa", "corrupt_tokens", "diagnose", "estimate_consistent", "estimate_overlayers",
-    "forward", "make_rng", "masa", "masa_jacobian", "nw_estimate_batch", "oracle_variability",
+    "attention_jacobian", "compute_kappa", "corrupt_tokens", "diagnose", "estimate_consistent",
+    "estimate_overlayers", "forward", "make_rng", "nw_estimate_batch", "oracle_variability",
     "robustness_bound", "run_sparse_mse_experiment", "scale_rows", "softmax_rows",
-    "sq_distances", "train",
+    "sq_distances", "train", "weighted_kernel",
 ]
 
 
@@ -27,8 +27,9 @@ def test_exports_are_pinned():
 def test_test_only_code_is_gone():
     # one weighted distance (metric.sq_distances); the Jacobian and smoothness
     # oracles live in tests/oracles.py; one metric-weighted attention, the
-    # model's causal path (model._metric_rows, then attention.weighted_kernel);
-    # a metric is one plain array of weights, as scale_rows returns it
+    # model's causal path (model._metric_rows, then attention.weighted_kernel),
+    # which verify checks in place of the matrix-vector masa; a metric is one
+    # plain array of weights, as scale_rows returns it
     from elliptical import attention, autodiff, estimators, metric, numerics, nwlab
 
     gone = [(metric, "mahalanobis_distance"), (numerics, "finite_diff_jacobian"),
@@ -36,7 +37,8 @@ def test_test_only_code_is_gone():
             (nwlab, "_weighted_sq_dists"), (elliptical, "mahalanobis_distance"),
             (elliptical, "finite_diff_jacobian")]
     gone += [(module, name) for name in ("AttentionConfig", "standard_attention",
-                                         "elliptical_attention", "_check_qkv")
+                                         "elliptical_attention", "_check_qkv",
+                                         "masa", "masa_jacobian")
              for module in (attention, elliptical)]
     wrappers = {metric: ("EllipticalWeights", "apply_scaling", "identity_weights"),
                 estimators: ("VariabilityEstimate",)}
