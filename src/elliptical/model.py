@@ -21,7 +21,7 @@ from .attention import merge_heads, split_heads, weighted_kernel
 from .autodiff import GradTape, Tensor, backward, leaf
 from .estimators import estimate_overlayers
 from .metric import SCALING_MODES, scale_rows
-from .numerics import ParameterError, derive_rng, softmax_rows, unit_rows
+from .numerics import ParameterError, derive_rng, ordered_map, softmax_rows, unit_rows
 
 NS_INIT = 1
 NS_BATCH = 2
@@ -445,6 +445,14 @@ def train(
     return TrainResult(params, opt, losses, start_step + tp.steps)
 
 
+#: fewest windows per part of a split perplexity stack.  Each part is one thread's
+#: forward pass, and the threads hand the interpreter lock to each other between numpy
+#: calls, so small parts lose more to hand-offs than they gain.  Measured on 2 vCPUs
+#: with BLAS on one thread, 64-token windows: 7 windows took 8.6 ms whole and 12.3 ms
+#: as 4 + 3; 31 windows took 42.5 ms whole and 27.2 ms as 16 + 15.
+MIN_PART_WINDOWS = 8
+
+
 def perplexity(
     params: dict[str, Tensor],
     cfg: ModelConfig,
@@ -459,6 +467,14 @@ def perplexity(
     scored on the corrupted stream itself.  With it off, only the
     conditioning inputs are corrupted and the true continuations are scored,
     which isolates how far contaminated context moves the predictions.
+
+    The window stack runs as k contiguous, near-equal parts, each part's ``forward`` on
+    its own thread, and the one cross-entropy scores their logits joined in window order.
+    k is the number of CPUs the process may run on, lowered so that each part has at
+    least MIN_PART_WINDOWS windows, and 1 for a random-metric model.  No k can move a
+    bit: windows never see each other (attention and the metric run per block and head,
+    every other op per row), so a part gives the whole stack's logits for its windows,
+    and the NLL mean sums the same values in the same order.
     """
     toks = np.asarray(tokens, dtype=np.int64)
     if toks.size < 2:
@@ -475,8 +491,13 @@ def perplexity(
     starts = range(0, max(toks.size - window + 1, 1), cfg.context)
     stack = np.stack([toks[a : a + window] for a in starts])
     targets = np.stack([target_stream[a + 1 : a + window] for a in starts]).reshape(-1)
-    tape = GradTape(record=False)
-    nll = tape.cross_entropy(forward(stack[:, :-1], params, cfg, tape)[0], targets)
+    # a random-metric model's one evaluation stream draws across the whole stack
+    cpus = 1 if cfg.elliptical and cfg.scaling == "random" else len(os.sched_getaffinity(0))
+    parts = np.array_split(stack[:, :-1], max(1, min(cpus, len(stack) // MIN_PART_WINDOWS)))
+    logits = ordered_map(
+        lambda part: forward(part, params, cfg, GradTape(record=False))[0].value, parts, len(parts)
+    )
+    nll = GradTape(record=False).cross_entropy(Tensor(np.concatenate(logits)), targets)
     return float(np.exp(nll.value[0, 0]))
 
 

@@ -1,5 +1,6 @@
 """Double-precision array plumbing: validated matrices, stable softmax,
-counter-based seeded randomness, and batched central-difference Jacobians.
+counter-based seeded randomness, batched central-difference Jacobians, and
+the package's one ordered map over independent jobs.
 
 Everything downstream treats 2-D float64 numpy arrays as the universal
 carrier for queries, keys, values and hidden states.
@@ -7,7 +8,9 @@ carrier for queries, keys, values and hidden states.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import contextvars
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -109,3 +112,18 @@ def derive_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
 def make_rng(seed: int) -> np.random.Generator:
     """Default stream for ``seed``; identical seeds yield identical streams."""
     return derive_rng(seed, 0, 0)
+
+
+def ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers`` threads, in input order.
+
+    With ``workers <= 1`` every call runs inline on the caller's thread.  Otherwise each
+    call runs on a thread pool in its own copy of the caller's ``contextvars`` context,
+    taken on the caller's thread, so a caller's ``np.errstate`` holds in the workers (a
+    pool thread starts from an empty context).  A call's exception is raised here.
+    """
+    if workers <= 1:
+        return [fn(x) for x in items]
+    jobs = [(contextvars.copy_context(), x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda job: job[0].run(fn, job[1]), jobs))

@@ -6,7 +6,6 @@ low-variability directions pays off.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .estimators import (
     piecewise_step,
 )
 from .metric import scale_rows, sq_distances
-from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, unit_rows
+from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, ordered_map, unit_rows
 
 _NS_SPARSE = 11
 _NS_EDGE = 12
@@ -155,14 +154,6 @@ def cross_validate_bandwidth(data: NWDataset, m: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _map_seeds(fn, seeds: int, jobs: int) -> list:
-    """Run one closure per seed, optionally on a thread pool, in seed order."""
-    if jobs <= 1:
-        return [fn(s) for s in range(seeds)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(seeds)))
-
-
 @dataclass(frozen=True)
 class SparseMSEConfig:
     truth: SyntheticFunction
@@ -240,7 +231,7 @@ def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int = 1) -> SparseMSER
     """
     if cfg.seeds < 5:
         raise ParameterError("need at least 5 seeds")
-    rows = _map_seeds(lambda s: _sparse_one_seed(cfg, s), cfg.seeds, jobs)
+    rows = ordered_map(lambda s: _sparse_one_seed(cfg, s), range(cfg.seeds), jobs)
     euc, ell, bw_e, bw_m = (np.asarray(column) for column in zip(*rows))
     if np.allclose(ell, euc):
         p = 1.0  # identical samples carry no directional evidence
@@ -317,7 +308,7 @@ def run_edge_preservation_experiment(cfg: EdgeConfig, jobs: int = 1) -> EdgeResu
     q2 = np.zeros(EDGE_TRUTH.dim)
     q1[0] = -cfg.query_offset
     q2[0] = cfg.query_offset
-    rows = _map_seeds(lambda s: _edge_one_seed(cfg, q1, q2, s), cfg.seeds, jobs)
+    rows = ordered_map(lambda s: _edge_one_seed(cfg, q1, q2, s), range(cfg.seeds), jobs)
     euc, ell = (np.asarray(column) for column in zip(*rows))
     f1, f2 = unit_rows(EDGE_TRUTH(np.vstack([q1, q2])))
     return EdgeResult(

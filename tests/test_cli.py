@@ -454,6 +454,28 @@ NON_FINITE_PROBES = {
 }
 
 
+def _resume_other_config(tmp_path):
+    """train-lm resumed from a checkpoint trained with another ``delta``."""
+    assert main(["train-lm", "--set", "steps=2", "--set", "out=m", *TINY]) == 0
+    return _train_with(f"resume={tmp_path / 'm' / 'checkpoint.bin'}", "delta=0.5", "out=r")
+
+
+#: values and files a run cannot use, each rejected before anything is written:
+#: (argv, exit status, the start of the one stderr line)
+REJECTED_INPUT_PROBES = {
+    "corrupt-not-a-boolean": (lambda tmp: _train_with("corrupt=maybe"), 2,
+                              "usage error: bad value for key 'corrupt': not a boolean: 'maybe'"),
+    "corpus-unknown": (lambda tmp: _train_with("corpus=bogus"), 2,
+                       "usage error: bad value for key 'corpus': 'bogus'"),
+    "resume-other-config": (_resume_other_config, 2,
+                            "usage error: resume checkpoint was trained with a different config"),
+    "config-file-missing": (lambda tmp: ["verify", "--config", str(tmp / "none.cfg")], 1,
+                            "file error: config file "),
+    "resume-missing": (lambda tmp: _train_with(f"resume={tmp / 'none.bin'}"), 1,
+                       "file error: checkpoint "),
+}
+
+
 class TestCleanFailures:
     @pytest.mark.parametrize("probe", sorted(FAILURE_PROBES))
     def test_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys, probe):
@@ -501,6 +523,28 @@ class TestCleanFailures:
         assert len(err.splitlines()) == 1, err
         assert err.startswith(f"usage error: bad value for key {key!r}: need at least 1")
         assert _snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("probe", sorted(REJECTED_INPUT_PROBES))
+    def test_rejected_input_exits_with_one_line(self, tmp_path, monkeypatch, capsys, probe):
+        monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
+        make_argv, status, line = REJECTED_INPUT_PROBES[probe]
+        argv = make_argv(tmp_path)
+        before = _snapshot(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == status
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(line) and "Traceback" not in err
+        assert _snapshot(tmp_path) == before
+
+    def test_corrupt_off_parses_as_false(self, tmp_path, monkeypatch, capsys):
+        assert [_parse_bool(t) for t in ("off", "0", "False", " no ")] == [False] * 4
+        assert _run(tmp_path, monkeypatch, *_train_with("corrupt=off")) == 0
+        assert capsys.readouterr().err == ""
+        metrics = (tmp_path / "out" / "train-lm" / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in metrics] == ["metric", "ppl_clean"]
+        echo = (tmp_path / "out" / "train-lm" / "config_echo.txt").read_text()
+        assert "corrupt = false" in echo.splitlines()
 
     def test_config_file_not_utf8_is_usage_error(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.cfg"

@@ -610,6 +610,103 @@ class TestPerplexity:
             perplexity(init_params(cfg), cfg, corpus.tokens[:200], corrupt_rate=rate, rng=make_rng(10))
 
 
+#: a context past the metric warm-up, and 25 windows: parts of 13 + 12 windows on
+#: 2 CPUs and 9 + 8 + 8 on 3
+_PART_CONTEXT, _PART_WINDOWS = 20, 25
+
+
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestPerplexityParts:
+    """``perplexity`` runs its window stack as one contiguous part per CPU, with at
+    least MIN_PART_WINDOWS windows a part; the float it returns must not move."""
+
+    @staticmethod
+    def _model(elliptical, scaling):
+        corpus = synthetic_corpus(31, 1200)
+        cfg = ModelConfig(
+            vocab_size=corpus.vocab_size, layers=3, heads=2, head_dim=4, embed_dim=8,
+            ff_dim=16, context=_PART_CONTEXT, elliptical=elliptical, scaling=scaling, seed=6,
+        )
+        train_corpus = Corpus(corpus.tokens[:600], corpus.charset)
+        params = train(train_corpus, cfg, TrainParams(steps=3, batch_size=2)).params
+        return cfg, params, corpus.tokens[600 : 601 + _PART_WINDOWS * _PART_CONTEXT]
+
+    @staticmethod
+    def _per_window(params, cfg, inputs, targets):
+        """exp(mean NLL) from one ``forward`` per window, logits joined, one cross-entropy."""
+        c = cfg.context
+        logits = [
+            forward(inputs[a : a + c], params, cfg, GradTape(record=False))[0].value
+            for a in range(0, inputs.size - c, c)
+        ]
+        joined = leaf(np.concatenate(logits))
+        nll = GradTape(record=False).cross_entropy(joined, targets[1 : len(logits) * c + 1])
+        return float(np.exp(nll.value[0, 0]))
+
+    @staticmethod
+    def _count_forward(monkeypatch):
+        calls = []
+        original = model.forward
+
+        def counted(tokens, *args, **kwargs):
+            calls.append(np.shape(tokens))
+            return original(tokens, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted)
+        return calls
+
+    @pytest.mark.parametrize("elliptical, scaling", VARIANTS[:5])
+    def test_every_cpu_count_gives_the_per_window_float(self, monkeypatch, elliptical, scaling):
+        cfg, params, tokens = self._model(elliptical, scaling)
+        generic = cfg.vocab_size - 1
+        corrupted = corrupt_tokens(tokens, 0.2, generic, make_rng(3))
+        assert not np.array_equal(corrupted, tokens)
+        want = [
+            self._per_window(params, cfg, tokens, tokens),
+            self._per_window(params, cfg, corrupted, corrupted),
+            self._per_window(params, cfg, corrupted, tokens),
+        ]
+        for cpus in (1, 2, 3):
+            _set_cpus(monkeypatch, cpus)
+            got = [
+                perplexity(params, cfg, tokens),
+                perplexity(params, cfg, tokens, 0.2, make_rng(3)),
+                perplexity(params, cfg, tokens, 0.2, make_rng(3), corrupt_targets=False),
+            ]
+            assert got == want, cpus
+
+    def test_two_cpus_run_two_parts_and_a_small_stack_one(self, monkeypatch):
+        cfg, params, tokens = self._model(True, "maxscale")
+        _set_cpus(monkeypatch, 2)
+        calls = self._count_forward(monkeypatch)
+        perplexity(params, cfg, tokens)
+        assert sorted(calls) == [(12, _PART_CONTEXT), (13, _PART_CONTEXT)]  # threads race
+        calls.clear()
+        perplexity(params, cfg, tokens[: 15 * _PART_CONTEXT + 1])  # under 8 windows a part
+        assert calls == [(15, _PART_CONTEXT)]
+
+    def test_random_metric_stays_one_part(self, monkeypatch):
+        # its one evaluation stream draws across the whole stack in (head, block, row) order
+        cfg, params, tokens = self._model(True, "random")
+        _set_cpus(monkeypatch, 2)
+        calls = self._count_forward(monkeypatch)
+        perplexity(params, cfg, tokens)
+        assert calls == [(_PART_WINDOWS, _PART_CONTEXT)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_callers_errstate_holds_in_every_part(self, monkeypatch, cpus):
+        cfg, params, tokens = self._model(True, "maxscale")
+        params["tok_emb"].value *= 1e200  # layer norm squares the embeddings past the range
+        _set_cpus(monkeypatch, cpus)
+        calls = self._count_forward(monkeypatch)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            perplexity(params, cfg, tokens)
+        assert len(calls) == cpus
+
+
 class TestDiagnostics:
     def test_identical_rows_have_unit_cosine(self):
         rows = np.tile([[1.0, 2.0, 3.0]], (4, 1))

@@ -1,5 +1,8 @@
 """Array plumbing: finite matrices, softmax stability, the central-difference
-kernel and its one-point oracle, and counter-based randomness."""
+kernel and its one-point oracle, counter-based randomness and the ordered
+thread map."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from elliptical.numerics import (
     central_differences,
     derive_rng,
     make_rng,
+    ordered_map,
     softmax_rows,
 )
 
@@ -216,3 +220,47 @@ class TestRng:
             derive_rng(42, 3, 9).standard_normal(8),
             derive_rng(42, 3, 9).standard_normal(8),
         )
+
+
+class TestOrderedMap:
+    def test_order_is_kept_when_later_items_finish_first(self):
+        finished = []
+        last_done = threading.Event()
+
+        def job(i):
+            if i == 0:
+                assert last_done.wait(timeout=10)  # item 0 ends after item 2
+            finished.append(i)
+            if i == 2:
+                last_done.set()
+            return 10 * i
+
+        assert ordered_map(job, range(3), 3) == [0, 10, 20]
+        assert finished.index(2) < finished.index(0)
+
+    def test_a_workers_exception_is_raised_in_the_caller(self):
+        def job(i):
+            if i == 1:
+                raise KeyError(f"item {i}")
+            return i
+
+        with pytest.raises(KeyError, match="item 1"):
+            ordered_map(job, range(4), 2)
+
+    @pytest.mark.parametrize("workers", [1, 0])
+    def test_one_worker_runs_on_the_callers_thread(self, workers):
+        caller = threading.get_ident()
+        assert ordered_map(lambda _: threading.get_ident(), range(3), workers) == [caller] * 3
+
+    def test_workers_run_off_the_callers_thread(self):
+        caller = threading.get_ident()
+        assert caller not in ordered_map(lambda _: threading.get_ident(), range(3), 2)
+
+    def test_callers_errstate_reaches_the_workers(self):
+        def job(x):
+            return np.geterr()["over"], x * np.float64(1e308)
+
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                ordered_map(job, [np.float64(10.0)] * 2, 2)
+            assert ordered_map(job, [np.float64(0.5)] * 2, 2) == [("raise", 5e307)] * 2

@@ -29,12 +29,14 @@ def test_test_only_code_is_gone():
     # oracles live in tests/oracles.py; one metric-weighted attention, the
     # model's causal path (model._metric_rows, then attention.weighted_kernel),
     # which verify checks in place of the matrix-vector masa; a metric is one
-    # plain array of weights, as scale_rows returns it
+    # plain array of weights, as scale_rows returns it; numerics.ordered_map is the
+    # one thread map
     from elliptical import attention, autodiff, estimators, metric, numerics, nwlab
 
     gone = [(metric, "mahalanobis_distance"), (numerics, "finite_diff_jacobian"),
             (numerics, "as_vector"), (nwlab, "check_lipschitz_transfer"),
-            (nwlab, "_weighted_sq_dists"), (elliptical, "mahalanobis_distance"),
+            (nwlab, "_weighted_sq_dists"), (nwlab, "_map_seeds"),
+            (elliptical, "mahalanobis_distance"),
             (elliptical, "finite_diff_jacobian")]
     gone += [(module, name) for name in ("AttentionConfig", "standard_attention",
                                          "elliptical_attention", "_check_qkv",
