@@ -22,12 +22,11 @@ _LN_EPS = 1e-5
 class Tensor:
     """A node in the graph: a float64 array plus an adjoint slot."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "_backward")
 
-    def __init__(self, value: np.ndarray, parents=(), backward=None):
+    def __init__(self, value: np.ndarray, backward=None):
         self.value = value
         self.grad: np.ndarray | None = None
-        self._parents = parents
         self._backward = backward
 
     @property
@@ -50,18 +49,18 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
 class GradTape:
     """Records derived tensors; creation order doubles as topological order.
 
-    With ``record=False`` every op returns a bare tensor with no parents and
-    no backward closure: the values are the same, bit for bit, and
+    With ``record=False`` every op returns a bare tensor with no backward
+    closure: the values are the same, bit for bit, and
     ``backward`` refuses the tape.
     """
 
     def __init__(self, record: bool = True):
         self._nodes: list[Tensor] | None = [] if record else None
 
-    def _new(self, value, parents, backward) -> Tensor:
+    def _new(self, value, backward) -> Tensor:
         if self._nodes is None:
             return Tensor(np.asarray(value, dtype=np.float64))
-        t = Tensor(np.asarray(value, dtype=np.float64), parents, backward)
+        t = Tensor(np.asarray(value, dtype=np.float64), backward)
         self._nodes.append(t)
         return t
 
@@ -77,7 +76,7 @@ class GradTape:
             _acc(a, g)
             _acc(b, g.sum(axis=0, keepdims=True) if bias_row else g)
 
-        return self._new(a.value + b.value, (a, b), bwd)
+        return self._new(a.value + b.value, bwd)
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.value.shape[1] != b.value.shape[0]:
@@ -87,7 +86,7 @@ class GradTape:
             _acc(a, g @ b.value.T)
             _acc(b, a.value.T @ g)
 
-        return self._new(a.value @ b.value, (a, b), bwd)
+        return self._new(a.value @ b.value, bwd)
 
     # -- nonlinearities -----------------------------------------------------
 
@@ -99,7 +98,7 @@ class GradTape:
 
         out = np.maximum(a.value, 0.0)
         out += 0.0  # np.maximum may keep -0.0; np.where(a > 0, a, 0.0) gave +0.0
-        return self._new(out, (a,), bwd)
+        return self._new(out, bwd)
 
     def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         """Row-wise normalization followed by a learned affine map."""
@@ -122,7 +121,7 @@ class GradTape:
 
         out = xhat * gain.value
         out += bias.value
-        return self._new(out, (x, gain, bias), bwd)
+        return self._new(out, bwd)
 
     # -- indexing -----------------------------------------------------------
 
@@ -134,7 +133,7 @@ class GradTape:
                 table.grad = np.zeros_like(table.value)
             np.add.at(table.grad, ids, g)
 
-        return self._new(table.value[ids], (table,), bwd)
+        return self._new(table.value[ids], bwd)
 
     def block_causal_attention(
         self,
@@ -176,7 +175,7 @@ class GradTape:
             _acc(k, merge_heads(np.matmul(gs.swapaxes(-1, -2), qm)))
             _acc(v, merge_heads(gv))
 
-        return self._new(merge_heads(fwd.h), (q, k, v), bwd)
+        return self._new(merge_heads(fwd.h), bwd)
 
     # -- losses -------------------------------------------------------------
 
@@ -196,7 +195,7 @@ class GradTape:
             gl[rows, targets] -= 1.0
             _acc(logits, gl * (g[0, 0] / n))
 
-        return self._new(np.array([[nll]]), (logits,), bwd)
+        return self._new(np.array([[nll]]), bwd)
 
 
 def backward(tape: GradTape, loss: Tensor) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
@@ -49,10 +49,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
 def _parse_float(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
@@ -60,24 +56,16 @@ def _parse_float(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Option:
-    parse: Callable[[str], Any]
-    default: Any = None
-    required: bool = False
+#: a schema maps each key to its default, or to its type when the key is
+#: required; the parser follows from that type, so a float key's default is a float
+_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str}
 
 
-_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: _parse_str}
-
-
-def _options(cls, skip: tuple[str, ...] = ()) -> dict[str, Option]:
-    """One option per dataclass field: the parser follows the field's type and
-    the default is the field's; a field without a default is a required key."""
+def _options(cls, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+    """One key per dataclass field: its default, or its type if it has none."""
     types = get_type_hints(cls)
     return {
-        f.name: Option(_PARSERS[types[f.name]], required=True)
-        if f.default is MISSING
-        else Option(_PARSERS[types[f.name]], f.default)
+        f.name: types[f.name] if f.default is MISSING else f.default
         for f in fields(cls)
         if f.name not in skip
     }
@@ -117,7 +105,7 @@ def _read_text(path: Path, error: type[Exception]) -> str:
         raise error(f"file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def load_config(schema: dict[str, Option], args: argparse.Namespace) -> dict[str, Any]:
+def load_config(schema: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
     raw: dict[str, str] = {}
     if args.config is not None:
         path = Path(args.config)
@@ -133,16 +121,17 @@ def load_config(schema: dict[str, Option], args: argparse.Namespace) -> dict[str
     for key, value in raw.items():
         if key not in schema:
             raise UsageError(f"unknown config key {key!r}")
+        spec = schema[key]
         try:
-            cfg[key] = schema[key].parse(value)
+            cfg[key] = _PARSERS[spec if isinstance(spec, type) else type(spec)](value)
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad value for key {key!r}: {exc}") from exc
-    for key, opt in schema.items():
+    for key, spec in schema.items():
         if key in cfg:
             continue
-        if opt.required:
+        if isinstance(spec, type):
             raise UsageError(f"missing required key {key!r}")
-        cfg[key] = opt.default
+        cfg[key] = spec
     if not 0 <= cfg.get("seed", 0) < 2**64:  # a seed outside would alias one inside
         raise UsageError(f"bad value for key 'seed': need 0 <= seed < 2**64, got {cfg['seed']}")
     if not 0 <= cfg.get("corrupt_rate", 0) <= 1:  # a probability, checked before any work
@@ -190,10 +179,10 @@ def write_csv(
 
 NW_SPARSE_SCHEMA = {
     **_options(nwlab.SparseMSEConfig, skip=("truth",)),
-    "n": Option(int, required=True),
-    "dim": Option(int, 5),
-    "truth": Option(_parse_str, "sparse"),  # sparse | equal
-    "out": Option(_parse_str, "out/nw-sparse"),
+    "n": int,
+    "dim": 5,
+    "truth": "sparse",  # sparse | equal
+    "out": "out/nw-sparse",
 }
 
 
@@ -205,9 +194,8 @@ def _nw_truth(kind: str, dim: int):
     raise UsageError(f"bad value for key 'truth': {kind!r}")
 
 
-def cmd_nw_sparse(cfg: dict[str, Any], jobs: int) -> int:
+def cmd_nw_sparse(cfg: dict[str, Any], out_dir: Path, jobs: int) -> int:
     _check_at_least(cfg, 1, "dim")
-    out_dir = resolve_out_dir(cfg["out"])
     truth = _nw_truth(cfg["truth"], cfg["dim"])
     result = nwlab.run_sparse_mse_experiment(
         _build(nwlab.SparseMSEConfig, cfg, truth=truth), jobs=jobs
@@ -246,13 +234,12 @@ def cmd_nw_sparse(cfg: dict[str, Any], jobs: int) -> int:
 
 EDGE_SCHEMA = {
     **_options(nwlab.EdgeConfig),
-    "n": Option(int, required=True),
-    "out": Option(_parse_str, "out/edge-preserve"),
+    "n": int,
+    "out": "out/edge-preserve",
 }
 
 
-def cmd_edge_preserve(cfg: dict[str, Any], jobs: int) -> int:
-    out_dir = resolve_out_dir(cfg["out"])
+def cmd_edge_preserve(cfg: dict[str, Any], out_dir: Path, jobs: int) -> int:
     result = nwlab.run_edge_preservation_experiment(_build(nwlab.EdgeConfig, cfg), jobs=jobs)
     rows = []
     for s in range(cfg["seeds"]):
@@ -276,20 +263,19 @@ def cmd_edge_preserve(cfg: dict[str, Any], jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 BENCH_SCHEMA = {
-    "seeds": Option(int, 20),
-    "seed": Option(int, 0),
-    "n": Option(int, 2048),
-    "delta": Option(_parse_float, 1.0),
-    "noise_std": Option(_parse_float, 0.01),
-    "out": Option(_parse_str, "out/estimator-bench"),
+    "seeds": 20,
+    "seed": 0,
+    "n": 2048,
+    "delta": 1.0,
+    "noise_std": 0.01,
+    "out": "out/estimator-bench",
 }
 
 
-def cmd_estimator_bench(cfg: dict[str, Any]) -> int:
+def cmd_estimator_bench(cfg: dict[str, Any], out_dir: Path) -> int:
     _check_at_least(cfg, 1, "seeds", "n")
     from scipy import stats  # here, not at module level: it is the package's slowest import
 
-    out_dir = resolve_out_dir(cfg["out"])
     catalog = estimators.ranking_catalog()
     rows = []
 
@@ -333,22 +319,22 @@ def cmd_estimator_bench(cfg: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 CORPUS_SCHEMA = {
-    "corpus": Option(_parse_str, "synthetic"),  # synthetic | alternating | file
-    "corpus_file": Option(_parse_str, ""),
-    "corpus_length": Option(int, 8192),
-    "corpus_symbols": Option(int, 12),
-    "corpus_order": Option(int, 2),
+    "corpus": "synthetic",  # synthetic | alternating | file
+    "corpus_file": "",
+    "corpus_length": 8192,
+    "corpus_symbols": 12,
+    "corpus_order": 2,
 }
 
 TRAIN_SCHEMA = {
     **CORPUS_SCHEMA,
     **_options(model.ModelConfig, skip=("vocab_size",)),
     **_options(model.TrainParams),
-    "eval_tokens": Option(int, 1024),
-    "corrupt": Option(_parse_bool, False),
-    "corrupt_rate": Option(_parse_float, 0.025),
-    "resume": Option(_parse_str, ""),
-    "out": Option(_parse_str, "out/train-lm"),
+    "eval_tokens": 1024,
+    "corrupt": False,
+    "corrupt_rate": model.CORRUPT_RATE,
+    "resume": "",
+    "out": "out/train-lm",
 }
 
 
@@ -368,9 +354,8 @@ def _build_corpus(cfg: dict[str, Any]) -> model.Corpus:
     raise UsageError(f"bad value for key 'corpus': {kind!r}")
 
 
-def cmd_train_lm(cfg: dict[str, Any]) -> int:
+def cmd_train_lm(cfg: dict[str, Any], out_dir: Path) -> int:
     _check_at_least(cfg, 2, "eval_tokens")  # tokens[-0:] would be the whole corpus
-    out_dir = resolve_out_dir(cfg["out"])
     corpus = _build_corpus(cfg)
     eval_count = min(cfg["eval_tokens"], corpus.tokens.size // 4)
     train_tokens = corpus.tokens[: corpus.tokens.size - eval_count]
@@ -421,13 +406,13 @@ def cmd_train_lm(cfg: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 DIAGNOSE_SCHEMA = {
-    "checkpoint": Option(_parse_str, required=True),
+    "checkpoint": str,
     **CORPUS_SCHEMA,
-    "eval_tokens": Option(int, 512),
-    "epsilons": Option(_parse_str, "0.01,0.1,1.0"),
-    "corrupt_rate": Option(_parse_float, 0.025),
-    "seed": Option(int, 0),
-    "out": Option(_parse_str, "out/diagnose"),
+    "eval_tokens": 512,
+    "epsilons": "0.01,0.1,1.0",
+    "corrupt_rate": model.CORRUPT_RATE,
+    "seed": 0,
+    "out": "out/diagnose",
 }
 
 
@@ -441,13 +426,12 @@ def _parse_epsilons(text: str) -> tuple[float, ...]:
     return scales
 
 
-def cmd_diagnose(cfg: dict[str, Any]) -> int:
+def cmd_diagnose(cfg: dict[str, Any], out_dir: Path) -> int:
     _check_at_least(cfg, 2, "eval_tokens")
     epsilons = _parse_epsilons(cfg["epsilons"])
     ckpt_path = Path(cfg["checkpoint"])
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint {ckpt_path} does not exist")
-    out_dir = resolve_out_dir(cfg["out"])
     ckpt = model.load_checkpoint(ckpt_path)
     corpus_cfg = dict(cfg)
     corpus_cfg["seed"] = ckpt.cfg.seed  # eval stream follows the trained model
@@ -500,13 +484,12 @@ def cmd_diagnose(cfg: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 VERIFY_SCHEMA = {
-    "seed": Option(int, 0),
-    "out": Option(_parse_str, "out/verify"),
+    "seed": 0,
+    "out": "out/verify",
 }
 
 
-def cmd_verify(cfg: dict[str, Any]) -> int:
-    out_dir = resolve_out_dir(cfg["out"])
+def cmd_verify(cfg: dict[str, Any], out_dir: Path) -> int:
     results = verification.run_all_suites(seed=cfg["seed"])
     rows = [(r.name, int(r.passed), r.slack, r.detail) for r in results]
     write_csv(out_dir / "verify.csv", ("suite", "passed", "slack", "detail"), rows)
@@ -519,7 +502,7 @@ def cmd_verify(cfg: dict[str, Any]) -> int:
 # Entry point.
 # ---------------------------------------------------------------------------
 
-COMMANDS: dict[str, tuple[dict[str, Option], Callable[..., int]]] = {
+COMMANDS: dict[str, tuple[dict[str, Any], Callable[..., int]]] = {
     "nw-sparse": (NW_SPARSE_SCHEMA, cmd_nw_sparse),
     "edge-preserve": (EDGE_SCHEMA, cmd_edge_preserve),
     "estimator-bench": (BENCH_SCHEMA, cmd_estimator_bench),
@@ -561,9 +544,10 @@ def main(argv: list[str] | None = None) -> int:
         if jobs is not None and jobs < 1:
             raise UsageError(f"bad value for --jobs: need at least 1, got {jobs}")
         cfg = load_config(schema, args)
-        code = runner(cfg) if jobs is None else runner(cfg, jobs)
+        out_dir = resolve_out_dir(cfg["out"])
+        code = runner(cfg, out_dir) if jobs is None else runner(cfg, out_dir, jobs)
         # only a run that finished echoes its config, beside its outputs
-        write_config_echo(resolve_out_dir(cfg["out"]), cfg)
+        write_config_echo(out_dir, cfg)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -574,7 +558,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ParameterError, model.InputError, model.TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -79,6 +79,8 @@ def synthetic_corpus(
         raise ParameterError("n_symbols must be in [2, 26]")
     if order < 1:
         raise ParameterError("order must be at least 1")
+    if length < 0:
+        raise ParameterError(f"length must be nonnegative, got {length}")
     rng = derive_rng(seed, NS_CORPUS, 0)
     n_states = n_symbols**order
     probs = softmax_rows(2.5 * rng.standard_normal((n_states, n_symbols)))
@@ -145,6 +147,9 @@ class ModelConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, kinds[f.type]):
                 raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
+        for name in ("heads", "head_dim", "ff_dim"):  # so embed_dim = heads * head_dim too
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.embed_dim != self.heads * self.head_dim:
             raise ParameterError("embed_dim must equal heads * head_dim")
         if self.layers < 1 or (self.elliptical and self.layers < 2):
@@ -545,6 +550,10 @@ def mean_head_distance(attn_mats: list[np.ndarray]) -> float:
 #: Gaussian query perturbations per head and scale in ``diagnose``
 N_DRAWS = 8
 
+#: default share of eval tokens swapped for the generic token, in ``diagnose``
+#: and as the CLI's ``corrupt_rate``
+CORRUPT_RATE = 0.025
+
 
 def diagnose(
     params: dict[str, Tensor],
@@ -552,7 +561,7 @@ def diagnose(
     eval_tokens,
     epsilons: tuple[float, ...],
     rng: np.random.Generator,
-    corrupt_rate: float = 0.025,
+    corrupt_rate: float = CORRUPT_RATE,
 ) -> DiagnosticsReport:
     """Collapse, head-redundancy and query-perturbation diagnostics.
 

@@ -19,7 +19,7 @@ def mul(tape: GradTape, a: Tensor, b: Tensor) -> Tensor:
         _acc(a, g * b.value)
         _acc(b, g * a.value)
 
-    return tape._new(a.value * b.value, (a, b), bwd)
+    return tape._new(a.value * b.value, bwd)
 
 
 def sum_all(tape: GradTape, a: Tensor) -> Tensor:
@@ -28,4 +28,4 @@ def sum_all(tape: GradTape, a: Tensor) -> Tensor:
     def bwd(g):
         _acc(a, np.full_like(a.value, g[0, 0]))
 
-    return tape._new(np.array([[a.value.sum()]]), (a,), bwd)
+    return tape._new(np.array([[a.value.sum()]]), bwd)

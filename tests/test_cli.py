@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from elliptical.cli import (
     COMMANDS,
-    Option,
+    _PARSERS,
     UsageError,
     _parse_bool,
-    _parse_float,
-    _parse_str,
     load_config,
     main,
     parse_config_text,
@@ -57,7 +55,7 @@ class TestConfigParsing:
             set = ["bogus=1"]
 
         with pytest.raises(UsageError, match="bogus"):
-            load_config({"n": Option(int, required=True)}, Args())
+            load_config({"n": int}, Args())
 
     def test_missing_required_key_named(self):
         class Args:
@@ -65,7 +63,7 @@ class TestConfigParsing:
             set = []
 
         with pytest.raises(UsageError, match="'n'"):
-            load_config({"n": Option(int, required=True)}, Args())
+            load_config({"n": int}, Args())
 
     def test_bad_value_names_key(self):
         class Args:
@@ -73,7 +71,7 @@ class TestConfigParsing:
             set = ["n=abc"]
 
         with pytest.raises(UsageError, match="'n'"):
-            load_config({"n": Option(int, required=True)}, Args())
+            load_config({"n": int}, Args())
 
 
 _VALUES = st.sampled_from(["0", "-1", "2.5", "1e999", "nan", "true", "off", "", "9" * 5000])
@@ -114,44 +112,47 @@ class TestConfigFuzz:
         assert all(np.isfinite(v) for v in cfg.values() if isinstance(v, float)), cfg
 
 
-_S, _B, _F = _parse_str, _parse_bool, _parse_float
 _CORPUS = {
-    "corpus": (_S, "synthetic"), "corpus_file": (_S, ""), "corpus_length": (int, 8192),
-    "corpus_symbols": (int, 12), "corpus_order": (int, 2),
+    "corpus": "synthetic", "corpus_file": "", "corpus_length": 8192,
+    "corpus_symbols": 12, "corpus_order": 2,
 }
-#: every key of every subcommand as (parser, default); a default of None
-#: marks a required key
+#: every key of every subcommand and its default; a type in place of a default
+#: marks a required key of that type
 SCHEMAS = {
     "nw-sparse": {
-        "n": (int, None), "dim": (int, 5), "seeds": (int, 20), "seed": (int, 0),
-        "noise_std": (_F, 0.3), "n_queries": (int, 500),
-        "weights_source": (_S, "oracle"), "scaling": (_S, "maxscale"),
-        "truth": (_S, "sparse"), "out": (_S, "out/nw-sparse"),
+        "n": int, "dim": 5, "seeds": 20, "seed": 0, "noise_std": 0.3, "n_queries": 500,
+        "weights_source": "oracle", "scaling": "maxscale", "truth": "sparse",
+        "out": "out/nw-sparse",
     },
     "edge-preserve": {
-        "n": (int, None), "seeds": (int, 20), "seed": (int, 0), "noise_std": (_F, 0.3),
-        "query_offset": (_F, 0.3), "est_t": (_F, 0.1), "est_points": (int, 2000),
-        "out": (_S, "out/edge-preserve"),
+        "n": int, "seeds": 20, "seed": 0, "noise_std": 0.3, "query_offset": 0.3,
+        "est_t": 0.1, "est_points": 2000, "out": "out/edge-preserve",
     },
     "estimator-bench": {
-        "seeds": (int, 20), "seed": (int, 0), "n": (int, 2048), "delta": (_F, 1.0),
-        "noise_std": (_F, 0.01), "out": (_S, "out/estimator-bench"),
+        "seeds": 20, "seed": 0, "n": 2048, "delta": 1.0, "noise_std": 0.01,
+        "out": "out/estimator-bench",
     },
     "train-lm": {
-        **_CORPUS, "steps": (int, None), "eval_tokens": (int, 1024), "layers": (int, 4),
-        "heads": (int, 2), "head_dim": (int, 16), "embed_dim": (int, 32),
-        "ff_dim": (int, 64), "context": (int, 64), "elliptical": (_B, False),
-        "scaling": (_S, "maxscale"), "delta": (_F, 1.0), "seed": (int, 0),
-        "lr": (_F, 3e-4), "batch_size": (int, 8), "corrupt": (_B, False),
-        "corrupt_rate": (_F, 0.025), "resume": (_S, ""), "out": (_S, "out/train-lm"),
+        **_CORPUS, "steps": int, "eval_tokens": 1024, "layers": 4, "heads": 2,
+        "head_dim": 16, "embed_dim": 32, "ff_dim": 64, "context": 64, "elliptical": False,
+        "scaling": "maxscale", "delta": 1.0, "seed": 0, "lr": 3e-4, "batch_size": 8,
+        "corrupt": False, "corrupt_rate": 0.025, "resume": "", "out": "out/train-lm",
     },
     "diagnose": {
-        **_CORPUS, "checkpoint": (_S, None), "eval_tokens": (int, 512),
-        "epsilons": (_S, "0.01,0.1,1.0"), "corrupt_rate": (_F, 0.025),
-        "seed": (int, 0), "out": (_S, "out/diagnose"),
+        **_CORPUS, "checkpoint": str, "eval_tokens": 512, "epsilons": "0.01,0.1,1.0",
+        "corrupt_rate": 0.025, "seed": 0, "out": "out/diagnose",
     },
-    "verify": {"seed": (int, 0), "out": (_S, "out/verify")},
+    "verify": {"seed": 0, "out": "out/verify"},
 }
+
+
+def _parsers(schema):
+    """Each key's default (or required type) and its parser, so 1 and 1.0
+    (or 0 and False) differ."""
+    return {
+        key: (spec, _PARSERS[spec if isinstance(spec, type) else type(spec)])
+        for key, spec in schema.items()
+    }
 
 
 class TestSchemas:
@@ -159,15 +160,7 @@ class TestSchemas:
     def test_keys_parsers_and_defaults_are_pinned(self, command):
         # train-lm keys come from ModelConfig and TrainParams fields, so a new
         # field shows up here as a CLI change
-        schema = COMMANDS[command][0]
-        got = {
-            key: (opt.parse, None if opt.required else opt.default)
-            for key, opt in schema.items()
-        }
-        assert got == SCHEMAS[command]
-        for key, opt in schema.items():
-            assert opt.required == (SCHEMAS[command][key][1] is None), key
-            assert type(opt.default) is type(SCHEMAS[command][key][1]), key
+        assert _parsers(COMMANDS[command][0]) == _parsers(SCHEMAS[command])
 
     def test_every_command_is_pinned(self):
         assert sorted(COMMANDS) == sorted(SCHEMAS)
@@ -333,6 +326,11 @@ def _diagnose_with(tmp_path, item):
     return [*_damaged_checkpoint(tmp_path, lambda b: b), "--set", item]
 
 
+def _one_character_corpus(tmp_path):
+    (tmp_path / "one.txt").write_text("a" * 2048)
+    return _train_with("corpus=file", f"corpus_file={tmp_path / 'one.txt'}")
+
+
 def _random_bytes_corpus(tmp_path):
     (tmp_path / "noise.bin").write_bytes(np.random.default_rng(0).bytes(4096))
     return ["train-lm", "--set", "steps=1", *TINY, "--set", "corpus=file",
@@ -398,6 +396,23 @@ FAILURE_PROBES = {
     "bench-noise-std-negative": lambda tmp: ["estimator-bench", "--set", "noise_std=-1"],
     "sparse-noise-std-negative": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "noise_std=-1"],
     "edge-noise-std-negative": lambda tmp: ["edge-preserve", "--set", "n=40", "--set", "noise_std=-1"],
+    # model sizes below 1: numpy would raise on them, training diverge, or the FFN vanish
+    "model-ff-dim-negative": lambda tmp: _train_with("ff_dim=-3"),
+    "model-ff-dim-zero": lambda tmp: _train_with("ff_dim=0"),
+    "model-heads-negative": lambda tmp: _train_with("heads=-1", "head_dim=-32", "embed_dim=32"),
+    "model-heads-zero": lambda tmp: _train_with("heads=0", "embed_dim=0"),
+    "model-head-dim-zero": lambda tmp: _train_with("head_dim=0", "embed_dim=0"),
+    "train-corpus-length-negative": lambda tmp: _train_with("corpus_length=-5"),
+    "diagnose-corpus-length-negative": lambda tmp: _diagnose_with(tmp, "corpus_length=-5"),
+    "corpus-symbols-one": lambda tmp: _train_with("corpus_symbols=1"),
+    "corpus-order-zero": lambda tmp: _train_with("corpus_order=0"),
+    "corpus-one-character": _one_character_corpus,
+    "sparse-weights-source-unknown": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=5",
+                                                  "--set", "n_queries=20", "--set", "dim=2",
+                                                  "--set", "weights_source=bogus"],
+    "edge-seeds-zero": lambda tmp: ["edge-preserve", "--set", "n=40", "--set", "seeds=0"],
+    "bench-delta-zero": lambda tmp: ["estimator-bench", "--set", "seeds=1", "--set", "n=64",
+                                     "--set", "delta=0"],
 }
 
 #: what a probe's line must name: the step that diverged, the scale that overflows,
@@ -411,6 +426,19 @@ PROBES_NAME = {
     "bench-noise-std-negative": "error: noise_std ",
     "sparse-noise-std-negative": "error: noise_std must be nonnegative",
     "edge-noise-std-negative": "error: noise_std must be nonnegative",
+    "model-ff-dim-negative": "error: ff_dim must be at least 1, got -3",
+    "model-ff-dim-zero": "error: ff_dim must be at least 1, got 0",
+    "model-heads-negative": "error: heads must be at least 1, got -1",
+    "model-heads-zero": "error: heads must be at least 1, got 0",
+    "model-head-dim-zero": "error: head_dim must be at least 1, got 0",
+    "train-corpus-length-negative": "error: length must be nonnegative, got -5",
+    "diagnose-corpus-length-negative": "error: length must be nonnegative, got -5",
+    "corpus-symbols-one": "error: n_symbols must be in [2, 26]",
+    "corpus-order-zero": "error: order must be at least 1",
+    "corpus-one-character": "error: corpus needs at least two distinct characters",
+    "sparse-weights-source-unknown": "error: unknown weights_source 'bogus'",
+    "edge-seeds-zero": "error: need at least one seed",
+    "bench-delta-zero": "error: delta must be positive",
     **dict.fromkeys(
         ("checkpoint-step-string", "checkpoint-adam_t-string", "checkpoint-step-float",
          "checkpoint-adam_t-negative", "checkpoint-step-bool"),
@@ -473,6 +501,12 @@ REJECTED_INPUT_PROBES = {
                             "file error: config file "),
     "resume-missing": (lambda tmp: _train_with(f"resume={tmp / 'none.bin'}"), 1,
                        "file error: checkpoint "),
+    "truth-unknown": (lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "truth=bogus"], 2,
+                      "usage error: bad value for key 'truth': 'bogus'"),
+    "corpus-file-missing": (lambda tmp: _train_with("corpus=file", f"corpus_file={tmp / 'none.txt'}"),
+                            1, "file error: corpus file "),
+    "corpus-file-unset": (lambda tmp: _train_with("corpus=file"), 1,
+                          "file error: corpus file '' does not exist"),
 }
 
 
@@ -708,6 +742,15 @@ class TestTrainCommand:
         assert ma[1] == mb[1]  # ppl_clean row identical
         assert any(line.startswith("ppl_corrupt") for line in mb)
         assert not any(line.startswith("ppl_corrupt") for line in ma)
+
+    def test_alternating_corpus_trains_on_two_symbols(self, tmp_path, monkeypatch):
+        from elliptical import model
+
+        code = _run(tmp_path, monkeypatch,
+                    *self._args(["--set", "out=alt", "--set", "corpus=alternating"]))
+        assert code == 0
+        ckpt = model.load_checkpoint(tmp_path / "alt" / "checkpoint.bin")
+        assert ckpt.cfg.vocab_size == 3  # "ab" plus the corruption token
 
     def test_resume_reproduces_longer_run_bitwise(self, tmp_path, monkeypatch):
         _run(tmp_path, monkeypatch, *self._args(["--set", "out=full", "--set", "steps=6"]))

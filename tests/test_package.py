@@ -30,14 +30,16 @@ def test_test_only_code_is_gone():
     # model's causal path (model._metric_rows, then attention.weighted_kernel),
     # which verify checks in place of the matrix-vector masa; a metric is one
     # plain array of weights, as scale_rows returns it; numerics.ordered_map is the
-    # one thread map
-    from elliptical import attention, autodiff, estimators, metric, numerics, nwlab
+    # one thread map; a CLI key is its default (or its type when required), and a
+    # tape node keeps only its backward closure
+    from elliptical import attention, autodiff, cli, estimators, metric, numerics, nwlab
 
     gone = [(metric, "mahalanobis_distance"), (numerics, "finite_diff_jacobian"),
             (numerics, "as_vector"), (nwlab, "check_lipschitz_transfer"),
             (nwlab, "_weighted_sq_dists"), (nwlab, "_map_seeds"),
             (elliptical, "mahalanobis_distance"),
-            (elliptical, "finite_diff_jacobian")]
+            (elliptical, "finite_diff_jacobian"), (cli, "Option"), (cli, "_parse_str"),
+            (autodiff.Tensor, "_parents")]
     gone += [(module, name) for name in ("AttentionConfig", "standard_attention",
                                          "elliptical_attention", "_check_qkv",
                                          "masa", "masa_jacobian")
