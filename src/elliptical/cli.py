@@ -194,12 +194,10 @@ def _nw_truth(kind: str, dim: int):
     raise UsageError(f"bad value for key 'truth': {kind!r}")
 
 
-def cmd_nw_sparse(cfg: dict[str, Any], out_dir: Path, jobs: int) -> int:
+def cmd_nw_sparse(cfg: dict[str, Any], out_dir: Path) -> int:
     _check_at_least(cfg, 1, "dim")
     truth = _nw_truth(cfg["truth"], cfg["dim"])
-    result = nwlab.run_sparse_mse_experiment(
-        _build(nwlab.SparseMSEConfig, cfg, truth=truth), jobs=jobs
-    )
+    result = nwlab.run_sparse_mse_experiment(_build(nwlab.SparseMSEConfig, cfg, truth=truth))
     rows = []
     for s in range(cfg["seeds"]):
         for label, mses, bws in (
@@ -239,8 +237,8 @@ EDGE_SCHEMA = {
 }
 
 
-def cmd_edge_preserve(cfg: dict[str, Any], out_dir: Path, jobs: int) -> int:
-    result = nwlab.run_edge_preservation_experiment(_build(nwlab.EdgeConfig, cfg), jobs=jobs)
+def cmd_edge_preserve(cfg: dict[str, Any], out_dir: Path) -> int:
+    result = nwlab.run_edge_preservation_experiment(_build(nwlab.EdgeConfig, cfg))
     rows = []
     for s in range(cfg["seeds"]):
         rows.append(("edge-preserve", "euclidean", s, cfg["n"], 0.0, "estimate_distance", float(result.per_seed_euclidean[s])))
@@ -502,7 +500,7 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path) -> int:
 # Entry point.
 # ---------------------------------------------------------------------------
 
-COMMANDS: dict[str, tuple[dict[str, Any], Callable[..., int]]] = {
+COMMANDS: dict[str, tuple[dict[str, Any], Callable[[dict[str, Any], Path], int]]] = {
     "nw-sparse": (NW_SPARSE_SCHEMA, cmd_nw_sparse),
     "edge-preserve": (EDGE_SCHEMA, cmd_edge_preserve),
     "estimator-bench": (BENCH_SCHEMA, cmd_estimator_bench),
@@ -535,17 +533,12 @@ def main(argv: list[str] | None = None) -> int:
             metavar="KEY=VALUE",
             help="override a single config key",
         )
-        if name in ("nw-sparse", "edge-preserve"):  # the commands that map over seeds
-            cmd.add_argument("--jobs", type=int, default=1, help="threads across seeds")
     try:
         args = parser.parse_args(argv)
         schema, runner = COMMANDS[args.command]
-        jobs = getattr(args, "jobs", None)
-        if jobs is not None and jobs < 1:
-            raise UsageError(f"bad value for --jobs: need at least 1, got {jobs}")
         cfg = load_config(schema, args)
         out_dir = resolve_out_dir(cfg["out"])
-        code = runner(cfg, out_dir) if jobs is None else runner(cfg, out_dir, jobs)
+        code = runner(cfg, out_dir)
         # only a run that finished echoes its config, beside its outputs
         write_config_echo(out_dir, cfg)
         return code

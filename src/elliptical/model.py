@@ -147,12 +147,12 @@ class ModelConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, kinds[f.type]):
                 raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
-        for name in ("heads", "head_dim", "ff_dim"):  # so embed_dim = heads * head_dim too
+        for name in ("heads", "head_dim", "ff_dim", "layers"):  # embed_dim = heads * head_dim follows
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.embed_dim != self.heads * self.head_dim:
             raise ParameterError("embed_dim must equal heads * head_dim")
-        if self.layers < 1 or (self.elliptical and self.layers < 2):
+        if self.elliptical and self.layers < 2:
             raise ParameterError("need layers >= 2 for the metric-weighted variant")
         if self.scaling not in SCALING_MODES:
             raise ParameterError(f"unknown scaling mode {self.scaling!r}")

@@ -6,6 +6,7 @@ low-variability directions pays off.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .estimators import (
     oracle_variability,
     piecewise_step,
 )
-from .metric import scale_rows, sq_distances
+from .metric import SCALING_MODES, scale_rows, sq_distances
 from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, ordered_map, unit_rows
 
 _NS_SPARSE = 11
@@ -42,6 +43,15 @@ KERNEL_FLUSH = -700.0
 ORACLE_POINTS = 200
 CONSISTENT_T = 0.05
 CONSISTENT_POINTS = 2000
+
+#: smallest sample size n at which an experiment maps its seeds over threads.  A seed's
+#: kernel arrays grow with n, and below this the threads lose more to hand-offs of the
+#: interpreter lock than they gain.  Measured on 2 vCPUs, 20 seeds, default configs,
+#: serial -> 2 threads: nw-sparse (dim 5, 500 queries) 0.334 -> 0.375 s at n = 200,
+#: 0.566 -> 0.465 s at 300, 0.693 -> 0.487 s at 350, 1.227 -> 0.689 s at 500;
+#: edge-preserve 0.220 -> 0.357 s at 200, 0.406 -> 0.423 s at 300, 0.519 -> 0.455 s at
+#: 350, 0.990 -> 0.660 s at 500.  350 is the smallest n at which both won.
+MIN_FANOUT_N = 350
 
 
 @dataclass(frozen=True)
@@ -170,6 +180,9 @@ class SparseMSEConfig:
             raise ParameterError(f"n must be at least {CV_FOLDS}, one per CV fold, got {self.n}")
         if self.n_queries < 1:
             raise ParameterError(f"n_queries must be at least 1, got {self.n_queries}")
+        modes = [mode for mode in SCALING_MODES if mode != "random"]  # random draws need an rng
+        if self.scaling not in modes:
+            raise ParameterError(f"scaling must be one of {', '.join(modes)}; got {self.scaling!r}")
 
 
 @dataclass(frozen=True)
@@ -220,18 +233,25 @@ def _sparse_one_seed(cfg: SparseMSEConfig, s: int) -> tuple[float, float, float,
     return (*mse, *(bw for _, bw in fits))
 
 
-def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int = 1) -> SparseMSEResult:
+def _seed_workers(n: int, seeds: int) -> int:
+    """Threads for a map over ``seeds`` seeds of ``n`` samples: one per CPU the process
+    may run on, at most one per seed, once n reaches MIN_FANOUT_N; else 1."""
+    return min(len(os.sched_getaffinity(0)), seeds) if n >= MIN_FANOUT_N else 1
+
+
+def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int | None = None) -> SparseMSEResult:
     """Held-out MSE of Euclidean vs weighted kernels on the same data.
 
     Each seed draws its own dataset and queries; bandwidths are selected per
     estimator by cross-validation, and errors are measured against the
     noiseless truth at freshly sampled queries.  Seeds are independent, so
-    ``jobs`` > 1 maps them over a thread pool; results are gathered in seed
-    order either way.
+    they run on ``jobs`` threads, by default the count ``_seed_workers`` gives
+    for ``cfg.n``; results are gathered in seed order, so the count moves no bit.
     """
     if cfg.seeds < 5:
         raise ParameterError("need at least 5 seeds")
-    rows = ordered_map(lambda s: _sparse_one_seed(cfg, s), range(cfg.seeds), jobs)
+    workers = _seed_workers(cfg.n, cfg.seeds) if jobs is None else jobs
+    rows = ordered_map(lambda s: _sparse_one_seed(cfg, s), range(cfg.seeds), workers)
     euc, ell, bw_e, bw_m = (np.asarray(column) for column in zip(*rows))
     if np.allclose(ell, euc):
         p = 1.0  # identical samples carry no directional evidence
@@ -293,14 +313,15 @@ def _edge_one_seed(cfg: EdgeConfig, q1, q2, s: int) -> tuple[float, float]:
     return tuple(_edge_distance(data, w, bw, q1, q2) for w, bw in _paired_fit(data, w_ell))
 
 
-def run_edge_preservation_experiment(cfg: EdgeConfig, jobs: int = 1) -> EdgeResult:
+def run_edge_preservation_experiment(cfg: EdgeConfig) -> EdgeResult:
     """How well the two kernels keep adjacent constant pieces apart.
 
     Queries sit symmetrically on either side of the step; estimates are
     normalized before the distance is taken, matching the normalized-output
     setting in which the separation guarantee is stated.  The step is
     invisible to infinitesimal derivatives, so the weights come from the
-    centered-difference estimator at finite probe width ``est_t``.
+    centered-difference estimator at finite probe width ``est_t``.  Seeds run
+    on as many threads as ``_seed_workers`` gives for ``cfg.n``, in seed order.
     """
     if cfg.seeds < 1:
         raise ParameterError("need at least one seed")
@@ -308,7 +329,9 @@ def run_edge_preservation_experiment(cfg: EdgeConfig, jobs: int = 1) -> EdgeResu
     q2 = np.zeros(EDGE_TRUTH.dim)
     q1[0] = -cfg.query_offset
     q2[0] = cfg.query_offset
-    rows = ordered_map(lambda s: _edge_one_seed(cfg, q1, q2, s), range(cfg.seeds), jobs)
+    rows = ordered_map(
+        lambda s: _edge_one_seed(cfg, q1, q2, s), range(cfg.seeds), _seed_workers(cfg.n, cfg.seeds)
+    )
     euc, ell = (np.asarray(column) for column in zip(*rows))
     f1, f2 = unit_rows(EDGE_TRUTH(np.vstack([q1, q2])))
     return EdgeResult(

@@ -19,6 +19,7 @@ from elliptical.numerics import ParameterError, ShapeError, derive_rng, make_rng
 from elliptical.nwlab import (
     BANDWIDTH_GRID,
     KERNEL_FLUSH,
+    MIN_FANOUT_N,
     EdgeConfig,
     NWDataset,
     SparseMSEConfig,
@@ -272,7 +273,7 @@ class TestEdgeExperiment:
 
     def test_small_config_direction(self):
         cfg = EdgeConfig(n=150, seeds=6, seed=2, est_points=800)
-        res = run_edge_preservation_experiment(cfg, jobs=2)
+        res = run_edge_preservation_experiment(cfg)
         assert res.elliptical_mean >= res.euclidean_mean
 
     def test_weight_swap_swaps_outcomes(self):
@@ -294,6 +295,64 @@ class TestEdgeExperiment:
             _edge_distance(data, w_a, 0.2, q1, q2),
         )
         assert d_ab == (d_ba[1], d_ba[0])
+
+
+def _record_workers(monkeypatch, cpus):
+    """Give the process ``cpus`` CPUs; the list returned collects the ``workers`` of each
+    ``ordered_map`` call the lab makes."""
+    from elliptical import nwlab
+
+    seen, real = [], nwlab.ordered_map
+    monkeypatch.setattr(nwlab.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(nwlab, "ordered_map",
+                        lambda fn, items, workers: seen.append(workers) or real(fn, items, workers))
+    return seen
+
+
+def _sparse_at(n, **kw):
+    cfg = SparseMSEConfig(truth=sparse_sinusoid(2, [0], [1.0], [1]), n=n, n_queries=10,
+                          seeds=5, seed=5)
+    res = run_sparse_mse_experiment(cfg, **kw)
+    return res.per_seed_euclidean, res.per_seed_elliptical
+
+
+def _edge_at(n):
+    res = run_edge_preservation_experiment(EdgeConfig(n=n, seeds=2, seed=1, est_points=50))
+    return res.per_seed_euclidean, res.per_seed_elliptical
+
+
+#: each experiment at a given n, and its seeds
+_FANNED = {"sparse": (_sparse_at, 5), "edge": (_edge_at, 2)}
+
+
+class TestSeedFanout:
+    """Seeds run on one thread per CPU, at most one per seed, once n reaches
+    MIN_FANOUT_N, and on the caller's thread below it; no count moves a bit."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("experiment", sorted(_FANNED))
+    def test_workers_follow_n(self, monkeypatch, experiment, cpus):
+        run, seeds = _FANNED[experiment]
+        seen = _record_workers(monkeypatch, cpus)
+        run(MIN_FANOUT_N - 1)
+        run(MIN_FANOUT_N)
+        assert seen == [1, min(cpus, seeds)]
+
+    def test_explicit_jobs_wins(self, monkeypatch):
+        seen = _record_workers(monkeypatch, 3)
+        _sparse_at(MIN_FANOUT_N, jobs=1)
+        _sparse_at(MIN_FANOUT_N - 1, jobs=2)
+        assert seen == [1, 2]
+
+    @pytest.mark.parametrize("experiment", sorted(_FANNED))
+    def test_cpu_count_moves_no_bit(self, monkeypatch, experiment):
+        run, _ = _FANNED[experiment]
+        per_cpus = []
+        for cpus in (1, 2, 3):
+            _record_workers(monkeypatch, cpus)
+            per_cpus.append(run(MIN_FANOUT_N))
+        for euc, ell in per_cpus[1:]:
+            assert (euc == per_cpus[0][0]).all() and (ell == per_cpus[0][1]).all()
 
 
 class TestLipschitzTransfer:

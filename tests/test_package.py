@@ -55,7 +55,8 @@ def test_test_only_code_is_gone():
 
 def test_test_only_knobs_and_fields_are_gone():
     # points come in as an array, the lab's records keep only the fields that
-    # something reads, and the finite-difference step is numerics.FD_STEP
+    # something reads, the finite-difference step is numerics.FD_STEP, and the edge
+    # experiment works out its own thread count
     from elliptical import estimators, model, numerics, nwlab
 
     assert [m for m in (estimators, elliptical) if hasattr(m, "uniform_sampler")] == []
@@ -64,10 +65,11 @@ def test_test_only_knobs_and_fields_are_gone():
     assert "layer" not in {f.name for f in fields(model.AttentionLayerState)}
     params = {fn.__name__: list(inspect.signature(fn).parameters)
               for fn in (numerics.central_differences, estimators.piecewise_step,
-                         estimators.oracle_variability)}
+                         estimators.oracle_variability, nwlab.run_edge_preservation_experiment)}
     assert "h" not in params["central_differences"]
     assert "coord" not in params["piecewise_step"]
     assert params["oracle_variability"] == ["f", "sample_points"]
+    assert params["run_edge_preservation_experiment"] == ["cfg"]
 
 
 def test_every_export_resolves():
