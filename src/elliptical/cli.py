@@ -21,7 +21,7 @@ import numpy as np
 
 from . import estimators, model, nwlab, verification
 from .attention import minmax_scale_rows
-from .numerics import ParameterError, derive_rng
+from .numerics import ParameterError, ShapeError, derive_rng
 
 _NS_BENCH = 41
 
@@ -548,6 +548,6 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
-    except (ParameterError, model.InputError, model.TrainingError, OSError) as exc:
+    except (ParameterError, ShapeError, model.InputError, model.TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -466,12 +466,14 @@ def perplexity(
     rng: np.random.Generator | None = None,
     corrupt_targets: bool = True,
 ) -> float:
-    """exp(mean next-token NLL) over non-overlapping context windows.
+    """exp(mean next-token NLL) over non-overlapping context windows of ``tokens``,
+    at least two of them.
 
-    With ``corrupt_targets`` (the word-swap evaluation protocol) the model is
-    scored on the corrupted stream itself.  With it off, only the
-    conditioning inputs are corrupted and the true continuations are scored,
-    which isolates how far contaminated context moves the predictions.
+    A nonzero ``corrupt_rate`` swaps tokens for the generic one with draws from
+    ``rng``, which the caller then passes.  With ``corrupt_targets`` (the word-swap
+    evaluation protocol) the model is scored on the corrupted stream itself.  With it
+    off, only the conditioning inputs are corrupted and the true continuations are
+    scored, which isolates how far contaminated context moves the predictions.
 
     The window stack runs as k contiguous, near-equal parts, each part's ``forward`` on
     its own thread, and the one cross-entropy scores their logits joined in window order.
@@ -482,12 +484,8 @@ def perplexity(
     and the NLL mean sums the same values in the same order.
     """
     toks = np.asarray(tokens, dtype=np.int64)
-    if toks.size < 2:
-        raise InputError("need at least two tokens to evaluate")
     target_stream = toks
     if corrupt_rate != 0.0:  # corrupt_tokens rejects a rate outside [0, 1]
-        if rng is None:
-            rng = derive_rng(cfg.seed, NS_EVAL, 0)
         toks = corrupt_tokens(toks, corrupt_rate, cfg.vocab_size - 1, rng)
         if corrupt_targets:
             target_stream = toks

@@ -40,8 +40,10 @@ def as_matrix(data) -> np.ndarray:
 def as_matrices(data) -> np.ndarray:
     """Return ``data`` as a finite float64 matrix or (..., rows, cols) stack of them."""
     a = np.asarray(data, dtype=np.float64)
-    if a.ndim < 2 or not np.isfinite(a).all():
-        raise ShapeError(f"expected a finite array of matrices, got ndim={a.ndim}")
+    if a.ndim < 2:
+        raise ShapeError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ShapeError("matrix entries must be finite")
     return a
 
 
@@ -120,10 +122,11 @@ def ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
     With ``workers <= 1`` every call runs inline on the caller's thread.  Otherwise each
     call runs on a thread pool in its own copy of the caller's ``contextvars`` context,
     taken on the caller's thread, so a caller's ``np.errstate`` holds in the workers (a
-    pool thread starts from an empty context).  A call's exception is raised here.
+    pool thread starts from an empty context), and every call runs, even after one has
+    failed.  The first exception in input order is raised here.
     """
     if workers <= 1:
         return [fn(x) for x in items]
-    jobs = [(contextvars.copy_context(), x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: job[0].run(fn, job[1]), jobs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # leaving waits for every call
+        futures = [pool.submit(contextvars.copy_context().run, fn, x) for x in items]
+    return [future.result() for future in futures]

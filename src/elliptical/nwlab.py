@@ -91,13 +91,12 @@ def sample_dataset(
     low: float = -np.pi,
     high: float = np.pi,
 ) -> NWDataset:
-    """Draw keys i.i.d. uniform on the box and values from the truth + noise."""
-    if n < 1:
-        raise ParameterError("need at least one sample")
+    """Draw ``n >= 1`` keys i.i.d. uniform on the box and values from the truth + noise."""
     if noise_std < 0:
         raise ParameterError("noise_std must be nonnegative")
     keys = rng.uniform(low, high, (n, truth.dim))
-    values = truth(keys) + noise_std * rng.standard_normal((n, truth.out_dim))
+    with np.errstate(over="ignore"):  # an overflowing draw is non-finite: NWDataset rejects it
+        values = truth(keys) + noise_std * rng.standard_normal((n, truth.out_dim))
     return NWDataset(keys, values)
 
 
@@ -142,10 +141,9 @@ def cross_validate_bandwidth(data: NWDataset, m: np.ndarray) -> float:
     prediction error under the weights ``m``.
 
     Folds are contiguous index blocks: the keys are i.i.d. so block folds
-    are unbiased, and the split is deterministic.
+    are unbiased, and the split is deterministic.  ``data`` holds at least
+    one sample per fold.
     """
-    if data.n < CV_FOLDS:
-        raise ParameterError("need at least one sample per fold")
     bounds = np.linspace(0, data.n, CV_FOLDS + 1, dtype=int)
     scores = np.zeros(len(BANDWIDTH_GRID))
     for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -1,13 +1,27 @@
-"""Oracles that only tests need: a one-point central-difference Jacobian, an
-empirical check of the smoothness transfer under a weighted distance, the
-Gaussian-kernel average with no weight flushed, and the unit-temperature
-weighted softmax with its Jacobian spelled as matrix-vector products.
+"""Oracles that only tests need: a linear target with exact variabilities, a
+one-point central-difference Jacobian, an empirical check of the smoothness
+transfer under a weighted distance, the Gaussian-kernel average with no weight
+flushed, and the unit-temperature weighted softmax with its Jacobian spelled as
+matrix-vector products.
 """
 
 import numpy as np
 
+from elliptical.estimators import SyntheticFunction
 from elliptical.metric import sq_distances
-from elliptical.numerics import central_differences, softmax_rows
+from elliptical.numerics import as_matrix, central_differences, softmax_rows
+
+
+def linear_function(a) -> SyntheticFunction:
+    """f(x) = A x.  Variability_i = sum_j |A_ji|, under any key marginal."""
+    a = as_matrix(a)
+    return SyntheticFunction(
+        name="linear",
+        dim=a.shape[1],
+        out_dim=a.shape[0],
+        fn=lambda pts: pts @ a.T,
+        analytic_variability=np.abs(a).sum(axis=0),
+    )
 
 
 def finite_diff_jacobian(f, x) -> np.ndarray:

@@ -5,14 +5,22 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the heavyweight statistical criteria (6, 7, 9) dominate the runtime.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import elliptical
 from elliptical import estimators, model, nwlab, verification
 from elliptical.autodiff import GradTape, backward
 from elliptical.cli import main
 from elliptical.numerics import derive_rng, make_rng
+
+from oracles import linear_function
 
 # -- frozen thresholds -------------------------------------------------------
 
@@ -32,6 +40,11 @@ CORRUPTION_DRAWS = 8
 
 def _passline(number: int, name: str) -> None:
     print(f"[acceptance] criterion {number} ({name}): PASS")
+
+
+def _snapshot(root):
+    """Every file under ``root``, by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _default_corpus():
@@ -88,7 +101,7 @@ class TestCriterion4EstimatorFidelity:
         # (a) centered difference exact on linear maps
         rng = make_rng(104)
         a = rng.standard_normal((4, 6))
-        lin = estimators.linear_function(a)
+        lin = linear_function(a)
         pts = rng.uniform(-3, 3, (37, 6))
         est = estimators.estimate_consistent(lin, pts, t=0.3)
         assert np.max(np.abs(est - np.abs(a).sum(axis=0))) <= 1e-10
@@ -293,19 +306,23 @@ class TestCriterion10CliDeterminism:
         "verify": ["--set", "out=r"],
     }
 
-    def test_every_subcommand_reruns_byte_identical(self, tmp_path, monkeypatch):
-        def snapshot(root):
-            return {
-                str(p.relative_to(root)): p.read_bytes()
-                for p in sorted(root.rglob("*")) if p.is_file()
-            }
+    #: sets on which the thread fan-outs run: nw-sparse maps its seeds over threads from
+    #: n = MIN_FANOUT_N, and a 512-token eval stream is 31 windows of 16 tokens, which
+    #: perplexity splits into parts of at least MIN_PART_WINDOWS on two or more CPUs
+    FANOUT = {
+        "nw-sparse": ["--set", f"n={nwlab.MIN_FANOUT_N}", "--set", "seeds=5",
+                      "--set", "n_queries=40", "--set", "dim=3", "--set", "out=r"],
+        "train-lm": [*SUBCOMMANDS["train-lm"], "--set", "corpus_length=2048",
+                     "--set", "eval_tokens=512"],  # a later --set wins
+    }
 
+    def test_every_subcommand_reruns_byte_identical(self, tmp_path, monkeypatch):
         for name, args in self.SUBCOMMANDS.items():
             roots = (tmp_path / f"{name}-1", tmp_path / f"{name}-2")
             for root in roots:
                 monkeypatch.setenv("ELLIPTICAL_OUT", str(root))
                 assert main([name, *args]) in (0, 1)
-            assert snapshot(roots[0]) == snapshot(roots[1]), name
+            assert _snapshot(roots[0]) == _snapshot(roots[1]), name
 
         # diagnose needs a checkpoint to exist first
         monkeypatch.setenv("ELLIPTICAL_OUT", str(tmp_path))
@@ -317,5 +334,31 @@ class TestCriterion10CliDeterminism:
         for root in roots:
             monkeypatch.setenv("ELLIPTICAL_OUT", str(root))
             assert main(["diagnose", *diag_args]) == 0
-        assert snapshot(roots[0]) == snapshot(roots[1])
+        assert _snapshot(roots[0]) == _snapshot(roots[1])
         _passline(10, "CLI determinism")
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: no second count to compare")
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # each command runs in a child process pinned to one CPU, then in one on every
+        # CPU this process may use; the thread counts follow, the bytes may not
+        src = str(Path(elliptical.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        ckpt = tmp_path / "one" / "train-lm-fanout" / "r" / "checkpoint.bin"
+        runs = {
+            **self.SUBCOMMANDS,
+            **{f"{name}-fanout": args for name, args in self.FANOUT.items()},
+            "diagnose-fanout": ["--set", f"checkpoint={ckpt}", "--set", "corpus_length=2048",
+                                "--set", "eval_tokens=512", "--set", "epsilons=0.1",
+                                "--set", "out=r"],
+        }
+        cpus = os.sched_getaffinity(0)
+        for label, cpuset in (("one", {min(cpus)}), ("all", cpus)):
+            for run, args in runs.items():
+                proc = subprocess.run(
+                    [sys.executable, "-m", "elliptical", run.removesuffix("-fanout"), *args],
+                    env={**env, "ELLIPTICAL_OUT": str(tmp_path / label / run)},
+                    preexec_fn=lambda cpuset=cpuset: os.sched_setaffinity(0, cpuset),
+                    capture_output=True, text=True,
+                )
+                assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
+        assert _snapshot(tmp_path / "one") == _snapshot(tmp_path / "all")

@@ -402,6 +402,12 @@ FAILURE_PROBES = {
     "edge-seeds-zero": lambda tmp: ["edge-preserve", "--set", "n=40", "--set", "seeds=0"],
     "bench-delta-zero": lambda tmp: ["estimator-bench", "--set", "seeds=1", "--set", "n=64",
                                      "--set", "delta=0"],
+    # noise so large that a value overflows to inf, which the dataset or the estimator rejects
+    **{f"{name}-noise-std-overflow": lambda tmp, command=command: [
+        command, "--set", "n=10", "--set", "seeds=5", "--set", "noise_std=1e308"]
+       for name, command in (("sparse", "nw-sparse"), ("edge", "edge-preserve"))},
+    "bench-noise-std-overflow": lambda tmp: ["estimator-bench", "--set", "seeds=1", "--set", "n=10",
+                                             "--set", "noise_std=1e308"],
 }
 
 #: what a probe's line must name: the step that diverged, the scale that overflows,
@@ -415,6 +421,8 @@ PROBES_NAME = {
     "bench-noise-std-negative": "error: noise_std ",
     "sparse-noise-std-negative": "error: noise_std must be nonnegative",
     "edge-noise-std-negative": "error: noise_std must be nonnegative",
+    **{f"{name}-noise-std-overflow": "error: matrix entries must be finite"
+       for name in ("sparse", "edge", "bench")},
     "model-ff-dim-negative": "error: ff_dim must be at least 1, got -3",
     "model-ff-dim-zero": "error: ff_dim must be at least 1, got 0",
     "model-heads-negative": "error: heads must be at least 1, got -1",

@@ -21,7 +21,6 @@ from elliptical import nwlab, verification
 from elliptical.cli import main
 from elliptical.estimators import (
     SyntheticFunction,
-    linear_function,
     oracle_variability,
     piecewise_step,
     ranking_catalog,
@@ -39,7 +38,7 @@ from elliptical.model import (
 )
 from elliptical.numerics import central_differences, derive_rng
 
-from oracles import finite_diff_jacobian, masa, masa_jacobian
+from oracles import finite_diff_jacobian, linear_function, masa, masa_jacobian
 
 VARIANTS = ("standard", "maxscale", "meanscale", "unscaled", "identity", "random")
 

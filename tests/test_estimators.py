@@ -10,7 +10,6 @@ from elliptical.estimators import (
     consistency_error_curve,
     estimate_consistent,
     estimate_overlayers,
-    linear_function,
     noise_drift_slack,
     oracle_variability,
     piecewise_step,
@@ -20,6 +19,8 @@ from elliptical.estimators import (
     sparse_sinusoid,
 )
 from elliptical.numerics import EvaluationError, ParameterError, ShapeError, derive_rng, make_rng
+
+from oracles import linear_function
 
 
 class TestCatalog:
@@ -86,8 +87,9 @@ class TestOverlayersEstimator:
                 estimate_overlayers(np.ones((2, 3)), np.ones((2, 3)), delta)
         with pytest.raises(ParameterError, match="row"):
             estimate_overlayers(np.ones((0, 3)), np.ones((0, 3)), 1.0)
-        for bad in (np.ones(3), np.array([[np.nan, 0.0]])):  # not rows, not finite
-            with pytest.raises(ShapeError):
+        # the message names the fault: not rows, not finite
+        for bad, fault in ((np.ones(3), "ndim=1"), (np.array([[np.nan, 0.0]]), "finite")):
+            with pytest.raises(ShapeError, match=fault):
                 estimate_overlayers(bad, np.zeros(bad.shape), 1.0)
 
     def test_row_t_is_the_estimate_over_rows_up_to_t(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptical.estimators import linear_function, sparse_sinusoid
+from elliptical.estimators import sparse_sinusoid
 from elliptical.numerics import (
     EvaluationError,
     ParameterError,
@@ -22,7 +22,7 @@ from elliptical.numerics import (
     softmax_rows,
 )
 
-from oracles import finite_diff_jacobian
+from oracles import finite_diff_jacobian, linear_function
 
 
 class TestAsMatrix:
@@ -246,6 +246,19 @@ class TestOrderedMap:
 
         with pytest.raises(KeyError, match="item 1"):
             ordered_map(job, range(4), 2)
+
+    def test_every_call_runs_when_one_fails(self):
+        # the first raises at once; the pool still runs the calls queued behind it
+        ran = []
+
+        def job(i):
+            ran.append(i)
+            if i == 0:
+                raise KeyError("item 0")
+
+        with pytest.raises(KeyError, match="item 0"):
+            ordered_map(job, range(6), 2)
+        assert sorted(ran) == list(range(6))
 
     @pytest.mark.parametrize("workers", [1, 0])
     def test_one_worker_runs_on_the_callers_thread(self, workers):

@@ -9,7 +9,6 @@ import pytest
 
 from elliptical.estimators import (
     estimate_consistent,
-    linear_function,
     piecewise_step,
     separable_sinusoid,
     sparse_sinusoid,
@@ -31,7 +30,7 @@ from elliptical.nwlab import (
     sample_dataset,
 )
 
-from oracles import check_lipschitz_transfer, kernel_average
+from oracles import check_lipschitz_transfer, kernel_average, linear_function
 
 
 def _toy_dataset(rng, n=40, dim=2, noise=0.1):

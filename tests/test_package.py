@@ -1,5 +1,6 @@
-"""Public surface: every exported name resolves, importing the package stays
-cheap, and ``python -m elliptical`` runs the command line."""
+"""Public surface: every exported name resolves, each check that a caller of one
+can trip raises, importing the package stays cheap, and ``python -m elliptical``
+runs the command line."""
 
 import inspect
 import os
@@ -8,7 +9,13 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import elliptical
+from elliptical.autodiff import GradTape, leaf
+from elliptical.model import init_params, synthetic_corpus
+from elliptical.numerics import EvaluationError, ParameterError, ShapeError
 
 
 EXPORTS = [
@@ -30,8 +37,8 @@ def test_test_only_code_is_gone():
     # model's causal path (model._metric_rows, then attention.weighted_kernel),
     # which verify checks in place of the matrix-vector masa; a metric is one
     # plain array of weights, as scale_rows returns it; numerics.ordered_map is the
-    # one thread map; a CLI key is its default (or its type when required), and a
-    # tape node keeps only its backward closure
+    # one thread map; a CLI key is its default (or its type when required), a
+    # tape node keeps only its backward closure, and the linear target is an oracle
     from elliptical import attention, autodiff, cli, estimators, metric, numerics, nwlab
 
     gone = [(metric, "mahalanobis_distance"), (numerics, "finite_diff_jacobian"),
@@ -39,7 +46,7 @@ def test_test_only_code_is_gone():
             (nwlab, "_weighted_sq_dists"), (nwlab, "_map_seeds"),
             (elliptical, "mahalanobis_distance"),
             (elliptical, "finite_diff_jacobian"), (cli, "Option"), (cli, "_parse_str"),
-            (autodiff.Tensor, "_parents")]
+            (autodiff.Tensor, "_parents"), (estimators, "linear_function")]
     gone += [(module, name) for name in ("AttentionConfig", "standard_attention",
                                          "elliptical_attention", "_check_qkv",
                                          "masa", "masa_jacobian")
@@ -70,6 +77,59 @@ def test_test_only_knobs_and_fields_are_gone():
     assert "coord" not in params["piecewise_step"]
     assert params["oracle_variability"] == ["f", "sample_points"]
     assert params["run_edge_preservation_experiment"] == ["cfg"]
+
+
+_TINY = elliptical.ModelConfig(vocab_size=5, layers=1, heads=1, head_dim=4, embed_dim=4,
+                               ff_dim=4, context=8)
+
+
+def _forward_with(name, shape):
+    """The public ``forward`` on a tiny model whose parameter ``name`` is zeros of ``shape``."""
+    params = init_params(_TINY)
+    params[name] = leaf(np.zeros(shape))
+    return elliptical.forward([0, 1, 2], params, _TINY, GradTape())
+
+
+def _sine_at_infinity():
+    with np.errstate(invalid="ignore"):  # sin(inf) is NaN, and numpy warns of it
+        return elliptical.SyntheticFunction("sine", 1, 1, np.sin)([[np.inf]])
+
+
+#: each check in the package that a caller of an exported name can trip, where numpy
+#: would raise nothing or something else: (call, exception, message fragment)
+PUBLIC_INPUT_PROBES = {
+    # numpy would broadcast a (1, 1) bias over the whole row
+    "forward-bias-not-a-row": (lambda: _forward_with("l0.b1", (1, 1)), ShapeError, "add"),
+    # an (out_dim, n) output has the elements of an (n, out_dim) one and would reshape silently
+    "synthetic-function-transposed-output": (
+        lambda: elliptical.SyntheticFunction("t", 2, 2, lambda p: p.T)(np.zeros((3, 2))),
+        ShapeError, "returned shape"),
+    "synthetic-function-non-finite-output": (_sine_at_infinity, EvaluationError, "non-finite"),
+    **{f"estimate-consistent-t-{t}": (
+        lambda t=t: elliptical.estimate_consistent(np.sin, np.zeros((2, 1)), t),
+        ParameterError, "t must be positive") for t in (0.0, float("nan"))},
+    # the model would train, but the corruption token would have no embedding row
+    "train-corpus-vocabulary-too-large": (
+        lambda: elliptical.train(synthetic_corpus(0, 100), _TINY, elliptical.TrainParams(1)),
+        ParameterError, "vocabulary"),
+    "nw-estimate-batch-vector-queries": (
+        lambda: elliptical.nw_estimate_batch(
+            np.zeros(2), elliptical.NWDataset(np.zeros((5, 2)), np.zeros((5, 1))), 0.5, np.ones(2)),
+        ShapeError, "2-D"),
+    "nw-dataset-row-mismatch": (
+        lambda: elliptical.NWDataset(np.zeros((3, 2)), np.zeros((2, 1))),
+        ShapeError, "one row per sample"),
+    # the package does not check an inner dimension: numpy's matmul reports it
+    "forward-weight-inner-dimension": (
+        lambda: _forward_with("l0.wq", (3, 4)), ValueError, "matmul"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PUBLIC_INPUT_PROBES))
+def test_public_input_check(probe):
+    call, error, message = PUBLIC_INPUT_PROBES[probe]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_every_export_resolves():
