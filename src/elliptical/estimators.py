@@ -96,14 +96,12 @@ def sparse_sinusoid(dim: int, active, amplitudes, frequencies) -> SyntheticFunct
 
     Variability is zero in every inactive direction: the sparse regime.
     ``active``, ``amplitudes`` and ``frequencies`` have one entry per active
-    coordinate, and the frequencies are integers, for which the analytic
-    values hold.
+    coordinate, every active coordinate lies in [0, dim), and the frequencies
+    are integers, for which the analytic values hold.
     """
     active = list(active)
     amp = np.asarray(amplitudes, dtype=np.float64)
     freq = np.asarray(frequencies, dtype=np.float64)
-    if not all(0 <= i < dim for i in active):
-        raise ParameterError(f"active coordinates {active} must lie in [0, {dim})")
     variability = np.zeros(dim)
     for pos, i in enumerate(active):
         variability[i] = abs(amp[pos] * freq[pos]) * (2.0 / np.pi)

@@ -1,7 +1,9 @@
 """Kernel-regression laboratory: Gaussian-kernel value averaging under a
 (possibly weighted) distance, bandwidth selection, and the statistical
 experiments that probe when stretching query neighborhoods along
-low-variability directions pays off.
+low-variability directions pays off.  An experiment draws every seed's data
+and weights in seed order, then fits each (seed, kernel) pair as one job of
+the package's ordered thread map.
 """
 
 from __future__ import annotations
@@ -44,13 +46,14 @@ ORACLE_POINTS = 200
 CONSISTENT_T = 0.05
 CONSISTENT_POINTS = 2000
 
-#: smallest sample size n at which an experiment maps its seeds over threads.  A seed's
-#: kernel arrays grow with n, and below this the threads lose more to hand-offs of the
-#: interpreter lock than they gain.  Measured on 2 vCPUs, 20 seeds, default configs,
-#: serial -> 2 threads: nw-sparse (dim 5, 500 queries) 0.334 -> 0.375 s at n = 200,
-#: 0.566 -> 0.465 s at 300, 0.693 -> 0.487 s at 350, 1.227 -> 0.689 s at 500;
-#: edge-preserve 0.220 -> 0.357 s at 200, 0.406 -> 0.423 s at 300, 0.519 -> 0.455 s at
-#: 350, 0.990 -> 0.660 s at 500.  350 is the smallest n at which both won.
+#: smallest sample size n at which an experiment maps its (seed, kernel) fits over threads.
+#: A fit's kernel arrays grow with n, and below this the threads lose more to hand-offs of
+#: the interpreter lock than they gain.  Measured on 2 vCPUs, 20 seeds, default configs,
+#: serial -> 2 threads, fastest of 5: nw-sparse (dim 5, 500 queries) 0.297 -> 0.281 s at
+#: n = 200, 0.522 -> 0.362 s at 300, 0.646 -> 0.427 s at 350, 1.098 -> 0.664 s at 500;
+#: edge-preserve 0.176 -> 0.275 s at 200, 0.325 -> 0.321 s at 300, 0.395 -> 0.338 s at
+#: 350, 0.751 -> 0.501 s at 500.  At 300 edge-preserve ties; 350 is the smallest n at
+#: which both clearly win.
 MIN_FANOUT_N = 350
 
 
@@ -100,16 +103,34 @@ def sample_dataset(
     return NWDataset(keys, values)
 
 
-def _kernel_average(neg_sq_dists: np.ndarray, bandwidth: float, values: np.ndarray) -> np.ndarray:
-    z = neg_sq_dists / (2.0 * bandwidth**2)
-    top = z.max(axis=-1, keepdims=True)
+def _row_range(neg_sq_dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (row max, row min) of a kernel's negated distances, (..., 1) each."""
+    return neg_sq_dists.max(axis=-1, keepdims=True), neg_sq_dists.min(axis=-1, keepdims=True)
+
+
+def _kernel_average(
+    neg_sq_dists: np.ndarray, bandwidth: float, values: np.ndarray, row_range=None
+) -> np.ndarray:
+    """Gaussian-kernel average of ``values`` with exponents ``neg_sq_dists / (2 bandwidth^2)``,
+    weights more than ``-KERNEL_FLUSH`` below their row's largest flushed to 0.
+    ``row_range`` is ``_row_range(neg_sq_dists)``, which a caller that averages one matrix
+    at several bandwidths takes once.  Dividing by a positive scalar and subtracting a
+    row constant are monotone under round-to-nearest, so the exponents' row max, and
+    their smallest offset below it, follow from the range bit for bit."""
+    hi, lo = _row_range(neg_sq_dists) if row_range is None else row_range
+    scale = 2.0 * bandwidth**2
+    top = hi / scale
     if not np.isfinite(top).all():
         raise ParameterError("kernel average: a query has no finite kernel exponent")
+    z = neg_sq_dists / scale
     z -= top
-    live = z >= KERNEL_FLUSH
-    np.maximum(z, KERNEL_FLUSH, out=z)  # exp stays on numpy's fast path
-    np.exp(z, out=z)
-    z *= live
+    if (lo / scale - top).min() >= KERNEL_FLUSH:  # no weight flushes: plain exp
+        np.exp(z, out=z)
+    else:
+        live = z >= KERNEL_FLUSH
+        np.maximum(z, KERNEL_FLUSH, out=z)  # exp stays on numpy's fast path
+        np.exp(z, out=z)
+        z *= live
     z /= z.sum(axis=-1, keepdims=True)
     return z @ values
 
@@ -150,9 +171,9 @@ def cross_validate_bandwidth(data: NWDataset, m: np.ndarray) -> float:
         train = np.ones(data.n, dtype=bool)
         train[lo:hi] = False
         neg = -sq_distances(data.keys[lo:hi, None], data.keys[train], m)
-        values = data.values[train]
+        values, row_range = data.values[train], _row_range(neg)
         for j, bw in enumerate(BANDWIDTH_GRID):
-            pred = _kernel_average(neg, bw, values)
+            pred = _kernel_average(neg, bw, values, row_range)
             scores[j] += float(np.sum((pred - data.values[lo:hi]) ** 2))
     return float(BANDWIDTH_GRID[int(np.argmin(scores))])
 
@@ -214,27 +235,41 @@ def _report(bandwidths, per_seed) -> MSEReport:
     )
 
 
-def _paired_fit(data: NWDataset, w_ell: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """One seed's two kernels, Euclidean (all-ones weights) then ``w_ell``,
-    each as (weights, bandwidth) with its own cross-validated bandwidth."""
-    return [(w, cross_validate_bandwidth(data, w)) for w in (np.ones(data.keys.shape[1]), w_ell)]
+def _fit_workers(n: int, fits: int) -> int:
+    """Threads for a map over ``fits`` kernel fits on ``n`` samples: one per CPU the
+    process may run on, at most one per fit, once n reaches MIN_FANOUT_N; else 1."""
+    return min(len(os.sched_getaffinity(0)), fits) if n >= MIN_FANOUT_N else 1
 
 
-def _sparse_one_seed(cfg: SparseMSEConfig, s: int) -> tuple[float, float, float, float]:
+def _fit(data: NWDataset, w: np.ndarray, score) -> tuple[float, float]:
+    bandwidth = cross_validate_bandwidth(data, w)
+    return score(w, bandwidth), bandwidth
+
+
+def _paired_fit(draws, n: int, jobs: int | None = None) -> tuple[np.ndarray, ...]:
+    """Fit each seed's two kernels, Euclidean (all-ones weights) then its weights, each
+    at its own cross-validated bandwidth.  ``draws`` holds one (data, weights, score)
+    per seed, where ``score(w, bandwidth)`` measures a fitted kernel.  The fits are
+    independent, so each (seed, kernel) pair is one job of a map on ``jobs`` threads,
+    by default the count ``_fit_workers`` gives for ``n``; results are gathered in job
+    order, so the count moves no bit.  Returns the Euclidean then the weighted kernel's
+    per-seed scores, then their per-seed bandwidths."""
+    fits = [(data, w, score) for data, w_ell, score in draws
+            for w in (np.ones(data.keys.shape[1]), w_ell)]
+    workers = _fit_workers(n, len(fits)) if jobs is None else jobs
+    rows = ordered_map(lambda fit: _fit(*fit), fits, workers)
+    return tuple(np.array(column[kernel::2]) for column in zip(*rows) for kernel in (0, 1))
+
+
+def _sparse_draw(cfg: SparseMSEConfig, s: int):
+    """Seed ``s``'s dataset, weights and held-out MSE, drawn from its own stream."""
     rng = derive_rng(cfg.seed, _NS_SPARSE, s)
     data = sample_dataset(cfg.truth, cfg.n, cfg.noise_std, rng)
-    fits = _paired_fit(data, _variability_weights(cfg, rng))
+    w_ell = _variability_weights(cfg, rng)
     queries = rng.uniform(-np.pi, np.pi, (cfg.n_queries, cfg.truth.dim))
     target = cfg.truth(queries)
-    mse = [float(np.mean((nw_estimate_batch(queries, data, bw, w) - target) ** 2))
-           for w, bw in fits]
-    return (*mse, *(bw for _, bw in fits))
-
-
-def _seed_workers(n: int, seeds: int) -> int:
-    """Threads for a map over ``seeds`` seeds of ``n`` samples: one per CPU the process
-    may run on, at most one per seed, once n reaches MIN_FANOUT_N; else 1."""
-    return min(len(os.sched_getaffinity(0)), seeds) if n >= MIN_FANOUT_N else 1
+    return data, w_ell, lambda w, bw: float(
+        np.mean((nw_estimate_batch(queries, data, bw, w) - target) ** 2))
 
 
 def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int | None = None) -> SparseMSEResult:
@@ -242,15 +277,15 @@ def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int | None = None) -> 
 
     Each seed draws its own dataset and queries; bandwidths are selected per
     estimator by cross-validation, and errors are measured against the
-    noiseless truth at freshly sampled queries.  Seeds are independent, so
-    they run on ``jobs`` threads, by default the count ``_seed_workers`` gives
-    for ``cfg.n``; results are gathered in seed order, so the count moves no bit.
+    noiseless truth at freshly sampled queries.  The seeds are drawn in order
+    on the caller's thread; the (seed, kernel) fits then run on ``jobs``
+    threads, by default as many as ``_fit_workers`` gives for ``cfg.n``, and
+    the count moves no bit.
     """
     if cfg.seeds < 5:
         raise ParameterError("need at least 5 seeds")
-    workers = _seed_workers(cfg.n, cfg.seeds) if jobs is None else jobs
-    rows = ordered_map(lambda s: _sparse_one_seed(cfg, s), range(cfg.seeds), workers)
-    euc, ell, bw_e, bw_m = (np.asarray(column) for column in zip(*rows))
+    draws = [_sparse_draw(cfg, s) for s in range(cfg.seeds)]
+    euc, ell, bw_e, bw_m = _paired_fit(draws, cfg.n, jobs)
     if np.allclose(ell, euc):
         p = 1.0  # identical samples carry no directional evidence
     else:
@@ -303,12 +338,13 @@ def _edge_distance(data, m, bandwidth, q1, q2) -> float:
     return float(np.linalg.norm(est[0] - est[1]))
 
 
-def _edge_one_seed(cfg: EdgeConfig, q1, q2, s: int) -> tuple[float, float]:
+def _edge_draw(cfg: EdgeConfig, q1, q2, s: int):
+    """Seed ``s``'s dataset, weights and edge distance, drawn from its own stream."""
     rng = derive_rng(cfg.seed, _NS_EDGE, s)
     data = sample_dataset(EDGE_TRUTH, cfg.n, cfg.noise_std, rng, -1.0, 1.0)
     pts = rng.uniform(-1.0, 1.0, (cfg.est_points, EDGE_TRUTH.dim))
     w_ell = scale_rows(estimate_consistent(EDGE_TRUTH, pts, cfg.est_t), "maxscale")
-    return tuple(_edge_distance(data, w, bw, q1, q2) for w, bw in _paired_fit(data, w_ell))
+    return data, w_ell, lambda w, bw: _edge_distance(data, w, bw, q1, q2)
 
 
 def run_edge_preservation_experiment(cfg: EdgeConfig) -> EdgeResult:
@@ -318,8 +354,9 @@ def run_edge_preservation_experiment(cfg: EdgeConfig) -> EdgeResult:
     normalized before the distance is taken, matching the normalized-output
     setting in which the separation guarantee is stated.  The step is
     invisible to infinitesimal derivatives, so the weights come from the
-    centered-difference estimator at finite probe width ``est_t``.  Seeds run
-    on as many threads as ``_seed_workers`` gives for ``cfg.n``, in seed order.
+    centered-difference estimator at finite probe width ``est_t``.  The seeds
+    are drawn in order, and their (seed, kernel) fits run on as many threads
+    as ``_fit_workers`` gives for ``cfg.n``.
     """
     if cfg.seeds < 1:
         raise ParameterError("need at least one seed")
@@ -327,10 +364,7 @@ def run_edge_preservation_experiment(cfg: EdgeConfig) -> EdgeResult:
     q2 = np.zeros(EDGE_TRUTH.dim)
     q1[0] = -cfg.query_offset
     q2[0] = cfg.query_offset
-    rows = ordered_map(
-        lambda s: _edge_one_seed(cfg, q1, q2, s), range(cfg.seeds), _seed_workers(cfg.n, cfg.seeds)
-    )
-    euc, ell = (np.asarray(column) for column in zip(*rows))
+    euc, ell, _, _ = _paired_fit([_edge_draw(cfg, q1, q2, s) for s in range(cfg.seeds)], cfg.n)
     f1, f2 = unit_rows(EDGE_TRUTH(np.vstack([q1, q2])))
     return EdgeResult(
         euclidean_mean=float(np.mean(euc)),

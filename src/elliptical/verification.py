@@ -7,7 +7,8 @@ A random instance is drawn as n, d, the (n, d) keys, the (d,) query, then the
 the kernel training runs.  The Jacobian suite (``masa-jacobian``) draws its
 instances one after another from its stream, then evaluates each (n, d) shape as
 one stack: every instance keeps its own bits, and a max is exact in any order.
-The identity-reduction suite instead draws value stacks for the model's metric path.
+The nw-equivalence suite stacks its instances the same way.  The identity-reduction
+suite instead draws value stacks for the model's metric path.
 """
 
 from __future__ import annotations
@@ -140,17 +141,21 @@ def suite_identity_reduction(n_instances: int = 50, seed: int = 0) -> SuiteResul
 
 def suite_nw_equivalence(n_instances: int = 200, seed: int = 0) -> SuiteResult:
     """With keys normalized to unit weighted norm, weighted-softmax scores
-    equal normalized Gaussian kernel weights exp(-d(q,k)^2 / 2) / sum."""
+    equal normalized Gaussian kernel weights exp(-d(q,k)^2 / 2) / sum, one
+    stack per (n, d) shape.  Each instance's distances are its own calls."""
     rng = derive_rng(seed, _NS_VERIFY, 4)
-    worst = 0.0
+    groups: dict[tuple[int, ...], list] = {}
     for _ in range(n_instances):
         q, keys, u = _random_instance(rng)
         m = scale_rows(u, "maxscale")
         keys = keys / np.sqrt(sq_distances(keys, 0.0, m))[:, None]  # unit weighted norm
-        probs = weighted_kernel(q, keys, keys, m, 1.0, causal=False).attn
-        d2 = sq_distances(q, keys, m)
-        gauss = np.exp(-(d2 - d2.min()) / 2.0)
-        gauss /= gauss.sum()
+        groups.setdefault(keys.shape, []).append((q, keys, m, sq_distances(q, keys, m)))
+    worst = 0.0
+    for group in groups.values():
+        q, keys, m, d2 = (np.stack(a) for a in zip(*group))
+        probs = weighted_kernel(q[:, None], keys, keys, m[:, None], 1.0, causal=False).attn[:, 0]
+        gauss = np.exp(-(d2 - d2.min(axis=-1, keepdims=True)) / 2.0)
+        gauss /= gauss.sum(axis=-1, keepdims=True)
         worst = max(worst, float(np.max(np.abs(probs - gauss))))
     return SuiteResult(
         name="nw-equivalence",

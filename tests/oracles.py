@@ -1,14 +1,16 @@
 """Oracles that only tests need: a linear target with exact variabilities, a
 one-point central-difference Jacobian, an empirical check of the smoothness
 transfer under a weighted distance, the Gaussian-kernel average with no weight
-flushed, and the unit-temperature weighted softmax with its Jacobian spelled as
-matrix-vector products.
+flushed and with far weights flushed in whole-matrix passes, and the
+unit-temperature weighted softmax with its Jacobian spelled as matrix-vector
+products.
 """
 
 import numpy as np
 
 from elliptical.estimators import SyntheticFunction
 from elliptical.metric import sq_distances
+from elliptical.nwlab import KERNEL_FLUSH
 from elliptical.numerics import as_matrix, central_differences, softmax_rows
 
 
@@ -62,6 +64,21 @@ def kernel_average(neg_sq_dists, bandwidth, values) -> np.ndarray:
     weight kept: the reference that ``nwlab._kernel_average`` reproduces bit for
     bit where a prediction is not itself below about 1e-290."""
     return softmax_rows(neg_sq_dists / (2.0 * bandwidth**2)) @ values
+
+
+def flushed_kernel_average(neg_sq_dists, bandwidth, values) -> np.ndarray:
+    """The Gaussian-kernel average with far weights flushed, as four whole-matrix passes
+    at every bandwidth: the row max, the live mask, the clamp and the mask's multiply.
+    ``nwlab._kernel_average`` takes the row max from the distances' row range and skips
+    the other three where no weight flushes; it must match this bit for bit."""
+    z = neg_sq_dists / (2.0 * bandwidth**2)
+    z -= z.max(axis=-1, keepdims=True)
+    live = z >= KERNEL_FLUSH
+    np.maximum(z, KERNEL_FLUSH, out=z)
+    np.exp(z, out=z)
+    z *= live
+    z /= z.sum(axis=-1, keepdims=True)
+    return z @ values
 
 
 def masa(q, keys, m) -> np.ndarray:

@@ -26,7 +26,7 @@ from elliptical.estimators import (
     ranking_catalog,
     sparse_sinusoid,
 )
-from elliptical.metric import compute_kappa, scale_rows
+from elliptical.metric import compute_kappa, scale_rows, sq_distances
 from elliptical.model import (
     Corpus,
     ModelConfig,
@@ -158,8 +158,11 @@ def test_outputs_match_pinned_digests(variant, heads):
 
 
 #: lab run -> sha256 of its per-seed errors, bandwidths and p-value, or of
-#: its results.csv
+#: its results.csv.  The n = 200 and n = 80 runs fit on the caller's thread; the
+#: fanned run, at n = MIN_FANOUT_N, maps its (seed, kernel) fits over threads, and
+#: its digest was recorded while each thread fitted whole seeds.
 LAB_EXPECTED = {
+    "sparse-oracle-maxscale-fanned": "7972e92d31264ff9c6e38ffbee0471e4f36fec4146edcbe49b09af8c436ec128",
     "sparse-oracle-maxscale": "f8a85ede1a36a174255346addd9691e91f5897dd3a151b9f518f92717d411893",
     "sparse-consistent-meanscale": "9581215ff16781c0f28b1845b9f93bcc35f8b581b1c4b33038528990ba1e8b13",
     "edge-preserve": "16f5636d393809c0aa6fb7c42878037a8f03cab53246bc9343c683b9cd6f6b02",
@@ -167,12 +170,12 @@ LAB_EXPECTED = {
 }
 
 
-def _sparse_digest(weights_source: str, scaling: str, n: int, dim: int) -> str:
+def _sparse_digest(weights_source: str, scaling: str, n: int, dim: int, jobs=None) -> str:
     cfg = nwlab.SparseMSEConfig(
         truth=sparse_sinusoid(dim, [0], [1.0], [2]), n=n, n_queries=100, seeds=5,
         seed=4, weights_source=weights_source, scaling=scaling,
     )
-    res = nwlab.run_sparse_mse_experiment(cfg)
+    res = nwlab.run_sparse_mse_experiment(cfg, jobs=jobs)
     return _sha(
         res.per_seed_euclidean, res.per_seed_elliptical,
         res.bandwidths_euclidean, res.bandwidths_elliptical, res.p_value_less,
@@ -236,8 +239,36 @@ def test_masa_jacobian_suite_matches_the_per_instance_loop(seed):
     assert got == _masa_jacobian_suite_reference(300, seed)
 
 
+def _nw_equivalence_suite_reference(n_instances: int, seed: int) -> verification.SuiteResult:
+    """The nw-equivalence suite as one loop over instances, each drawn and
+    evaluated on its own."""
+    rng = derive_rng(seed, 21, 4)
+    worst = 0.0
+    for _ in range(n_instances):
+        q, keys, u = verification._random_instance(rng)
+        m = scale_rows(u, "maxscale")
+        keys = keys / np.sqrt(sq_distances(keys, 0.0, m))[:, None]
+        probs = masa(q, keys, m)
+        d2 = sq_distances(q, keys, m)
+        gauss = np.exp(-(d2 - d2.min()) / 2.0)
+        gauss /= gauss.sum()
+        worst = max(worst, float(np.max(np.abs(probs - gauss))))
+    slack = worst - verification.EQUIVALENCE_ATOL
+    return verification.SuiteResult("nw-equivalence", slack <= 0.0, slack,
+                                    f"max weight discrepancy {worst:.3e}")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nw_equivalence_suite_matches_the_per_instance_loop(seed):
+    # grouping instances by shape must keep every bit of the worst discrepancy
+    got = verification.suite_nw_equivalence(seed=seed)
+    assert got == _nw_equivalence_suite_reference(200, seed)
+
+
 LAB_RUNS = {
     "sparse-oracle-maxscale": lambda tmp, mp: _sparse_digest("oracle", "maxscale", 200, 5),
+    "sparse-oracle-maxscale-fanned":
+        lambda tmp, mp: _sparse_digest("oracle", "maxscale", nwlab.MIN_FANOUT_N, 5),
     "sparse-consistent-meanscale": lambda tmp, mp: _sparse_digest("consistent", "meanscale", 80, 3),
     "edge-preserve": lambda tmp, mp: _edge_digest(),
     "estimator-bench": _bench_digest,
@@ -248,6 +279,12 @@ LAB_RUNS = {
 def test_lab_outputs_match_pinned_digests(run, tmp_path, monkeypatch):
     got = LAB_RUNS[run](tmp_path, monkeypatch)
     assert got == LAB_EXPECTED[run], f"{run} bits moved: {got}"
+
+
+@pytest.mark.parametrize("jobs", (1, 2, 3))
+def test_fanned_lab_run_matches_its_pin_at_every_thread_count(jobs):
+    got = _sparse_digest("oracle", "maxscale", nwlab.MIN_FANOUT_N, 5, jobs)
+    assert got == LAB_EXPECTED["sparse-oracle-maxscale-fanned"], f"jobs={jobs} moved bits: {got}"
 
 
 def _cv_scores_reference(data, m) -> list[float]:

@@ -56,11 +56,6 @@ class TestCatalog:
         moved[:, 1:] += 1.0
         np.testing.assert_allclose(f(pts), f(moved), atol=1e-15)
 
-    def test_sparse_sinusoid_rejects_active_outside_dim(self):
-        for dim, active in ((0, [0]), (3, [3]), (3, [-1])):
-            with pytest.raises(ParameterError, match="active"):
-                sparse_sinusoid(dim, active, [1.0], [2])
-
 
 class TestOverlayersEstimator:
     def test_equal_values_give_zero(self):

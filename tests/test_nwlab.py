@@ -23,6 +23,7 @@ from elliptical.nwlab import (
     NWDataset,
     SparseMSEConfig,
     _kernel_average,
+    _row_range,
     cross_validate_bandwidth,
     nw_estimate_batch,
     run_edge_preservation_experiment,
@@ -30,7 +31,7 @@ from elliptical.nwlab import (
     sample_dataset,
 )
 
-from oracles import check_lipschitz_transfer, kernel_average, linear_function
+from oracles import check_lipschitz_transfer, flushed_kernel_average, kernel_average, linear_function
 
 
 def _toy_dataset(rng, n=40, dim=2, noise=0.1):
@@ -173,6 +174,36 @@ class TestKernelFlush:
         values = rng.standard_normal((offsets.shape[1], 3))
         got = _kernel_average(neg, 0.5, values)
         assert got.tobytes() == kernel_average(neg, 0.5, values).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_row_range_pass_matches_the_four_pass_kernel_over_the_grid(self, dim):
+        # one CV fold at n = 500, its row range taken once as cross-validation takes it;
+        # the small bandwidths flush far weights, the large ones flush none
+        rng = derive_rng(21, dim, 2)
+        keys = rng.uniform(-np.pi, np.pi, (500, dim))
+        values = rng.standard_normal((400, 1))
+        neg = -sq_distances(keys[:100, None], keys[100:], np.ones(dim))
+        row_range = _row_range(neg)
+        flushing = []
+        for bw in BANDWIDTH_GRID:
+            got = _kernel_average(neg, bw, values, row_range)
+            assert got.tobytes() == flushed_kernel_average(neg, bw, values).tobytes()
+            z = neg / (2.0 * bw**2)
+            flushing.append(bool(np.any(z - z.max(axis=1, keepdims=True) < KERNEL_FLUSH)))
+        assert any(flushing) and not all(flushing)
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_rows_with_and_without_far_weights_match_the_four_pass_kernel(self, far):
+        # bandwidth 0.5 makes each exponent its offset below the row max; one far entry
+        # in one row sends the whole matrix through the flush
+        rng = derive_rng(21, 0, 3)
+        offsets = np.concatenate([np.zeros((6, 1)), rng.uniform(-699.0, 0.0, (6, 15))], axis=1)
+        if far:
+            offsets[4, 7] = -720.0
+        neg = (offsets - 3.0) * 0.5
+        values = rng.standard_normal((16, 2))
+        got = _kernel_average(neg, 0.5, values)
+        assert got.tobytes() == flushed_kernel_average(neg, 0.5, values).tobytes()
 
     def test_flushed_weight_is_exactly_zero(self):
         # the far key holds the only nonzero value, so the prediction is its weight
@@ -325,8 +356,9 @@ _FANNED = {"sparse": (_sparse_at, 5), "edge": (_edge_at, 2)}
 
 
 class TestSeedFanout:
-    """Seeds run on one thread per CPU, at most one per seed, once n reaches
-    MIN_FANOUT_N, and on the caller's thread below it; no count moves a bit."""
+    """Each seed's two kernel fits are two jobs, run on one thread per CPU, at most one
+    per fit, once n reaches MIN_FANOUT_N, and on the caller's thread below it; no count
+    moves a bit."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("experiment", sorted(_FANNED))
@@ -335,7 +367,7 @@ class TestSeedFanout:
         seen = _record_workers(monkeypatch, cpus)
         run(MIN_FANOUT_N - 1)
         run(MIN_FANOUT_N)
-        assert seen == [1, min(cpus, seeds)]
+        assert seen == [1, min(cpus, 2 * seeds)]
 
     def test_explicit_jobs_wins(self, monkeypatch):
         seen = _record_workers(monkeypatch, 3)
