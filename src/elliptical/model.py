@@ -452,10 +452,12 @@ def train(
 
 #: fewest windows per part of a split perplexity stack.  Each part is one thread's
 #: forward pass, and the threads hand the interpreter lock to each other between numpy
-#: calls, so small parts lose more to hand-offs than they gain.  Measured on 2 vCPUs
-#: with BLAS on one thread, 64-token windows: 7 windows took 8.6 ms whole and 12.3 ms
-#: as 4 + 3; 31 windows took 42.5 ms whole and 27.2 ms as 16 + 15.
-MIN_PART_WINDOWS = 8
+#: calls, so small parts gain little.  Measured on 2 vCPUs on the kept thread pool,
+#: BLAS on one thread, default elliptical / standard config, median of 100: 15 windows
+#: took 16.9 / 15.8 ms whole and 11.6 / 10.7 ms as 8 + 7; 7 windows took 8.2 / 7.3 ms
+#: whole and 8.5 / 7.7 ms as 4 + 3, and 6 and 7 windows moved by about 10% either way
+#: between runs, so a split of fewer than 14 windows is not a measured gain.
+MIN_PART_WINDOWS = 7
 
 
 def perplexity(

@@ -9,8 +9,10 @@ carrier for queries, keys, values and hidden states.
 from __future__ import annotations
 
 import contextvars
+import os
+import threading
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -116,17 +118,39 @@ def make_rng(seed: int) -> np.random.Generator:
     return derive_rng(seed, 0, 0)
 
 
-def ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
-    """``[fn(x) for x in items]``, on up to ``workers`` threads, in input order.
+#: the kept pool: (pid of the process that made it, its thread count, the executor)
+_pool: tuple[int, int, ThreadPoolExecutor | None] = (0, 0, None)
+#: ``on`` is set in every pool thread, by the executor's initializer
+_pool_thread = threading.local()
 
-    With ``workers <= 1`` every call runs inline on the caller's thread.  Otherwise each
-    call runs on a thread pool in its own copy of the caller's ``contextvars`` context,
-    taken on the caller's thread, so a caller's ``np.errstate`` holds in the workers (a
-    pool thread starts from an empty context), and every call runs, even after one has
-    failed.  The first exception in input order is raised here.
+
+def _mark_pool_thread() -> None:
+    _pool_thread.on = True
+
+
+def ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """``[fn(x) for x in items]``, in input order, on a thread pool when ``workers > 1``.
+
+    With ``workers <= 1``, or from a pool thread (a job that maps again), every call runs
+    inline on the caller's thread: a nested map on the pool could wait on threads that
+    all wait on it.  Otherwise the calls run on the process's one pool, made at the first
+    map, replaced by a larger one when a map asks for more threads than it has, and kept,
+    so a map may run on more than ``workers`` threads.  A process never uses a pool that
+    another process made: the child of a ``fork`` inherits the pool but not its threads.
+    Each call runs in its own copy of the caller's ``contextvars`` context, taken on the
+    caller's thread, so a caller's ``np.errstate`` holds in the workers (a pool thread
+    starts from an empty context), and every call runs, even after one has failed.  The
+    first exception in input order is raised here.
     """
-    if workers <= 1:
+    global _pool
+    if workers <= 1 or getattr(_pool_thread, "on", False):
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # leaving waits for every call
-        futures = [pool.submit(contextvars.copy_context().run, fn, x) for x in items]
+    pid, size, pool = _pool
+    if pid != os.getpid() or size < workers:
+        # no lock: racing callers may each make a pool, but every call runs on the pool
+        # it holds, and a dropped pool's threads exit once its last call lets go of it
+        pool = ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
+        _pool = os.getpid(), workers, pool
+    futures = [pool.submit(contextvars.copy_context().run, fn, x) for x in items]
+    wait(futures)
     return [future.result() for future in futures]

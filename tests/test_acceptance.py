@@ -340,9 +340,13 @@ class TestCriterion10CliDeterminism:
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: no second count to compare")
     def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path):
         # each command runs in a child process pinned to one CPU, then in one on every
-        # CPU this process may use; the thread counts follow, the bytes may not
+        # CPU this process may use; the thread counts follow, the bytes may not.  The
+        # child pins itself before it runs the CLI: preexec_fn is unsafe in a process
+        # with threads, and this one keeps ordered_map's pool threads
         src = str(Path(elliptical.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        pinned = ("import os, runpy; os.sched_setaffinity(0, {}); "
+                  "runpy.run_module('elliptical', run_name='__main__')")
         ckpt = tmp_path / "one" / "train-lm-fanout" / "r" / "checkpoint.bin"
         runs = {
             **self.SUBCOMMANDS,
@@ -355,9 +359,9 @@ class TestCriterion10CliDeterminism:
         for label, cpuset in (("one", {min(cpus)}), ("all", cpus)):
             for run, args in runs.items():
                 proc = subprocess.run(
-                    [sys.executable, "-m", "elliptical", run.removesuffix("-fanout"), *args],
+                    [sys.executable, "-c", pinned.format(sorted(cpuset)),
+                     run.removesuffix("-fanout"), *args],
                     env={**env, "ELLIPTICAL_OUT": str(tmp_path / label / run)},
-                    preexec_fn=lambda cpuset=cpuset: os.sched_setaffinity(0, cpuset),
                     capture_output=True, text=True,
                 )
                 assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr

@@ -18,6 +18,7 @@ from elliptical.model import (
     ADAM_BETA2,
     ADAM_EPS,
     METRIC_WARMUP,
+    MIN_PART_WINDOWS,
     NS_CORPUS,
     AdamState,
     Corpus,
@@ -685,8 +686,9 @@ class TestPerplexityParts:
         perplexity(params, cfg, tokens)
         assert sorted(calls) == [(12, _PART_CONTEXT), (13, _PART_CONTEXT)]  # threads race
         calls.clear()
-        perplexity(params, cfg, tokens[: 15 * _PART_CONTEXT + 1])  # under 8 windows a part
-        assert calls == [(15, _PART_CONTEXT)]
+        small = 2 * MIN_PART_WINDOWS - 1  # too few windows for two parts
+        perplexity(params, cfg, tokens[: small * _PART_CONTEXT + 1])
+        assert calls == [(small, _PART_CONTEXT)]
 
     def test_random_metric_stays_one_part(self, monkeypatch):
         # its one evaluation stream draws across the whole stack in (head, block, row) order

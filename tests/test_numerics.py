@@ -2,6 +2,8 @@
 kernel and its one-point oracle, counter-based randomness and the ordered
 thread map."""
 
+import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elliptical import numerics
 from elliptical.estimators import sparse_sinusoid
 from elliptical.numerics import (
     EvaluationError,
@@ -277,3 +280,71 @@ class TestOrderedMap:
             with pytest.raises(FloatingPointError, match="overflow"):
                 ordered_map(job, [np.float64(10.0)] * 2, 2)
             assert ordered_map(job, [np.float64(0.5)] * 2, 2) == [("raise", 5e307)] * 2
+
+    def test_a_job_that_maps_again_maps_inline(self):
+        # every pool thread runs an outer job and maps again: on the pool, the inner
+        # calls would wait behind the outer jobs that wait on them
+        both_running = threading.Barrier(2)
+
+        def job(i):
+            both_running.wait(timeout=10)
+            outer = threading.get_ident()
+            return ordered_map(lambda j: (i, j, threading.get_ident() == outer), range(3), 2)
+
+        assert ordered_map(job, range(2), 2) == [[(i, j, True) for j in range(3)] for i in range(2)]
+
+    def test_consecutive_calls_run_on_the_same_threads(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_pool", (0, 0, None))  # this process has no pool yet
+        both_running = threading.Barrier(2)
+
+        def job(_):
+            both_running.wait(timeout=10)  # so the two calls run on two threads at once
+            return threading.get_native_id()
+
+        first = set(ordered_map(job, range(2), 2))
+        assert len(first) == 2
+        assert set(ordered_map(job, range(2), 2)) == first
+        # a larger call grows the pool: each four calls must run at once
+        all_running = threading.Barrier(4)
+
+        def wide_job(i):
+            all_running.wait(timeout=10)
+            return i
+
+        assert ordered_map(wide_job, range(8), 4) == list(range(8))
+
+    def test_concurrent_callers_each_get_their_own_results(self):
+        # callers on plain threads race to make and grow the pool; each call keeps
+        # the pool it read
+        def caller(k):
+            results[k] = [ordered_map(lambda x: (k, x), range(5), 2 + (k + r) % 3) for r in range(20)]
+
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {k: [[(k, x) for x in range(5)]] * 20 for k in range(6)}
+
+    def test_a_forked_child_maps_on_a_pool_of_its_own(self):
+        ordered_map(abs, range(4), 2)  # the parent's pool exists when the child forks
+        ctx = multiprocessing.get_context("fork")
+        received, sent = ctx.Pipe(duplex=False)
+        # the child inherits the parent's pool but not its threads
+        child = ctx.Process(target=lambda: sent.send(ordered_map(lambda x: 10 * x, range(4), 2)))
+        child.start()
+        try:
+            child.join(timeout=30)
+            assert child.exitcode == 0
+            assert received.recv() == [0, 10, 20, 30]
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
