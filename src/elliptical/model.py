@@ -555,6 +555,13 @@ N_DRAWS = 8
 CORRUPT_RATE = 0.025
 
 
+def _matrix_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each (t, d) matrix of a (..., t, d) stack, flattened, with
+    its bits: one dot product of the matrix's entries with themselves, then its root."""
+    flat = a.reshape(-1, 1, a.shape[-2] * a.shape[-1])
+    return np.sqrt(np.matmul(flat, flat.swapaxes(1, 2))).reshape(-1)
+
+
 def diagnose(
     params: dict[str, Tensor],
     cfg: ModelConfig,
@@ -569,6 +576,14 @@ def diagnose(
     Gaussian draws at every scale and recomputes the attention output with
     the metric held fixed, in one kernel call per scale.  The report also
     carries every head's attention map over the first context window.
+
+    Every perturbation is drawn from ``rng`` first, on the caller's thread, layer by
+    layer and scale by scale.  Then each layer's robustness (base kernel, perturbed
+    kernels, ratios), the clean perplexity and the corrupted one (whose corruption
+    draws from ``rng`` last) run as ``ordered_map`` jobs, one worker per CPU the process
+    may use.  The stream order is fixed and layers and windows do not interact, so the
+    report has the same bits at any CPU count; an overflow names the scale of the first
+    (layer, scale) in loop order that overflows.
     """
     toks = np.asarray(eval_tokens, dtype=np.int64)
     if toks.size < 2:
@@ -576,37 +591,52 @@ def diagnose(
     window = toks[: min(toks.size, cfg.context + 1)]
     _, states = forward(window[:-1], params, cfg, GradTape(record=False))
     temp = float(np.sqrt(cfg.head_dim))
-    ratios = np.zeros((cfg.layers, len(epsilons)))
-    sup = 0.0
-    attention = []
-    for li, st in enumerate(states):
+    shape = (cfg.heads, N_DRAWS, window.size - 1, cfg.head_dim)
+    # every draw first, layer by layer and scale by scale; a draw that overflows ends
+    # the stream, and its layer's job raises it in its turn
+    draws: list[list] = []
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in states:
+                draws.append([])
+                for scale in epsilons:
+                    draws[-1].append(scale * rng.standard_normal(shape))
+    except FloatingPointError as exc:
+        draws[-1].append(exc)
+
+    def robustness(st: AttentionLayerState, layer_draws: list) -> tuple[np.ndarray, np.ndarray]:
         merged = (st.queries, st.keys, st.values, st.metric)
         # (heads, 1, t_len, head_dim): the draws broadcast along axis 1
         q, k, v, m = (split_heads(a, 1, cfg.heads).swapaxes(0, 1) for a in merged)
         base = weighted_kernel(q, k, v, m, temp, causal=True)
-        attention.append(list(base.attn[:, 0]))
-        for si, scale in enumerate(epsilons):
+        acc = np.empty((len(epsilons), cfg.heads * N_DRAWS))  # one ratio per (head, draw)
+        for si, (scale, eps) in enumerate(zip(epsilons, layer_draws)):
             try:  # an overflowing norm would read as a zero ratio
                 with np.errstate(over="raise", invalid="raise"):
-                    eps = scale * rng.standard_normal((cfg.heads, N_DRAWS, *q.shape[2:]))
+                    if isinstance(eps, FloatingPointError):
+                        raise eps
                     shift = weighted_kernel(q + eps, k, v, m, temp, causal=True).h - base.h
-                    # one ratio per (head, draw) matrix, head by head as the draws ran
-                    pairs = zip(shift.reshape(-1, *q.shape[2:]), eps.reshape(-1, *q.shape[2:]))
-                    acc = [float(np.linalg.norm(a) / np.linalg.norm(e)) for a, e in pairs]
+                    acc[si] = _matrix_norms(shift) / _matrix_norms(eps)
             except FloatingPointError as exc:
                 raise ParameterError(f"epsilon scale {scale} overflows ({exc})") from None
-            sup = max(sup, *acc)
-            ratios[li, si] = float(np.mean(acc))
+        return base.attn[:, 0], acc
 
-    ppl_clean = perplexity(params, cfg, toks)
-    ppl_corrupt = perplexity(params, cfg, toks, corrupt_rate=corrupt_rate, rng=rng)
+    jobs = [lambda st=st, d=d: robustness(st, d) for st, d in zip(states, draws)] + [
+        lambda: perplexity(params, cfg, toks),
+        lambda: perplexity(params, cfg, toks, corrupt_rate=corrupt_rate, rng=rng),
+    ]
+    # in job order, so the first error raised is the one the serial loop meets first
+    cpus = len(os.sched_getaffinity(0))
+    *layers, ppl_clean, ppl_corrupt = ordered_map(lambda job: job(), jobs, cpus)
+    attention = [list(maps) for maps, _ in layers]
+    acc = np.stack([a for _, a in layers])
     return DiagnosticsReport(
         cosine_by_layer=[mean_pairwise_cosine(st.representation) for st in states],
         head_distance_by_layer=[mean_head_distance(maps) for maps in attention],
         ppl_clean=ppl_clean,
         ppl_corrupt=ppl_corrupt,
-        robustness=ratios,
-        robustness_sup=sup,
+        robustness=acc.mean(axis=2),
+        robustness_sup=float(acc.max(initial=0.0)),
         attention=attention,
     )
 

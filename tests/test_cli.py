@@ -363,6 +363,8 @@ FAILURE_PROBES = {
     # a scale whose perturbation norm overflows, alone or after a good scale
     "epsilons-overflow": lambda tmp: _diagnose_with(tmp, "epsilons=1e200"),
     "epsilons-overflow-second": lambda tmp: _diagnose_with(tmp, "epsilons=0.0001,1e308"),
+    # the first scale's norm overflows at layer 0, before the second scale's draw would
+    "epsilons-overflow-before-a-later-draw": lambda tmp: _diagnose_with(tmp, "epsilons=1e200,1e308"),
     "corpus-vocab-mismatch": _vocab_mismatch,
     "too-few-seeds": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=2",
                                   "--set", "n_queries=20", "--set", "dim=2"],
@@ -415,6 +417,7 @@ FAILURE_PROBES = {
 PROBES_NAME = {
     "diverging-lr-1e150": "error: step 1: ", "diverging-lr-1e300": "error: step 1: ",
     "epsilons-overflow": "scale 1e+200 ", "epsilons-overflow-second": "scale 1e+308 ",
+    "epsilons-overflow-before-a-later-draw": "scale 1e+200 ",
     "no-queries": "n_queries", "no-est-points": "est_points", "edge-est-t-zero": "error: est_t ",
     "edge-n-zero": "error: n ", "edge-n-below-folds": "error: n ",
     "sparse-n-zero": "error: n ", "sparse-n-below-folds": "error: n ",

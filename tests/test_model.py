@@ -3,6 +3,7 @@ harness, diagnostics and checkpoint round-trips."""
 
 import errno
 import io
+import re
 import sys
 
 import numpy as np
@@ -783,6 +784,67 @@ class TestDiagnoseReference:
                     ratios[li, si] = float(np.mean(acc))
             assert rep.robustness.tobytes() == ratios.tobytes(), cfg.heads
             assert rep.robustness_sup == sup, cfg.heads
+
+
+def _report_bytes(rep):
+    """Every field of a ``diagnose`` report as bytes, each attention map's included."""
+    floats = [rep.ppl_clean, rep.ppl_corrupt, rep.robustness_sup,
+              *rep.cosine_by_layer, *rep.head_distance_by_layer]
+    return [np.array(floats).tobytes(), rep.robustness.tobytes(),
+            *(attn.tobytes() for maps in rep.attention for attn in maps)]
+
+
+class TestDiagnoseJobs:
+    """``diagnose`` runs each layer's robustness and both perplexities as jobs of one
+    thread map, one worker per CPU, after drawing every perturbation on the caller's
+    thread; the report must not move by a bit, and an overflow must name the scale the
+    serial (layer, scale) loop meets first."""
+
+    @pytest.mark.parametrize("elliptical, scaling",
+                             [(False, "maxscale"), (True, "maxscale"), (True, "meanscale"),
+                              (True, "random")])
+    def test_every_cpu_count_gives_the_one_cpu_report(self, monkeypatch, elliptical, scaling):
+        corpus = synthetic_corpus(24, 900)
+        cfg = _tiny_cfg(corpus.vocab_size, elliptical, scaling, layers=3)
+        params = train(corpus, cfg, TrainParams(steps=3, batch_size=2)).params
+        toks = corpus.tokens[-500:]  # 15 windows: two perplexity parts when run alone
+        reports = []
+        for cpus in (1, 2, 3):
+            _set_cpus(monkeypatch, cpus)
+            rep = diagnose(params, cfg, toks, (0.01, 0.3, 1.0), make_rng(4), corrupt_rate=0.1)
+            reports.append(_report_bytes(rep))
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_job_per_layer_and_perplexity_on_one_worker_per_cpu(self, monkeypatch, cpus):
+        corpus = synthetic_corpus(24, 600)
+        cfg = _tiny_cfg(corpus.vocab_size, True, layers=3)
+        _set_cpus(monkeypatch, cpus)
+        maps = []
+        original = model.ordered_map
+
+        def recorded(fn, items, workers):
+            items = list(items)
+            maps.append((len(items), workers))
+            return original(fn, items, workers)
+
+        monkeypatch.setattr(model, "ordered_map", recorded)
+        diagnose(init_params(cfg), cfg, corpus.tokens[-200:], (0.01, 0.1), make_rng(2))
+        assert maps[0] == (cfg.layers + 2, cpus)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("epsilons, named", [
+        ((1e200, 1e308), "1e+200"),  # layer 0's 1e200 norm overflows before the 1e308 draw
+        ((1e308, 1e200), "1e+308"),  # the first draw overflows
+        ((1e-4, 1e308), "1e+308"),   # a good scale, then a draw that overflows
+    ])
+    def test_the_first_overflow_in_loop_order_is_named(self, monkeypatch, cpus, epsilons, named):
+        corpus = synthetic_corpus(24, 600)
+        cfg = _tiny_cfg(corpus.vocab_size, True, layers=3)
+        _set_cpus(monkeypatch, cpus)
+        with pytest.raises(ParameterError, match=rf"^epsilon scale {re.escape(named)} overflows"):
+            diagnose(init_params(cfg), cfg, corpus.tokens[-200:], epsilons, make_rng(5))
 
 
 class TestCheckpoints:
