@@ -534,17 +534,20 @@ def mean_pairwise_cosine(rows: np.ndarray) -> float:
     return float(sims[np.triu_indices(n, k=1)].mean())
 
 
+def _matrix_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each (t, d) matrix of a (..., t, d) stack, flattened, with
+    its bits: one dot product of the matrix's entries with themselves, then its root."""
+    flat = a.reshape(-1, 1, a.shape[-2] * a.shape[-1])
+    return np.sqrt(np.matmul(flat, flat.swapaxes(1, 2))).reshape(-1)
+
+
 def mean_head_distance(attn_mats: list[np.ndarray]) -> float:
     """Mean Euclidean distance between flattened head attention maps."""
     if len(attn_mats) < 2:
         return 0.0
-    flats = [a.reshape(-1) for a in attn_mats]
-    dists = [
-        float(np.linalg.norm(flats[i] - flats[j]))
-        for i in range(len(flats))
-        for j in range(i + 1, len(flats))
-    ]
-    return float(np.mean(dists))
+    maps = np.asarray(attn_mats)
+    i, j = np.triu_indices(len(maps), k=1)
+    return float(_matrix_norms(maps[i] - maps[j]).mean())
 
 
 #: Gaussian query perturbations per head and scale in ``diagnose``
@@ -553,13 +556,6 @@ N_DRAWS = 8
 #: default share of eval tokens swapped for the generic token, in ``diagnose``
 #: and as the CLI's ``corrupt_rate``
 CORRUPT_RATE = 0.025
-
-
-def _matrix_norms(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each (t, d) matrix of a (..., t, d) stack, flattened, with
-    its bits: one dot product of the matrix's entries with themselves, then its root."""
-    flat = a.reshape(-1, 1, a.shape[-2] * a.shape[-1])
-    return np.sqrt(np.matmul(flat, flat.swapaxes(1, 2))).reshape(-1)
 
 
 def diagnose(
@@ -577,13 +573,14 @@ def diagnose(
     the metric held fixed, in one kernel call per scale.  The report also
     carries every head's attention map over the first context window.
 
-    Every perturbation is drawn from ``rng`` first, on the caller's thread, layer by
-    layer and scale by scale.  Then each layer's robustness (base kernel, perturbed
-    kernels, ratios), the clean perplexity and the corrupted one (whose corruption
-    draws from ``rng`` last) run as ``ordered_map`` jobs, one worker per CPU the process
-    may use.  The stream order is fixed and layers and windows do not interact, so the
-    report has the same bits at any CPU count; an overflow names the scale of the first
-    (layer, scale) in loop order that overflows.
+    Every unit perturbation is drawn from ``rng`` first, in one call on the caller's
+    thread, in the serial (layer, scale, head, draw) order.  Then each layer's robustness
+    (base kernel, scaled perturbations, perturbed kernels, ratios), the clean perplexity
+    and the corrupted one (whose corruption draws from ``rng`` last) run as
+    ``ordered_map`` jobs, one worker per CPU the process may use.  The stream order is
+    fixed and layers and windows do not interact, so the report has the same bits at any
+    CPU count; a scale whose ratio leaves the float range names the first (layer, scale)
+    in loop order where it does, as an overflow, or as an underflow below scale 1.
     """
     toks = np.asarray(eval_tokens, dtype=np.int64)
     if toks.size < 2:
@@ -591,37 +588,27 @@ def diagnose(
     window = toks[: min(toks.size, cfg.context + 1)]
     _, states = forward(window[:-1], params, cfg, GradTape(record=False))
     temp = float(np.sqrt(cfg.head_dim))
-    shape = (cfg.heads, N_DRAWS, window.size - 1, cfg.head_dim)
-    # every draw first, layer by layer and scale by scale; a draw that overflows ends
-    # the stream, and its layer's job raises it in its turn
-    draws: list[list] = []
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for _ in states:
-                draws.append([])
-                for scale in epsilons:
-                    draws[-1].append(scale * rng.standard_normal(shape))
-    except FloatingPointError as exc:
-        draws[-1].append(exc)
+    units = rng.standard_normal(
+        (len(states), len(epsilons), cfg.heads, N_DRAWS, window.size - 1, cfg.head_dim))
 
-    def robustness(st: AttentionLayerState, layer_draws: list) -> tuple[np.ndarray, np.ndarray]:
+    def robustness(st: AttentionLayerState, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         merged = (st.queries, st.keys, st.values, st.metric)
         # (heads, 1, t_len, head_dim): the draws broadcast along axis 1
         q, k, v, m = (split_heads(a, 1, cfg.heads).swapaxes(0, 1) for a in merged)
         base = weighted_kernel(q, k, v, m, temp, causal=True)
         acc = np.empty((len(epsilons), cfg.heads * N_DRAWS))  # one ratio per (head, draw)
-        for si, (scale, eps) in enumerate(zip(epsilons, layer_draws)):
-            try:  # an overflowing norm would read as a zero ratio
+        for si, (scale, unit) in enumerate(zip(epsilons, draws)):
+            try:  # an overflowing norm would read as a zero ratio, a vanishing one as 0/0
                 with np.errstate(over="raise", invalid="raise"):
-                    if isinstance(eps, FloatingPointError):
-                        raise eps
+                    eps = scale * unit
                     shift = weighted_kernel(q + eps, k, v, m, temp, causal=True).h - base.h
                     acc[si] = _matrix_norms(shift) / _matrix_norms(eps)
             except FloatingPointError as exc:
-                raise ParameterError(f"epsilon scale {scale} overflows ({exc})") from None
+                flow = "overflows" if scale >= 1 else "underflows"
+                raise ParameterError(f"epsilon scale {scale} {flow} ({exc})") from None
         return base.attn[:, 0], acc
 
-    jobs = [lambda st=st, d=d: robustness(st, d) for st, d in zip(states, draws)] + [
+    jobs = [lambda st=st, u=u: robustness(st, u) for st, u in zip(states, units)] + [
         lambda: perplexity(params, cfg, toks),
         lambda: perplexity(params, cfg, toks, corrupt_rate=corrupt_rate, rng=rng),
     ]

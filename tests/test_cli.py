@@ -365,6 +365,8 @@ FAILURE_PROBES = {
     "epsilons-overflow-second": lambda tmp: _diagnose_with(tmp, "epsilons=0.0001,1e308"),
     # the first scale's norm overflows at layer 0, before the second scale's draw would
     "epsilons-overflow-before-a-later-draw": lambda tmp: _diagnose_with(tmp, "epsilons=1e200,1e308"),
+    # a scale so small that the perturbation's norm underflows to 0
+    "epsilons-underflow": lambda tmp: _diagnose_with(tmp, "epsilons=1e-200"),
     "corpus-vocab-mismatch": _vocab_mismatch,
     "too-few-seeds": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=2",
                                   "--set", "n_queries=20", "--set", "dim=2"],
@@ -412,12 +414,13 @@ FAILURE_PROBES = {
                                              "--set", "noise_std=1e308"],
 }
 
-#: what a probe's line must name: the step that diverged, the scale that overflows,
-#: or the config key out of range
+#: what a probe's line must name: the step that diverged, the scale that overflows or
+#: underflows, or the config key out of range
 PROBES_NAME = {
     "diverging-lr-1e150": "error: step 1: ", "diverging-lr-1e300": "error: step 1: ",
     "epsilons-overflow": "scale 1e+200 ", "epsilons-overflow-second": "scale 1e+308 ",
     "epsilons-overflow-before-a-later-draw": "scale 1e+200 ",
+    "epsilons-underflow": "error: epsilon scale 1e-200 underflows ",
     "no-queries": "n_queries", "no-est-points": "est_points", "edge-est-t-zero": "error: est_t ",
     "edge-n-zero": "error: n ", "edge-n-below-folds": "error: n ",
     "sparse-n-zero": "error: n ", "sparse-n-below-folds": "error: n ",

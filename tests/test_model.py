@@ -723,6 +723,24 @@ class TestDiagnostics:
         b = np.array([[0.0, 1.0]])
         assert mean_head_distance([a, b]) == pytest.approx(np.sqrt(2.0))
 
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    def test_head_distance_matches_the_pairwise_norm_loop_bitwise(self, heads):
+        def pairwise_loop(attn_mats):
+            if len(attn_mats) < 2:
+                return 0.0
+            flats = [a.reshape(-1) for a in attn_mats]
+            dists = [float(np.linalg.norm(flats[i] - flats[j]))
+                     for i in range(len(flats)) for j in range(i + 1, len(flats))]
+            return float(np.mean(dists))
+
+        rng = np.random.default_rng(heads)
+        for t in range(1, 65):
+            maps = np.stack([np.tril(rng.random((t, t))) for _ in range(heads)])
+            maps /= maps.sum(axis=-1, keepdims=True)  # causal rows that sum to 1
+            want = pairwise_loop(list(maps))
+            assert np.float64(mean_head_distance(list(maps))).tobytes() == np.float64(want).tobytes()
+            assert np.float64(mean_head_distance(maps)).tobytes() == np.float64(want).tobytes()
+
     def test_report_shapes_and_ranges(self):
         corpus = synthetic_corpus(11, 900)
         cfg = _tiny_cfg(corpus.vocab_size, elliptical=True)
@@ -796,9 +814,9 @@ def _report_bytes(rep):
 
 class TestDiagnoseJobs:
     """``diagnose`` runs each layer's robustness and both perplexities as jobs of one
-    thread map, one worker per CPU, after drawing every perturbation on the caller's
-    thread; the report must not move by a bit, and an overflow must name the scale the
-    serial (layer, scale) loop meets first."""
+    thread map, one worker per CPU, after drawing every unit perturbation in one call on
+    the caller's thread; the report must not move by a bit, and an overflow or underflow
+    must name the scale the serial (layer, scale) loop meets first."""
 
     @pytest.mark.parametrize("elliptical, scaling",
                              [(False, "maxscale"), (True, "maxscale"), (True, "meanscale"),
@@ -844,6 +862,18 @@ class TestDiagnoseJobs:
         cfg = _tiny_cfg(corpus.vocab_size, True, layers=3)
         _set_cpus(monkeypatch, cpus)
         with pytest.raises(ParameterError, match=rf"^epsilon scale {re.escape(named)} overflows"):
+            diagnose(init_params(cfg), cfg, corpus.tokens[-200:], epsilons, make_rng(5))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("epsilons, named", [
+        ((1e-200,), "1e-200"),       # the draw's norm underflows to 0, so its ratio is 0/0
+        ((1e-4, 1e-300), "1e-300"),  # a good scale, then a draw whose norm underflows
+    ])
+    def test_the_first_underflow_in_loop_order_is_named(self, monkeypatch, cpus, epsilons, named):
+        corpus = synthetic_corpus(24, 600)
+        cfg = _tiny_cfg(corpus.vocab_size, True, layers=3)
+        _set_cpus(monkeypatch, cpus)
+        with pytest.raises(ParameterError, match=rf"^epsilon scale {re.escape(named)} underflows"):
             diagnose(init_params(cfg), cfg, corpus.tokens[-200:], epsilons, make_rng(5))
 
 
