@@ -9,26 +9,23 @@ import numpy as np
 
 from .numerics import ParameterError, ShapeError, as_matrices, as_matrix
 
-SCALING_MODES = ("maxscale", "meanscale", "unscaled", "identity", "random")
+SCALING_MODES = ("maxscale", "meanscale", "unscaled", "identity")
 
 #: Clamp applied to every relevance weight so the induced quadratic form
 #: stays positive-definite and the distance is a true metric.
 FLOOR = 1e-6
 
 
-def scale_rows(raw, mode: str, *, rng: np.random.Generator | None = None) -> np.ndarray:
+def scale_rows(raw, mode: str) -> np.ndarray:
     """Turn raw nonnegative variability estimates into relevance weights m,
     scaling every row (last axis) of a (..., dim) array on its own.  A row m
     defines d(q, k) = sqrt((q - k)' diag(m) (q - k)).
 
     maxscale divides by the row maximum (the most variable direction gets
     weight exactly 1), meanscale by the row mean (entries above 1 are kept),
-    unscaled only clamps to FLOOR.  identity ignores ``raw`` and gives ones;
-    random ignores it too and draws one fresh uniform [0, 1] row per nonzero
-    row, in the C order of the leading axes, which is then maxscaled, so a
-    stream gives the same weights as scaling the rows one at a time in that
-    order.  An all-zero row gets ones in every mode, so a degenerate estimate
-    never gives a degenerate kernel.  Every weight is >= FLOOR.
+    unscaled only clamps to FLOOR.  identity ignores ``raw`` and gives ones.
+    An all-zero row gets ones in every mode, so a degenerate estimate never
+    gives a degenerate kernel.  Every weight is >= FLOOR.
     """
     if mode not in SCALING_MODES:
         raise ParameterError(f"unknown scaling mode {mode!r}")
@@ -41,13 +38,6 @@ def scale_rows(raw, mode: str, *, rng: np.random.Generator | None = None) -> np.
     top = raw.max(axis=-1, keepdims=True, initial=0.0)
     live = top > 0  # (..., 1): a row with any positive entry
     if mode == "identity" or not live.any():
-        return m
-    if mode == "random":
-        # the live rows alone get draws, in row order, which are then maxscaled
-        if rng is None:
-            raise ParameterError("random scaling mode requires an rng")
-        u = rng.uniform(0.0, 1.0, (int(live.sum()), raw.shape[-1]))
-        m[live[..., 0]] = scale_rows(u, "maxscale")
         return m
     # dead rows are never written, so they keep their ones
     if mode == "maxscale":

@@ -25,15 +25,11 @@ from .numerics import ParameterError, derive_rng, ordered_map, softmax_rows, uni
 
 NS_INIT = 1
 NS_BATCH = 2
-NS_METRIC = 3
+# stream 3 is unused; renumbering the ids below would move every corpus and eval draw
 NS_CORPUS = 4
 NS_EVAL = 5
 
 _CKPT_MAGIC = "ELLIPTICAL-CKPT 1"
-
-#: metric stream index reserved for evaluation-time random scaling, so a
-#: random-metric model is still a deterministic function of its config
-_EVAL_METRIC_STREAM = 2**31 - 1
 
 
 class InputError(ValueError):
@@ -222,23 +218,20 @@ def _metric_rows(
     heads: int,
     mode: str,
     delta: float,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Per-position metric rows for a (batch, t_len, heads * head_dim) stack.
 
     Row t of each block and head is ``estimate_overlayers``' mean of
     |v_curr - v_prev| / delta over that block's and head's value rows <= t,
     which keeps causal decoding honest; the first METRIC_WARMUP - 1 rows are
-    zero, which scaling turns into the identity metric.  Rows are scaled in
-    (head, block, row) order, the order in which random mode draws.  Returns
-    (batch * t_len, heads * head_dim) rows in the merged column layout.
+    zero, which scaling turns into the identity metric.  Returns (batch * t_len,
+    heads * head_dim) rows in the merged column layout.
     """
     batch, _, width = v_curr.shape
     # the prefix means run along time, column by column, so heads can split after
     raw = split_heads(estimate_overlayers(v_curr, v_prev, delta).reshape(-1, width), batch, heads)
     raw[..., : METRIC_WARMUP - 1, :] = 0.0
-    m = scale_rows(raw.swapaxes(0, 1), mode, rng=rng)
-    return merge_heads(m.swapaxes(0, 1))
+    return merge_heads(scale_rows(raw, mode))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -252,7 +245,6 @@ def forward(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     tape: GradTape,
-    metric_rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, list[AttentionLayerState]]:
     """Causal forward pass over a (t_len,) sequence or a (batch, t_len) stack.
 
@@ -261,9 +253,8 @@ def forward(
     one call, identity scaling included: its rows are ones, and scaling the
     queries by one is exact.  Every layer runs as one multi-head attention
     node in which each block attends only within itself, so a block's logits
-    do not depend on the other blocks (random mode aside: one stream draws
-    for the whole stack).  Returns flat (batch * t_len, vocab) logits and one
-    state per layer.
+    do not depend on the other blocks.  Returns flat (batch * t_len, vocab)
+    logits and one state per layer.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim not in (1, 2):
@@ -274,8 +265,6 @@ def forward(
         raise InputError(f"token shape {tokens.shape}: need length in [1, {cfg.context}]")
     if stack.min() < 0 or stack.max() >= cfg.vocab_size:
         raise InputError("token id outside the vocabulary")
-    if cfg.scaling == "random" and metric_rng is None:
-        metric_rng = derive_rng(cfg.seed, NS_METRIC, _EVAL_METRIC_STREAM)
     rows, width = batch * t_len, cfg.embed_dim
     ones = np.broadcast_to(np.float64(1.0), (rows, width))
     x = tape.add(
@@ -294,7 +283,7 @@ def forward(
         values = vm.value.reshape(batch, t_len, width)
         m = None
         if cfg.elliptical and li >= 1:
-            m = _metric_rows(values, prev_values, cfg.heads, cfg.scaling, cfg.delta, rng=metric_rng)
+            m = _metric_rows(values, prev_values, cfg.heads, cfg.scaling, cfg.delta)
         merged = tape.block_causal_attention(
             qm, km, vm, 1.0 if m is None else m, temp, batch, cfg.heads
         )
@@ -428,14 +417,11 @@ def train(
         with np.errstate(over="raise", invalid="raise"):
             for step in range(start_step, start_step + tp.steps):
                 rng = derive_rng(cfg.seed, NS_BATCH, step)
-                metric_rng = (
-                    derive_rng(cfg.seed, NS_METRIC, step) if cfg.scaling == "random" else None
-                )
                 offsets = rng.integers(0, tokens.size - window + 1, size=tp.batch_size)
                 windows = np.stack([tokens[off : off + window] for off in offsets])
                 tape = GradTape()
                 # drop the layer states at once: backward does not need them
-                logits = forward(windows[:, :-1], params, cfg, tape, metric_rng)[0]
+                logits = forward(windows[:, :-1], params, cfg, tape)[0]
                 loss = tape.cross_entropy(logits, windows[:, 1:].reshape(-1))
                 value = float(loss.value[0, 0])
                 if not np.isfinite(value):
@@ -480,10 +466,10 @@ def perplexity(
     The window stack runs as k contiguous, near-equal parts, each part's ``forward`` on
     its own thread, and the one cross-entropy scores their logits joined in window order.
     k is the number of CPUs the process may run on, lowered so that each part has at
-    least MIN_PART_WINDOWS windows, and 1 for a random-metric model.  No k can move a
-    bit: windows never see each other (attention and the metric run per block and head,
-    every other op per row), so a part gives the whole stack's logits for its windows,
-    and the NLL mean sums the same values in the same order.
+    least MIN_PART_WINDOWS windows.  No k can move a bit: windows never see each other
+    (attention and the metric run per block and head, every other op per row), so a part
+    gives the whole stack's logits for its windows, and the NLL mean sums the same values
+    in the same order.
     """
     toks = np.asarray(tokens, dtype=np.int64)
     target_stream = toks
@@ -496,8 +482,7 @@ def perplexity(
     starts = range(0, max(toks.size - window + 1, 1), cfg.context)
     stack = np.stack([toks[a : a + window] for a in starts])
     targets = np.stack([target_stream[a + 1 : a + window] for a in starts]).reshape(-1)
-    # a random-metric model's one evaluation stream draws across the whole stack
-    cpus = 1 if cfg.elliptical and cfg.scaling == "random" else len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0))
     parts = np.array_split(stack[:, :-1], max(1, min(cpus, len(stack) // MIN_PART_WINDOWS)))
     logits = ordered_map(
         lambda part: forward(part, params, cfg, GradTape(record=False))[0].value, parts, len(parts)

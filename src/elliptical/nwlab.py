@@ -199,9 +199,8 @@ class SparseMSEConfig:
             raise ParameterError(f"n must be at least {CV_FOLDS}, one per CV fold, got {self.n}")
         if self.n_queries < 1:
             raise ParameterError(f"n_queries must be at least 1, got {self.n_queries}")
-        modes = [mode for mode in SCALING_MODES if mode != "random"]  # random draws need an rng
-        if self.scaling not in modes:
-            raise ParameterError(f"scaling must be one of {', '.join(modes)}; got {self.scaling!r}")
+        if self.scaling not in SCALING_MODES:
+            raise ParameterError(f"scaling must be one of {', '.join(SCALING_MODES)}; got {self.scaling!r}")
 
 
 @dataclass(frozen=True)

@@ -352,6 +352,10 @@ FAILURE_PROBES = {
     "corpus-too-short": _short_corpus,
     "heads-mismatch": lambda tmp: ["train-lm", "--set", "steps=1", *TINY, "--set", "heads=3"],
     "bad-scaling": lambda tmp: ["train-lm", "--set", "steps=1", *TINY, "--set", "scaling=bogus"],
+    # random is not a scaling mode, on the command line or in a checkpoint header
+    "train-scaling-random": lambda tmp: _train_with("elliptical=true", "scaling=random"),
+    "checkpoint-header-scaling-random": lambda tmp: _damaged_checkpoint(
+        tmp, _header_edit(b'"scaling": "maxscale"', b'"scaling": "random"')),
     "diverging-lr": lambda tmp: ["train-lm", "--set", "steps=3", *TINY, "--set", "lr=1e9"],
     # an lr large enough to overflow inside a step, before the loss is formed
     "diverging-lr-1e150": lambda tmp: _train_with("elliptical=true", "lr=1e150"),
@@ -399,7 +403,7 @@ FAILURE_PROBES = {
     "sparse-weights-source-unknown": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=5",
                                                   "--set", "n_queries=20", "--set", "dim=2",
                                                   "--set", "weights_source=bogus"],
-    # random weights need an rng the lab does not pass; both fail before a seed runs
+    # random is not a scaling mode, nor is bogus; both fail before a seed runs
     **{f"sparse-scaling-{mode}": lambda tmp, mode=mode: [
         "nw-sparse", "--set", "n=40", "--set", "seeds=5", "--set", "n_queries=20",
         "--set", "dim=2", "--set", f"scaling={mode}"] for mode in ("random", "bogus")},
@@ -456,6 +460,9 @@ PROBES_NAME = {
     "checkpoint-header-seed-float": "checkpoint.bin: malformed checkpoint header (seed must be int, got 1.5)",
     "checkpoint-header-vocab-float": "checkpoint.bin: malformed checkpoint header (vocab_size must be int, got 13.0)",
     "checkpoint-header-elliptical-int": "checkpoint.bin: malformed checkpoint header (elliptical must be bool, got 1)",
+    "train-scaling-random": "error: unknown scaling mode 'random'",
+    "checkpoint-header-scaling-random":
+        "checkpoint.bin: malformed checkpoint header (unknown scaling mode 'random')",
 }
 
 #: rates outside [0, 1]: each is a usage error that names its key, before a
@@ -640,8 +647,8 @@ class TestVerifyCommand:
 
         true_scale_rows = model.scale_rows
 
-        def off_by_an_ulp(raw, mode, rng=None):
-            rows = true_scale_rows(raw, mode, rng=rng)
+        def off_by_an_ulp(raw, mode):
+            rows = true_scale_rows(raw, mode)
             return np.full_like(rows, np.nextafter(1.0, 2.0)) if mode == "identity" else rows
 
         monkeypatch.setattr(model, "scale_rows", off_by_an_ulp)

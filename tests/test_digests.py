@@ -40,7 +40,7 @@ from elliptical.numerics import central_differences, derive_rng
 
 from oracles import finite_diff_jacobian, linear_function, masa, masa_jacobian
 
-VARIANTS = ("standard", "maxscale", "meanscale", "unscaled", "identity", "random")
+VARIANTS = ("standard", "maxscale", "meanscale", "unscaled", "identity")
 
 #: (variant, heads) -> sha256 of (training, evaluation, diagnostics)
 EXPECTED = {
@@ -93,16 +93,6 @@ EXPECTED = {
         "c374146b65512f4a181bba2d5b1f3065f75b0cc54cf8980eead05b8cc0dc4371",
         "f655a00c855086d03b392bbf117e7fba29acfef2388a7c62773a39984d72c30f",
         "eb0561b29b4eb9ccd92e901d437a5fa486036de9c92b3a5f4ef61c1af66548aa",
-    ),
-    ("random", 1): (
-        "fa9ca740592f75afe08ee6e7327c01d9a4579c9d62c6359fe6105c1b7ae6f8fc",
-        "83764855c5ad9d119003a1fc6b961eceaadefb606bc88ef475b46cfbe0c5c023",
-        "8a4535e00dc0e95dfbf8995ef74487307c933414e484936b1060c4bb4b208b2f",
-    ),
-    ("random", 2): (
-        "f1496d0313abc46b1524d90f13d1b7056a5dbed65f0336ca9d20d8931828ffcd",
-        "8b3f98c4cb34c30bc6fbb2f7bc297fd91a5d924ed9aefe7164f47fc8177e6528",
-        "f74cace2fd079a8fcb2d4ae425b8456b50398572d13572c678f3018aee277409",
     ),
 }
 

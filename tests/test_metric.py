@@ -26,8 +26,8 @@ class TestApplyScaling:
         np.testing.assert_allclose(scale_rows([3.0, 1.5, 0.0], "maxscale"), [1.0, 0.5, FLOOR])
 
     def test_all_zero_falls_back_to_identity(self):
-        for mode in ("maxscale", "meanscale", "unscaled", "identity", "random"):
-            m = scale_rows([0.0, 0.0, 0.0], mode, rng=make_rng(0))
+        for mode in ("maxscale", "meanscale", "unscaled", "identity"):
+            m = scale_rows([0.0, 0.0, 0.0], mode)
             assert np.array_equal(m, [1.0, 1.0, 1.0])
 
     def test_maxscale_scale_invariance(self):
@@ -57,14 +57,6 @@ class TestApplyScaling:
 
     def test_identity_ignores_raw(self):
         assert np.array_equal(scale_rows([5.0, 1.0], "identity"), [1.0, 1.0])
-
-    def test_random_is_seeded_and_maxscaled(self):
-        a = scale_rows([1.0, 1.0], "random", rng=make_rng(9))
-        b = scale_rows([123.0, 4.5], "random", rng=make_rng(9))
-        assert np.array_equal(a, b)  # raw is ignored
-        assert a.max() == 1.0
-        with pytest.raises(ParameterError):
-            scale_rows([1.0, 1.0], "random")
 
     def test_negative_raw_rejected(self):
         with pytest.raises(ParameterError):
@@ -96,24 +88,16 @@ class TestScaleRows:
             old[live] = np.maximum(scaled, FLOOR)
             assert np.array_equal(scale_rows(raw, mode), old), mode
 
-    def test_random_draws_for_live_rows_in_row_order(self):
-        raw = np.zeros((5, 3))
-        raw[[1, 3]] = [[1.0, 2.0, 0.5], [0.1, 0.0, 0.0]]
-        m = scale_rows(raw, "random", rng=make_rng(9))
-        u = make_rng(9).uniform(0.0, 1.0, (2, 3))
-        assert np.array_equal(m[[1, 3]], np.maximum(u / u.max(axis=1, keepdims=True), 1e-6))
-        assert np.all(m[[0, 2, 4]] == 1.0)
-
-    @pytest.mark.parametrize("mode", ["maxscale", "meanscale", "unscaled", "identity", "random"])
+    @pytest.mark.parametrize("mode", SCALING_MODES)
     def test_strided_stack_matches_its_row_order_reshape_bitwise(self, mode):
-        # the (heads, batch, t, d) view of a (batch, heads, t, d) array, as the
-        # causal metric passes it: rows and random draws follow its C order
+        # a (heads, batch, t, d) view of a (batch, heads, t, d) array: any (..., d)
+        # layout a caller passes scales each row to the bits of a contiguous copy
         raw = make_rng(8).uniform(0.0, 3.0, (3, 2, 5, 16))
         raw[:, :, :2] = 0.0
         raw[1, 0, 3, 1:] = 0.0
         view = raw.swapaxes(0, 1)
-        got = scale_rows(view, mode, rng=derive_rng(8, 1))
-        ref = scale_rows(np.ascontiguousarray(view).reshape(-1, 16), mode, rng=derive_rng(8, 1))
+        got = scale_rows(view, mode)
+        ref = scale_rows(np.ascontiguousarray(view).reshape(-1, 16), mode)
         assert got.shape == view.shape
         assert np.array_equal(got.reshape(-1, 16).view(np.int64), ref.view(np.int64))
 
@@ -133,12 +117,12 @@ class TestScaleRows:
         raw = rng.uniform(0.0, 3.0, shape) * (rng.random(shape) < 0.7)
         raw[rng.random(shape[:-1]) < 0.3] = 0.0
         raw.reshape(-1)[rng.random(raw.size) < 0.1] = 1e-9
-        m = scale_rows(raw, mode, rng=rng)
+        m = scale_rows(raw, mode)
         assert m.shape == raw.shape and m.dtype == np.float64
         assert np.all(m >= FLOOR)
         if mode == "identity":
             assert np.all(m == 1.0)
-        if mode in ("maxscale", "random"):
+        if mode == "maxscale":
             assert np.all(m.max(axis=-1) == 1.0)
         assert np.all(m[raw.max(axis=-1) == 0.0] == 1.0)  # an all-zero row gets ones
 

@@ -226,7 +226,6 @@ VARIANTS = (
     (True, "meanscale"),
     (True, "unscaled"),
     (True, "identity"),
-    (True, "random"),
 )
 
 
@@ -250,11 +249,10 @@ class TestStackedPath:
             assert live == bool(np.any(states[-1].metric != 1.0))
 
     def test_each_block_of_a_stack_matches_forward_bitwise(self):
-        # random mode is left out: one stream serves the whole stack there.
         # t_len = 1 is left out: numpy routes a one-row matmul differently,
         # which can move a stacked block by an ulp.
         corpus = synthetic_corpus(17, 600)
-        for elliptical, scaling in VARIANTS[:-1]:
+        for elliptical, scaling in VARIANTS:
             cfg, params = self._trained(corpus, elliptical, scaling)
             for t_len in range(2, cfg.context + 1):
                 stack = corpus.tokens[: 3 * t_len].reshape(3, t_len)
@@ -272,9 +270,8 @@ class TestMetricRows:
         v_curr = rng.standard_normal((batch, t_len, heads * dh))
         v_prev = rng.standard_normal((batch, t_len, heads * dh))
         v_prev[1] = v_curr[1]  # no variability in block 1: identity rows
-        for mode in ("maxscale", "meanscale", "unscaled", "identity", "random"):
-            stream, twin = derive_rng(5, 3, 0), derive_rng(5, 3, 0)
-            got = _metric_rows(v_curr, v_prev, heads, mode, delta, rng=stream)
+        for mode in ("maxscale", "meanscale", "unscaled", "identity"):
+            got = _metric_rows(v_curr, v_prev, heads, mode, delta)
             ref = np.empty((batch * t_len, heads * dh))
             for h in range(heads):
                 cols = slice(h * dh, (h + 1) * dh)
@@ -283,9 +280,8 @@ class TestMetricRows:
                     for t in range(t_len):
                         total = total + np.abs(v_curr[b, t, cols] - v_prev[b, t, cols]) / delta
                         raw = total / (t + 1) if t >= METRIC_WARMUP - 1 else np.zeros(dh)
-                        ref[b * t_len + t, cols] = scale_rows(raw, mode, rng=twin)
+                        ref[b * t_len + t, cols] = scale_rows(raw, mode)
             assert got.tobytes() == ref.tobytes(), mode
-            assert stream.random() == twin.random()  # same number of draws
             assert np.all(got[t_len : 2 * t_len] == 1.0)
             for b in range(batch):
                 assert np.all(got[b * t_len : b * t_len + METRIC_WARMUP - 1] == 1.0)
@@ -417,9 +413,8 @@ class TestEvaluationTape:
                     scaling=scaling, seed=5,
                 )
                 params = train(corpus, cfg, TrainParams(steps=3, batch_size=2)).params
-                # one metric stream per pass, from the same seed, for random mode
                 (ref, ref_states), (got, got_states) = (
-                    forward(stack, params, cfg, GradTape(record=record), make_rng(7))
+                    forward(stack, params, cfg, GradTape(record=record))
                     for record in (True, False)
                 )
                 key = (heads, elliptical, scaling)
@@ -585,14 +580,6 @@ class TestPerplexity:
         ppl = perplexity(params, cfg, corpus.tokens[:200])
         assert ppl == pytest.approx(cfg.vocab_size, rel=1e-9)
 
-    def test_random_scaling_models_evaluate_deterministically(self):
-        corpus = synthetic_corpus(15, 600)
-        cfg = _tiny_cfg(corpus.vocab_size, elliptical=True, scaling="random", seed=8)
-        res = train(corpus, cfg, TrainParams(steps=3, batch_size=2))
-        first = perplexity(res.params, cfg, corpus.tokens[:200])
-        second = perplexity(res.params, cfg, corpus.tokens[:200])
-        assert first == second
-
     def test_corruption_uses_generic_token_stream(self):
         corpus = synthetic_corpus(10, 600)
         cfg = _tiny_cfg(corpus.vocab_size)
@@ -660,7 +647,7 @@ class TestPerplexityParts:
         monkeypatch.setattr(model, "forward", counted)
         return calls
 
-    @pytest.mark.parametrize("elliptical, scaling", VARIANTS[:5])
+    @pytest.mark.parametrize("elliptical, scaling", VARIANTS)
     def test_every_cpu_count_gives_the_per_window_float(self, monkeypatch, elliptical, scaling):
         cfg, params, tokens = self._model(elliptical, scaling)
         generic = cfg.vocab_size - 1
@@ -690,14 +677,6 @@ class TestPerplexityParts:
         small = 2 * MIN_PART_WINDOWS - 1  # too few windows for two parts
         perplexity(params, cfg, tokens[: small * _PART_CONTEXT + 1])
         assert calls == [(small, _PART_CONTEXT)]
-
-    def test_random_metric_stays_one_part(self, monkeypatch):
-        # its one evaluation stream draws across the whole stack in (head, block, row) order
-        cfg, params, tokens = self._model(True, "random")
-        _set_cpus(monkeypatch, 2)
-        calls = self._count_forward(monkeypatch)
-        perplexity(params, cfg, tokens)
-        assert calls == [(_PART_WINDOWS, _PART_CONTEXT)]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_callers_errstate_holds_in_every_part(self, monkeypatch, cpus):
@@ -819,8 +798,7 @@ class TestDiagnoseJobs:
     must name the scale the serial (layer, scale) loop meets first."""
 
     @pytest.mark.parametrize("elliptical, scaling",
-                             [(False, "maxscale"), (True, "maxscale"), (True, "meanscale"),
-                              (True, "random")])
+                             [(False, "maxscale"), (True, "maxscale"), (True, "meanscale")])
     def test_every_cpu_count_gives_the_one_cpu_report(self, monkeypatch, elliptical, scaling):
         corpus = synthetic_corpus(24, 900)
         cfg = _tiny_cfg(corpus.vocab_size, elliptical, scaling, layers=3)
