@@ -21,7 +21,7 @@ from .attention import merge_heads, split_heads, weighted_kernel
 from .autodiff import GradTape, Tensor, backward, leaf
 from .estimators import estimate_overlayers
 from .metric import SCALING_MODES, scale_rows
-from .numerics import ParameterError, derive_rng, ordered_map, softmax_rows, unit_rows
+from .numerics import ParameterError, cpu_count, derive_rng, ordered_map, softmax_rows, unit_rows
 
 NS_INIT = 1
 NS_BATCH = 2
@@ -463,13 +463,12 @@ def perplexity(
     off, only the conditioning inputs are corrupted and the true continuations are
     scored, which isolates how far contaminated context moves the predictions.
 
-    The window stack runs as k contiguous, near-equal parts, each part's ``forward`` on
-    its own thread, and the one cross-entropy scores their logits joined in window order.
-    k is the number of CPUs the process may run on, lowered so that each part has at
-    least MIN_PART_WINDOWS windows.  No k can move a bit: windows never see each other
-    (attention and the metric run per block and head, every other op per row), so a part
-    gives the whole stack's logits for its windows, and the NLL mean sums the same values
-    in the same order.
+    The window stack runs as k contiguous, near-equal parts, each part's ``forward`` one
+    job of the thread map, and the one cross-entropy scores their logits joined in window
+    order.  k is ``cpu_count()``, lowered so that each part has at least MIN_PART_WINDOWS
+    windows.  No k can move a bit: windows never see each other (attention and the metric
+    run per block and head, every other op per row), so a part gives the whole stack's
+    logits for its windows, and the NLL mean sums the same values in the same order.
     """
     toks = np.asarray(tokens, dtype=np.int64)
     target_stream = toks
@@ -482,10 +481,9 @@ def perplexity(
     starts = range(0, max(toks.size - window + 1, 1), cfg.context)
     stack = np.stack([toks[a : a + window] for a in starts])
     targets = np.stack([target_stream[a + 1 : a + window] for a in starts]).reshape(-1)
-    cpus = len(os.sched_getaffinity(0))
-    parts = np.array_split(stack[:, :-1], max(1, min(cpus, len(stack) // MIN_PART_WINDOWS)))
+    parts = np.array_split(stack[:, :-1], max(1, min(cpu_count(), len(stack) // MIN_PART_WINDOWS)))
     logits = ordered_map(
-        lambda part: forward(part, params, cfg, GradTape(record=False))[0].value, parts, len(parts)
+        lambda part: forward(part, params, cfg, GradTape(record=False))[0].value, parts
     )
     nll = GradTape(record=False).cross_entropy(Tensor(np.concatenate(logits)), targets)
     return float(np.exp(nll.value[0, 0]))
@@ -561,11 +559,11 @@ def diagnose(
     Every unit perturbation is drawn from ``rng`` first, in one call on the caller's
     thread, in the serial (layer, scale, head, draw) order.  Then each layer's robustness
     (base kernel, scaled perturbations, perturbed kernels, ratios), the clean perplexity
-    and the corrupted one (whose corruption draws from ``rng`` last) run as
-    ``ordered_map`` jobs, one worker per CPU the process may use.  The stream order is
-    fixed and layers and windows do not interact, so the report has the same bits at any
-    CPU count; a scale whose ratio leaves the float range names the first (layer, scale)
-    in loop order where it does, as an overflow, or as an underflow below scale 1.
+    and the corrupted one (whose corruption draws from ``rng`` last) run as jobs of the
+    thread map.  The stream order is fixed and layers and windows do not interact, so the
+    report has the same bits at any CPU count; a scale whose ratio leaves the float range
+    names the first (layer, scale) in loop order where it does, as an overflow, or as an
+    underflow below scale 1.
     """
     toks = np.asarray(eval_tokens, dtype=np.int64)
     if toks.size < 2:
@@ -598,8 +596,7 @@ def diagnose(
         lambda: perplexity(params, cfg, toks, corrupt_rate=corrupt_rate, rng=rng),
     ]
     # in job order, so the first error raised is the one the serial loop meets first
-    cpus = len(os.sched_getaffinity(0))
-    *layers, ppl_clean, ppl_corrupt = ordered_map(lambda job: job(), jobs, cpus)
+    *layers, ppl_clean, ppl_corrupt = ordered_map(lambda job: job(), jobs)
     attention = [list(maps) for maps, _ in layers]
     acc = np.stack([a for _, a in layers])
     return DiagnosticsReport(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -118,39 +118,40 @@ def make_rng(seed: int) -> np.random.Generator:
     return derive_rng(seed, 0, 0)
 
 
-#: the kept pool: (pid of the process that made it, its thread count, the executor)
-_pool: tuple[int, int, ThreadPoolExecutor | None] = (0, 0, None)
+def cpu_count() -> int:
+    """The number of CPUs this process may run on, the package's one count of them."""
+    return len(os.sched_getaffinity(0))
+
+
+#: the process's one pool: (pid of the process that made it, the executor)
+_pool: tuple[int, ThreadPoolExecutor | None] = (0, None)
+_pool_lock = threading.Lock()
+# a fork child copies the lock as some parent thread may hold it, so it takes a fresh one
+os.register_at_fork(after_in_child=_pool_lock._at_fork_reinit)
 #: ``on`` is set in every pool thread, by the executor's initializer
 _pool_thread = threading.local()
 
 
-def _mark_pool_thread() -> None:
-    _pool_thread.on = True
+def ordered_map(fn: Callable, items: Sequence, *, fan_out: bool = True) -> list:
+    """``[fn(x) for x in items]``, in input order, on the process's one thread pool.
 
-
-def ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
-    """``[fn(x) for x in items]``, in input order, on a thread pool when ``workers > 1``.
-
-    With ``workers <= 1``, or from a pool thread (a job that maps again), every call runs
-    inline on the caller's thread: a nested map on the pool could wait on threads that
-    all wait on it.  Otherwise the calls run on the process's one pool, made at the first
-    map, replaced by a larger one when a map asks for more threads than it has, and kept,
-    so a map may run on more than ``workers`` threads.  A process never uses a pool that
-    another process made: the child of a ``fork`` inherits the pool but not its threads.
-    Each call runs in its own copy of the caller's ``contextvars`` context, taken on the
-    caller's thread, so a caller's ``np.errstate`` holds in the workers (a pool thread
-    starts from an empty context), and every call runs, even after one has failed.  The
-    first exception in input order is raised here.
+    The calls run inline on the caller's thread when ``fan_out`` is false, when there are
+    fewer than two items or fewer than two CPUs, or from a pool thread (a job that maps
+    again): a nested map on the pool could wait on threads that all wait on it.  The pool
+    has ``cpu_count()`` threads and is made once per process, at its first fanned map (a
+    ``fork`` child inherits its parent's pool but not its threads).  Each call runs in a
+    copy of the caller's ``contextvars`` context, so the caller's ``np.errstate`` holds in
+    the workers, and every call runs, even after one has failed; the first exception in
+    input order is raised here.
     """
     global _pool
-    if workers <= 1 or getattr(_pool_thread, "on", False):
+    if not fan_out or len(items) < 2 or getattr(_pool_thread, "on", False) or cpu_count() < 2:
         return [fn(x) for x in items]
-    pid, size, pool = _pool
-    if pid != os.getpid() or size < workers:
-        # no lock: racing callers may each make a pool, but every call runs on the pool
-        # it holds, and a dropped pool's threads exit once its last call lets go of it
-        pool = ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
-        _pool = os.getpid(), workers, pool
+    with _pool_lock:  # racing first callers make one pool between them
+        if _pool[0] != os.getpid():
+            _pool = os.getpid(), ThreadPoolExecutor(
+                cpu_count(), initializer=setattr, initargs=(_pool_thread, "on", True))
+        pool = _pool[1]
     futures = [pool.submit(contextvars.copy_context().run, fn, x) for x in items]
     wait(futures)
     return [future.result() for future in futures]

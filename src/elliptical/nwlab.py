@@ -8,7 +8,6 @@ the package's ordered thread map.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,12 +233,6 @@ def _report(bandwidths, per_seed) -> MSEReport:
     )
 
 
-def _fit_workers(n: int, fits: int) -> int:
-    """Threads for a map over ``fits`` kernel fits on ``n`` samples: one per CPU the
-    process may run on, at most one per fit, once n reaches MIN_FANOUT_N; else 1."""
-    return min(len(os.sched_getaffinity(0)), fits) if n >= MIN_FANOUT_N else 1
-
-
 def _fit(data: NWDataset, w: np.ndarray, score) -> tuple[float, float]:
     bandwidth = cross_validate_bandwidth(data, w)
     return score(w, bandwidth), bandwidth
@@ -249,14 +242,14 @@ def _paired_fit(draws, n: int, jobs: int | None = None) -> tuple[np.ndarray, ...
     """Fit each seed's two kernels, Euclidean (all-ones weights) then its weights, each
     at its own cross-validated bandwidth.  ``draws`` holds one (data, weights, score)
     per seed, where ``score(w, bandwidth)`` measures a fitted kernel.  The fits are
-    independent, so each (seed, kernel) pair is one job of a map on ``jobs`` threads,
-    by default the count ``_fit_workers`` gives for ``n``; results are gathered in job
-    order, so the count moves no bit.  Returns the Euclidean then the weighted kernel's
-    per-seed scores, then their per-seed bandwidths."""
+    independent, so each (seed, kernel) pair is one job of the thread map, fanned out
+    once ``n`` reaches MIN_FANOUT_N, or when ``jobs`` is given and above 1; results are
+    gathered in job order, so the fan-out moves no bit.  Returns the Euclidean then the
+    weighted kernel's per-seed scores, then their per-seed bandwidths."""
     fits = [(data, w, score) for data, w_ell, score in draws
             for w in (np.ones(data.keys.shape[1]), w_ell)]
-    workers = _fit_workers(n, len(fits)) if jobs is None else jobs
-    rows = ordered_map(lambda fit: _fit(*fit), fits, workers)
+    fan_out = n >= MIN_FANOUT_N if jobs is None else jobs > 1
+    rows = ordered_map(lambda fit: _fit(*fit), fits, fan_out=fan_out)
     return tuple(np.array(column[kernel::2]) for column in zip(*rows) for kernel in (0, 1))
 
 
@@ -277,9 +270,9 @@ def run_sparse_mse_experiment(cfg: SparseMSEConfig, jobs: int | None = None) -> 
     Each seed draws its own dataset and queries; bandwidths are selected per
     estimator by cross-validation, and errors are measured against the
     noiseless truth at freshly sampled queries.  The seeds are drawn in order
-    on the caller's thread; the (seed, kernel) fits then run on ``jobs``
-    threads, by default as many as ``_fit_workers`` gives for ``cfg.n``, and
-    the count moves no bit.
+    on the caller's thread; the (seed, kernel) fits then fan out on the thread
+    map once ``cfg.n`` reaches MIN_FANOUT_N, or, given ``jobs``, when it is
+    above 1.  The fan-out moves no bit.
     """
     if cfg.seeds < 5:
         raise ParameterError("need at least 5 seeds")
@@ -354,8 +347,8 @@ def run_edge_preservation_experiment(cfg: EdgeConfig) -> EdgeResult:
     setting in which the separation guarantee is stated.  The step is
     invisible to infinitesimal derivatives, so the weights come from the
     centered-difference estimator at finite probe width ``est_t``.  The seeds
-    are drawn in order, and their (seed, kernel) fits run on as many threads
-    as ``_fit_workers`` gives for ``cfg.n``.
+    are drawn in order, and their (seed, kernel) fits fan out on the thread
+    map once ``cfg.n`` reaches MIN_FANOUT_N.
     """
     if cfg.seeds < 1:
         raise ParameterError("need at least one seed")

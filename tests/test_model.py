@@ -5,13 +5,15 @@ import errno
 import io
 import re
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptical import model
+from elliptical import model, numerics
 from elliptical.autodiff import GradTape, backward, leaf
 from elliptical.metric import scale_rows
 from elliptical.model import (
@@ -604,10 +606,6 @@ class TestPerplexity:
 _PART_CONTEXT, _PART_WINDOWS = 20, 25
 
 
-def _set_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
 class TestPerplexityParts:
     """``perplexity`` runs its window stack as one contiguous part per CPU, with at
     least MIN_PART_WINDOWS windows a part; the float it returns must not move."""
@@ -648,7 +646,7 @@ class TestPerplexityParts:
         return calls
 
     @pytest.mark.parametrize("elliptical, scaling", VARIANTS)
-    def test_every_cpu_count_gives_the_per_window_float(self, monkeypatch, elliptical, scaling):
+    def test_every_cpu_count_gives_the_per_window_float(self, set_cpus, elliptical, scaling):
         cfg, params, tokens = self._model(elliptical, scaling)
         generic = cfg.vocab_size - 1
         corrupted = corrupt_tokens(tokens, 0.2, generic, make_rng(3))
@@ -659,7 +657,7 @@ class TestPerplexityParts:
             self._per_window(params, cfg, corrupted, tokens),
         ]
         for cpus in (1, 2, 3):
-            _set_cpus(monkeypatch, cpus)
+            set_cpus(cpus)
             got = [
                 perplexity(params, cfg, tokens),
                 perplexity(params, cfg, tokens, 0.2, make_rng(3)),
@@ -667,9 +665,9 @@ class TestPerplexityParts:
             ]
             assert got == want, cpus
 
-    def test_two_cpus_run_two_parts_and_a_small_stack_one(self, monkeypatch):
+    def test_two_cpus_run_two_parts_and_a_small_stack_one(self, monkeypatch, set_cpus):
         cfg, params, tokens = self._model(True, "maxscale")
-        _set_cpus(monkeypatch, 2)
+        set_cpus(2)
         calls = self._count_forward(monkeypatch)
         perplexity(params, cfg, tokens)
         assert sorted(calls) == [(12, _PART_CONTEXT), (13, _PART_CONTEXT)]  # threads race
@@ -679,10 +677,10 @@ class TestPerplexityParts:
         assert calls == [(small, _PART_CONTEXT)]
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_callers_errstate_holds_in_every_part(self, monkeypatch, cpus):
+    def test_callers_errstate_holds_in_every_part(self, monkeypatch, set_cpus, cpus):
         cfg, params, tokens = self._model(True, "maxscale")
         params["tok_emb"].value *= 1e200  # layer norm squares the embeddings past the range
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         calls = self._count_forward(monkeypatch)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             perplexity(params, cfg, tokens)
@@ -793,41 +791,82 @@ def _report_bytes(rep):
 
 class TestDiagnoseJobs:
     """``diagnose`` runs each layer's robustness and both perplexities as jobs of one
-    thread map, one worker per CPU, after drawing every unit perturbation in one call on
-    the caller's thread; the report must not move by a bit, and an overflow or underflow
-    must name the scale the serial (layer, scale) loop meets first."""
+    thread map, on the process's one pool of a thread per CPU, after drawing every unit
+    perturbation in one call on the caller's thread; the report must not move by a bit,
+    and an overflow or underflow must name the scale the serial (layer, scale) loop meets
+    first."""
 
     @pytest.mark.parametrize("elliptical, scaling",
                              [(False, "maxscale"), (True, "maxscale"), (True, "meanscale")])
-    def test_every_cpu_count_gives_the_one_cpu_report(self, monkeypatch, elliptical, scaling):
+    def test_every_cpu_count_gives_the_one_cpu_report(self, set_cpus, elliptical, scaling):
         corpus = synthetic_corpus(24, 900)
         cfg = _tiny_cfg(corpus.vocab_size, elliptical, scaling, layers=3)
         params = train(corpus, cfg, TrainParams(steps=3, batch_size=2)).params
         toks = corpus.tokens[-500:]  # 15 windows: two perplexity parts when run alone
         reports = []
         for cpus in (1, 2, 3):
-            _set_cpus(monkeypatch, cpus)
+            set_cpus(cpus)
             rep = diagnose(params, cfg, toks, (0.01, 0.3, 1.0), make_rng(4), corrupt_rate=0.1)
             reports.append(_report_bytes(rep))
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_one_job_per_layer_and_perplexity_on_one_worker_per_cpu(self, monkeypatch, cpus):
+    def test_one_job_per_layer_and_perplexity_on_one_worker_per_cpu(self, monkeypatch, set_cpus, cpus):
         corpus = synthetic_corpus(24, 600)
         cfg = _tiny_cfg(corpus.vocab_size, True, layers=3)
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         maps = []
         original = model.ordered_map
 
-        def recorded(fn, items, workers):
-            items = list(items)
-            maps.append((len(items), workers))
-            return original(fn, items, workers)
+        def recorded(fn, items, **kwargs):
+            maps.append((len(items), kwargs))
+            return original(fn, items, **kwargs)
 
         monkeypatch.setattr(model, "ordered_map", recorded)
         diagnose(init_params(cfg), cfg, corpus.tokens[-200:], (0.01, 0.1), make_rng(2))
-        assert maps[0] == (cfg.layers + 2, cpus)
+        assert maps[0] == (cfg.layers + 2, {})  # fanned: the pool has one thread per CPU
+
+    def test_perplexity_then_diagnose_run_on_one_pool(self, monkeypatch, set_cpus):
+        # the pool is sized by the CPUs, not by the first map's two parts, so the map of
+        # diagnose's five jobs that follows runs on the same pool
+        corpus = synthetic_corpus(24, 900)
+        cfg = _tiny_cfg(corpus.vocab_size, True, layers=3)
+        params = init_params(cfg)
+        toks = corpus.tokens[-500:]  # 15 windows: two perplexity parts on 3 CPUs
+        set_cpus(3)
+        made, ran_on, original = [], [], model.ordered_map
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, workers, initializer, initargs=()):
+                made.append(self)
+                self.workers, self.threads = workers, set()
+
+                def init(*args):
+                    self.threads.add(threading.get_ident())
+                    initializer(*args)
+
+                super().__init__(workers, initializer=init, initargs=initargs)
+
+        def recorded(fn, items, *args, **kwargs):
+            threads = set()
+            ran_on.append(threads)
+
+            def job(x):
+                threads.add(threading.get_ident())
+                return fn(x)
+
+            return original(job, items, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(model, "ordered_map", recorded)
+        perplexity(params, cfg, toks)
+        diagnose(params, cfg, toks, (0.01, 0.1), make_rng(2))
+        assert [pool.workers for pool in made] == [3]
+        # the two maps, then diagnose's two perplexities, each inline on a pool thread
+        assert len(ran_on) == 4
+        assert all(threads and threads <= made[0].threads for threads in ran_on)
+        assert threading.get_ident() not in made[0].threads
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("epsilons, named", [
@@ -835,10 +874,10 @@ class TestDiagnoseJobs:
         ((1e308, 1e200), "1e+308"),  # the first draw overflows
         ((1e-4, 1e308), "1e+308"),   # a good scale, then a draw that overflows
     ])
-    def test_the_first_overflow_in_loop_order_is_named(self, monkeypatch, cpus, epsilons, named):
+    def test_the_first_overflow_in_loop_order_is_named(self, set_cpus, cpus, epsilons, named):
         corpus = synthetic_corpus(24, 600)
         cfg = _tiny_cfg(corpus.vocab_size, True, layers=3)
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         with pytest.raises(ParameterError, match=rf"^epsilon scale {re.escape(named)} overflows"):
             diagnose(init_params(cfg), cfg, corpus.tokens[-200:], epsilons, make_rng(5))
 
@@ -847,10 +886,10 @@ class TestDiagnoseJobs:
         ((1e-200,), "1e-200"),       # the draw's norm underflows to 0, so its ratio is 0/0
         ((1e-4, 1e-300), "1e-300"),  # a good scale, then a draw whose norm underflows
     ])
-    def test_the_first_underflow_in_loop_order_is_named(self, monkeypatch, cpus, epsilons, named):
+    def test_the_first_underflow_in_loop_order_is_named(self, set_cpus, cpus, epsilons, named):
         corpus = synthetic_corpus(24, 600)
         cfg = _tiny_cfg(corpus.vocab_size, True, layers=3)
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(cpus)
         with pytest.raises(ParameterError, match=rf"^epsilon scale {re.escape(named)} underflows"):
             diagnose(init_params(cfg), cfg, corpus.tokens[-200:], epsilons, make_rng(5))
 

@@ -5,6 +5,7 @@ thread map."""
 import multiprocessing
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -226,6 +227,10 @@ class TestRng:
 
 
 class TestOrderedMap:
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, set_cpus):
+        set_cpus(2)  # on any host the maps fan out, on a new pool of two threads
+
     def test_order_is_kept_when_later_items_finish_first(self):
         finished = []
         last_done = threading.Event()
@@ -238,7 +243,7 @@ class TestOrderedMap:
                 last_done.set()
             return 10 * i
 
-        assert ordered_map(job, range(3), 3) == [0, 10, 20]
+        assert ordered_map(job, range(3)) == [0, 10, 20]
         assert finished.index(2) < finished.index(0)
 
     def test_a_workers_exception_is_raised_in_the_caller(self):
@@ -248,7 +253,7 @@ class TestOrderedMap:
             return i
 
         with pytest.raises(KeyError, match="item 1"):
-            ordered_map(job, range(4), 2)
+            ordered_map(job, range(4))
 
     def test_every_call_runs_when_one_fails(self):
         # the first raises at once; the pool still runs the calls queued behind it
@@ -260,17 +265,28 @@ class TestOrderedMap:
                 raise KeyError("item 0")
 
         with pytest.raises(KeyError, match="item 0"):
-            ordered_map(job, range(6), 2)
+            ordered_map(job, range(6))
         assert sorted(ran) == list(range(6))
 
-    @pytest.mark.parametrize("workers", [1, 0])
-    def test_one_worker_runs_on_the_callers_thread(self, workers):
+    @pytest.mark.parametrize("items, fan_out, cpus", [
+        (range(3), False, 2),
+        (range(1), True, 2),
+        (range(3), True, 1),
+    ], ids=["no-fan-out", "one-item", "one-cpu"])
+    def test_one_worker_runs_on_the_callers_thread(self, set_cpus, items, fan_out, cpus):
+        set_cpus(cpus)
         caller = threading.get_ident()
-        assert ordered_map(lambda _: threading.get_ident(), range(3), workers) == [caller] * 3
+        got = ordered_map(lambda _: threading.get_ident(), items, fan_out=fan_out)
+        assert got == [caller] * len(items)
+
+    def test_fan_out_is_keyword_only(self):
+        # a thread count passed where the map used to take one must not fan out silently
+        with pytest.raises(TypeError):
+            ordered_map(abs, range(3), 1)
 
     def test_workers_run_off_the_callers_thread(self):
         caller = threading.get_ident()
-        assert caller not in ordered_map(lambda _: threading.get_ident(), range(3), 2)
+        assert caller not in ordered_map(lambda _: threading.get_ident(), range(3))
 
     def test_callers_errstate_reaches_the_workers(self):
         def job(x):
@@ -278,8 +294,8 @@ class TestOrderedMap:
 
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
-                ordered_map(job, [np.float64(10.0)] * 2, 2)
-            assert ordered_map(job, [np.float64(0.5)] * 2, 2) == [("raise", 5e307)] * 2
+                ordered_map(job, [np.float64(10.0)] * 2)
+            assert ordered_map(job, [np.float64(0.5)] * 2) == [("raise", 5e307)] * 2
 
     def test_a_job_that_maps_again_maps_inline(self):
         # every pool thread runs an outer job and maps again: on the pool, the inner
@@ -289,36 +305,35 @@ class TestOrderedMap:
         def job(i):
             both_running.wait(timeout=10)
             outer = threading.get_ident()
-            return ordered_map(lambda j: (i, j, threading.get_ident() == outer), range(3), 2)
+            return ordered_map(lambda j: (i, j, threading.get_ident() == outer), range(3))
 
-        assert ordered_map(job, range(2), 2) == [[(i, j, True) for j in range(3)] for i in range(2)]
+        assert ordered_map(job, range(2)) == [[(i, j, True) for j in range(3)] for i in range(2)]
 
-    def test_consecutive_calls_run_on_the_same_threads(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_pool", (0, 0, None))  # this process has no pool yet
+    def test_consecutive_calls_run_on_the_same_threads(self):
         both_running = threading.Barrier(2)
 
         def job(_):
             both_running.wait(timeout=10)  # so the two calls run on two threads at once
             return threading.get_native_id()
 
-        first = set(ordered_map(job, range(2), 2))
+        first = set(ordered_map(job, range(2)))
         assert len(first) == 2
-        assert set(ordered_map(job, range(2), 2)) == first
-        # a larger call grows the pool: each four calls must run at once
-        all_running = threading.Barrier(4)
+        assert set(ordered_map(job, range(2))) == first
 
-        def wide_job(i):
-            all_running.wait(timeout=10)
-            return i
+    def test_concurrent_callers_each_get_their_own_results(self, monkeypatch):
+        # callers on plain threads race to make the pool: they make one between them,
+        # and each call gets its own results
+        made = []
 
-        assert ordered_map(wide_job, range(8), 4) == list(range(8))
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
 
-    def test_concurrent_callers_each_get_their_own_results(self):
-        # callers on plain threads race to make and grow the pool; each call keeps
-        # the pool it read
         def caller(k):
-            results[k] = [ordered_map(lambda x: (k, x), range(5), 2 + (k + r) % 3) for r in range(20)]
+            results[k] = [ordered_map(lambda x: (k, x), range(5)) for _ in range(20)]
 
+        monkeypatch.setattr(numerics, "ThreadPoolExecutor", Counted)
         results = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -332,13 +347,14 @@ class TestOrderedMap:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == {k: [[(k, x) for x in range(5)]] * 20 for k in range(6)}
+        assert len(made) == 1
 
     def test_a_forked_child_maps_on_a_pool_of_its_own(self):
-        ordered_map(abs, range(4), 2)  # the parent's pool exists when the child forks
+        ordered_map(abs, range(4))  # the parent's pool exists when the child forks
         ctx = multiprocessing.get_context("fork")
         received, sent = ctx.Pipe(duplex=False)
         # the child inherits the parent's pool but not its threads
-        child = ctx.Process(target=lambda: sent.send(ordered_map(lambda x: 10 * x, range(4), 2)))
+        child = ctx.Process(target=lambda: sent.send(ordered_map(lambda x: 10 * x, range(4))))
         child.start()
         try:
             child.join(timeout=30)

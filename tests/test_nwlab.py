@@ -327,15 +327,15 @@ class TestEdgeExperiment:
         assert d_ab == (d_ba[1], d_ba[0])
 
 
-def _record_workers(monkeypatch, cpus):
-    """Give the process ``cpus`` CPUs; the list returned collects the ``workers`` of each
-    ``ordered_map`` call the lab makes."""
+def _record_fan_out(monkeypatch, set_cpus, cpus):
+    """Give the process ``cpus`` CPUs and no pool yet; the list returned collects the
+    ``fan_out`` of each ``ordered_map`` call the lab makes."""
     from elliptical import nwlab
 
     seen, real = [], nwlab.ordered_map
-    monkeypatch.setattr(nwlab.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(nwlab, "ordered_map",
-                        lambda fn, items, workers: seen.append(workers) or real(fn, items, workers))
+    set_cpus(cpus)
+    monkeypatch.setattr(nwlab, "ordered_map", lambda fn, items, *, fan_out:
+                        seen.append(fan_out) or real(fn, items, fan_out=fan_out))
     return seen
 
 
@@ -351,36 +351,36 @@ def _edge_at(n):
     return res.per_seed_euclidean, res.per_seed_elliptical
 
 
-#: each experiment at a given n, and its seeds
-_FANNED = {"sparse": (_sparse_at, 5), "edge": (_edge_at, 2)}
+#: each experiment at a given n
+_FANNED = {"sparse": _sparse_at, "edge": _edge_at}
 
 
 class TestSeedFanout:
-    """Each seed's two kernel fits are two jobs, run on one thread per CPU, at most one
-    per fit, once n reaches MIN_FANOUT_N, and on the caller's thread below it; no count
-    moves a bit."""
+    """Each seed's two kernel fits are two jobs of the thread map, fanned out once n
+    reaches MIN_FANOUT_N, or when an explicit ``jobs`` is above 1, and run on the caller's
+    thread otherwise; no CPU count moves a bit."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("experiment", sorted(_FANNED))
-    def test_workers_follow_n(self, monkeypatch, experiment, cpus):
-        run, seeds = _FANNED[experiment]
-        seen = _record_workers(monkeypatch, cpus)
+    def test_workers_follow_n(self, monkeypatch, set_cpus, experiment, cpus):
+        run = _FANNED[experiment]
+        seen = _record_fan_out(monkeypatch, set_cpus, cpus)
         run(MIN_FANOUT_N - 1)
         run(MIN_FANOUT_N)
-        assert seen == [1, min(cpus, 2 * seeds)]
+        assert seen == [False, True]
 
-    def test_explicit_jobs_wins(self, monkeypatch):
-        seen = _record_workers(monkeypatch, 3)
+    def test_explicit_jobs_wins(self, monkeypatch, set_cpus):
+        seen = _record_fan_out(monkeypatch, set_cpus, 3)
         _sparse_at(MIN_FANOUT_N, jobs=1)
         _sparse_at(MIN_FANOUT_N - 1, jobs=2)
-        assert seen == [1, 2]
+        assert seen == [False, True]
 
     @pytest.mark.parametrize("experiment", sorted(_FANNED))
-    def test_cpu_count_moves_no_bit(self, monkeypatch, experiment):
-        run, _ = _FANNED[experiment]
+    def test_cpu_count_moves_no_bit(self, monkeypatch, set_cpus, experiment):
+        run = _FANNED[experiment]
         per_cpus = []
         for cpus in (1, 2, 3):
-            _record_workers(monkeypatch, cpus)
+            _record_fan_out(monkeypatch, set_cpus, cpus)
             per_cpus.append(run(MIN_FANOUT_N))
         for euc, ell in per_cpus[1:]:
             assert (euc == per_cpus[0][0]).all() and (ell == per_cpus[0][1]).all()
