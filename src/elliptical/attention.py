@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, as_matrix, softmax_rows
+from .numerics import ParameterError, as_matrix, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def split_heads(a: np.ndarray, batch: int, heads: int) -> np.ndarray:
     [h * head_dim, (h + 1) * head_dim); block b is rows [b * t_len, (b + 1) * t_len)."""
     rows, width = a.shape
     if rows % batch != 0 or width % heads != 0:
-        raise ShapeError("stacked rows and columns must divide into blocks and heads")
+        raise ParameterError("stacked rows and columns must divide into blocks and heads")
     return a.reshape(batch, rows // batch, heads, width // heads).transpose(0, 2, 1, 3).copy()
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import merge_heads, split_heads, weighted_kernel
-from .numerics import ParameterError, ShapeError, softmax_rows
+from .numerics import ParameterError, softmax_rows
 
 _LN_EPS = 1e-5
 
@@ -70,7 +70,7 @@ class GradTape:
         """Elementwise sum; ``b`` may be a (1, C) bias row broadcast over rows."""
         bias_row = b.value.shape != a.value.shape
         if bias_row and b.value.shape != (1, a.value.shape[1]):
-            raise ShapeError(f"add: {a.value.shape} vs {b.value.shape}")
+            raise ParameterError(f"add: {a.value.shape} vs {b.value.shape}")
 
         def bwd(g):
             _acc(a, g)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import estimators, model, nwlab, verification
 from .attention import minmax_scale_rows
-from .numerics import ParameterError, ShapeError, derive_rng
+from .numerics import ParameterError, derive_rng
 
 _NS_BENCH = 41
 
@@ -348,7 +348,7 @@ def _build_corpus(cfg: dict[str, Any]) -> model.Corpus:
         path = Path(cfg["corpus_file"])
         if not cfg["corpus_file"] or not path.exists():
             raise FileNotFoundError(f"corpus file {cfg['corpus_file']!r} does not exist")
-        return model.corpus_from_text(_read_text(path, model.InputError))
+        return model.corpus_from_text(_read_text(path, ParameterError))
     raise UsageError(f"bad value for key 'corpus': {kind!r}")
 
 
@@ -548,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
-    except (ParameterError, ShapeError, model.InputError, model.TrainingError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

@@ -16,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    EvaluationError,
-    ParameterError,
-    ShapeError,
-    as_matrices,
-    as_matrix,
-    central_differences,
-    derive_rng,
-)
+from .numerics import ParameterError, as_matrices, as_matrix, central_differences, derive_rng
 
 _NS_CONSISTENCY = 31
 
@@ -47,13 +39,13 @@ class SyntheticFunction:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
-            raise ShapeError(f"{self.name} expects points of dimension {self.dim}")
+            raise ParameterError(f"{self.name} expects points of dimension {self.dim}")
         pts = x.reshape(-1, self.dim)
         out = np.asarray(self.fn(pts), dtype=np.float64)
         if out.shape != (pts.shape[0], self.out_dim):
-            raise ShapeError(f"{self.name} returned shape {out.shape}")
+            raise ParameterError(f"{self.name} returned shape {out.shape}")
         if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"{self.name} produced non-finite output")
+            raise ParameterError(f"{self.name} produced non-finite output")
         return out.reshape(*x.shape[:-1], self.out_dim)
 
 
@@ -152,7 +144,7 @@ def estimate_overlayers(v_curr, v_prev, delta: float) -> np.ndarray:
         raise ParameterError("delta must be positive")
     v_curr, v_prev = as_matrices(v_curr), as_matrices(v_prev)
     if v_curr.shape != v_prev.shape:
-        raise ShapeError(f"value shapes differ: {v_curr.shape} vs {v_prev.shape}")
+        raise ParameterError(f"value shapes differ: {v_curr.shape} vs {v_prev.shape}")
     if v_curr.shape[-2] == 0:
         raise ParameterError("need at least one value row")
     counts = np.arange(1, v_curr.shape[-2] + 1, dtype=np.float64)[:, None]
@@ -183,7 +175,7 @@ def estimate_consistent(
         up = np.asarray(f(xp), dtype=np.float64)
         um = np.asarray(f(xm), dtype=np.float64)
         if not (np.all(np.isfinite(up)) and np.all(np.isfinite(um))):
-            raise EvaluationError("predictor produced non-finite values")
+            raise ParameterError("predictor produced non-finite values")
         raw[i] = np.mean(np.sum(np.abs(up - um), axis=1)) / (2.0 * t)
     return raw
 
@@ -235,10 +227,12 @@ def simulate_layer_pair(
     if noise_std < 0:
         raise ParameterError("noise_std must be nonnegative")
     k_prev = rng.uniform(-np.pi, np.pi, (n, f.dim))
-    steps = np.abs(delta * (1.0 + 0.1 * rng.standard_normal((n, f.dim))))
-    signs = rng.choice(np.array([-1.0, 1.0]), size=(n, f.dim))
-    k_curr = k_prev + signs * steps
-    with np.errstate(over="ignore"):  # an overflowing draw is non-finite: the estimators reject it
+    # an overflowing step or draw is non-finite, and so is f at an infinite key:
+    # f and the estimators reject it
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.abs(delta * (1.0 + 0.1 * rng.standard_normal((n, f.dim))))
+        signs = rng.choice(np.array([-1.0, 1.0]), size=(n, f.dim))
+        k_curr = k_prev + signs * steps
         v_prev = f(k_prev) + noise_std * rng.standard_normal((n, f.out_dim))
         v_curr = f(k_curr) + noise_std * rng.standard_normal((n, f.out_dim))
     return LayerPair(v_curr=v_curr, v_prev=v_prev, k_curr=k_curr, k_prev=k_prev)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import ParameterError, ShapeError, as_matrices, as_matrix
+from .numerics import ParameterError, as_matrices, as_matrix
 
 SCALING_MODES = ("maxscale", "meanscale", "unscaled", "identity")
 
@@ -31,7 +31,7 @@ def scale_rows(raw, mode: str) -> np.ndarray:
         raise ParameterError(f"unknown scaling mode {mode!r}")
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim == 0 or not np.isfinite(raw).all():
-        raise ShapeError("raw estimates must be finite rows along the last axis")
+        raise ParameterError("raw estimates must be finite rows along the last axis")
     if raw.min(initial=0.0) < 0:
         raise ParameterError("raw variability estimates must be nonnegative")
     m = np.ones_like(raw)
@@ -96,11 +96,11 @@ def robustness_bound(keys, values, m: np.ndarray) -> float:
     keys = as_matrix(keys)
     values = as_matrix(values)
     if keys.shape[0] != values.shape[0]:
-        raise ShapeError(
+        raise ParameterError(
             f"keys and values disagree on row count: {keys.shape} vs {values.shape}"
         )
     if m.shape != (keys.shape[1],):  # one metric row, not a stack
-        raise ShapeError(f"keys have dim {keys.shape[1]}, weights have shape {m.shape}")
+        raise ParameterError(f"keys have dim {keys.shape[1]}, weights have shape {m.shape}")
     check_weights(m)
     kappa = compute_kappa(keys)  # (dim, n)
     per_key = np.sqrt(np.sum((kappa * m[:, None]) ** 2, axis=0))  # (n,)

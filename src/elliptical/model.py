@@ -31,12 +31,11 @@ NS_EVAL = 5
 
 _CKPT_MAGIC = "ELLIPTICAL-CKPT 1"
 
+#: the largest transition table ``synthetic_corpus`` draws: 2**22 float64 entries, 32 MiB
+MAX_TRANSITION_ENTRIES = 2**22
 
-class InputError(ValueError):
-    """Token ids or sequence lengths violate the model contract."""
 
-
-class TrainingError(RuntimeError):
+class TrainingError(ParameterError):
     """Training diverged; carries the step at which the loss went non-finite."""
 
     def __init__(self, step: int, message: str):
@@ -77,6 +76,12 @@ def synthetic_corpus(
         raise ParameterError("order must be at least 1")
     if length < 0:
         raise ParameterError(f"length must be nonnegative, got {length}")
+    # the table has n_symbols ** (order + 1) >= 2 ** (order + 1) entries, so an order past
+    # the bound's bit length is rejected before Python builds that integer
+    too_deep = order >= MAX_TRANSITION_ENTRIES.bit_length()
+    if too_deep or n_symbols ** (order + 1) > MAX_TRANSITION_ENTRIES:
+        raise ParameterError(f"order {order} over n_symbols {n_symbols} needs a transition table "
+                             f"of more than {MAX_TRANSITION_ENTRIES} entries")
     rng = derive_rng(seed, NS_CORPUS, 0)
     n_states = n_symbols**order
     probs = softmax_rows(2.5 * rng.standard_normal((n_states, n_symbols)))
@@ -258,13 +263,13 @@ def forward(
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim not in (1, 2):
-        raise InputError(f"tokens must be 1-D or a 2-D stack, not {tokens.ndim}-D")
+        raise ParameterError(f"tokens must be 1-D or a 2-D stack, not {tokens.ndim}-D")
     stack = np.atleast_2d(tokens)
     batch, t_len = stack.shape
     if batch < 1 or not 1 <= t_len <= cfg.context:
-        raise InputError(f"token shape {tokens.shape}: need length in [1, {cfg.context}]")
+        raise ParameterError(f"token shape {tokens.shape}: need length in [1, {cfg.context}]")
     if stack.min() < 0 or stack.max() >= cfg.vocab_size:
-        raise InputError("token id outside the vocabulary")
+        raise ParameterError("token id outside the vocabulary")
     rows, width = batch * t_len, cfg.embed_dim
     ones = np.broadcast_to(np.float64(1.0), (rows, width))
     x = tape.add(
@@ -567,7 +572,7 @@ def diagnose(
     """
     toks = np.asarray(eval_tokens, dtype=np.int64)
     if toks.size < 2:
-        raise InputError("need at least two eval tokens")
+        raise ParameterError("need at least two eval tokens")
     window = toks[: min(toks.size, cfg.context + 1)]
     _, states = forward(window[:-1], params, cfg, GradTape(record=False))
     temp = float(np.sqrt(cfg.head_dim))

@@ -17,25 +17,18 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Operand shapes are malformed or incompatible."""
-
-
 class ParameterError(ValueError):
-    """A numeric argument lies outside its allowed range."""
-
-
-class EvaluationError(ArithmeticError):
-    """A user-supplied function returned NaN or infinity."""
+    """Bad input: an argument out of range, mis-shaped or non-finite, or a
+    function of the input that returns NaN or infinity."""
 
 
 def as_matrix(data) -> np.ndarray:
     """Return ``data`` as a finite 2-D float64 array (row-major)."""
     a = np.array(data, dtype=np.float64, order="C")
     if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
+        raise ParameterError(f"expected a 2-D array, got ndim={a.ndim}")
     if not np.isfinite(a).all():
-        raise ShapeError("matrix entries must be finite")
+        raise ParameterError("matrix entries must be finite")
     return a
 
 
@@ -43,9 +36,9 @@ def as_matrices(data) -> np.ndarray:
     """Return ``data`` as a finite float64 matrix or (..., rows, cols) stack of them."""
     a = np.asarray(data, dtype=np.float64)
     if a.ndim < 2:
-        raise ShapeError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+        raise ParameterError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
     if not np.isfinite(a).all():
-        raise ShapeError("matrix entries must be finite")
+        raise ParameterError("matrix entries must be finite")
     return a
 
 
@@ -59,7 +52,7 @@ def softmax_rows(z: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 0:
-        raise ShapeError("softmax_rows expects an array with at least one axis")
+        raise ParameterError("softmax_rows expects an array with at least one axis")
     keep = True if where is None else where
     # array methods, not np.max/np.sum: the wrappers cost more than a small row
     m = z.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
@@ -86,7 +79,7 @@ def central_differences(f: Callable[[np.ndarray], np.ndarray], pts) -> np.ndarra
     (..., rows, dim) -> (..., rows, out), at each row x_p of ``pts``, a (P, dim) matrix or a
     (..., P, dim) stack: entry [..., p, i, o] is (f(x_p + h_pi e_i) - f(x_p - h_pi e_i))_o /
     (2 h_pi), h_pi = FD_STEP (1 + |x_pi|).  ``f`` is called three times, at ``pts`` and at
-    every shift of each sign; a non-finite output raises ``EvaluationError``."""
+    every shift of each sign; a non-finite output raises ``ParameterError``."""
     pts = as_matrices(pts)
     *lead, n, dim = pts.shape
     steps = FD_STEP * (1.0 + np.abs(pts))
@@ -95,7 +88,7 @@ def central_differences(f: Callable[[np.ndarray], np.ndarray], pts) -> np.ndarra
                .reshape(*lead, n * dim, dim) for s in (steps, -steps))
     y0, yp, ym = (np.asarray(f(x), dtype=np.float64) for x in (pts, *shifted))
     if not all(np.isfinite(y).all() for y in (y0, yp, ym)):
-        raise EvaluationError("function returned a non-finite value")
+        raise ParameterError("function returned a non-finite value")
     return (yp - ym).reshape(*lead, n, dim, -1) / (2.0 * steps[..., None])
 
 

@@ -19,7 +19,7 @@ from .estimators import (
     piecewise_step,
 )
 from .metric import SCALING_MODES, scale_rows, sq_distances
-from .numerics import ParameterError, ShapeError, as_matrix, derive_rng, ordered_map, unit_rows
+from .numerics import ParameterError, as_matrix, derive_rng, ordered_map, unit_rows
 
 _NS_SPARSE = 11
 _NS_EDGE = 12
@@ -67,7 +67,7 @@ class NWDataset:
         keys = as_matrix(self.keys)
         values = as_matrix(self.values)
         if keys.shape[0] != values.shape[0]:
-            raise ShapeError("keys and values must have one row per sample")
+            raise ParameterError("keys and values must have one row per sample")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
 
@@ -152,7 +152,7 @@ def nw_estimate_batch(
             raise ParameterError("empty dataset")
         queries = as_matrix(queries)
         if queries.shape[1] != data.keys.shape[1] or m.shape != (queries.shape[1],):
-            raise ShapeError("query, key and weight dimensions must agree")
+            raise ParameterError("query, key and weight dimensions must agree")
         return _kernel_average(-sq_distances(queries[:, None], data.keys, m), bandwidth, data.values)
 
 

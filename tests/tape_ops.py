@@ -7,13 +7,13 @@ so a test can reduce any output to the scalar loss ``backward`` expects.
 import numpy as np
 
 from elliptical.autodiff import GradTape, Tensor, _acc
-from elliptical.numerics import ShapeError
+from elliptical.numerics import ParameterError
 
 
 def mul(tape: GradTape, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     if a.value.shape != b.value.shape:
-        raise ShapeError(f"mul: {a.value.shape} vs {b.value.shape}")
+        raise ParameterError(f"mul: {a.value.shape} vs {b.value.shape}")
 
     def bwd(g):
         _acc(a, g * b.value)

@@ -16,7 +16,7 @@ from elliptical.attention import (
 )
 from elliptical.metric import FLOOR, compute_kappa, scale_rows
 from elliptical.model import METRIC_WARMUP, _metric_rows
-from elliptical.numerics import ShapeError, make_rng, softmax_rows
+from elliptical.numerics import ParameterError, make_rng, softmax_rows
 
 from oracles import finite_diff_jacobian, masa, masa_jacobian
 
@@ -142,9 +142,9 @@ class TestHeadLayout:
             assert split.flags.c_contiguous and not np.shares_memory(split, a)
 
     def test_indivisible_shapes_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="divide into blocks and heads"):
             split_heads(np.zeros((5, 4)), 2, 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="divide into blocks and heads"):
             split_heads(np.zeros((6, 5)), 2, 2)
 
 

@@ -399,6 +399,11 @@ FAILURE_PROBES = {
     "diagnose-corpus-length-one": lambda tmp: _diagnose_with(tmp, "corpus_length=1"),
     "corpus-symbols-one": lambda tmp: _train_with("corpus_symbols=1"),
     "corpus-order-zero": lambda tmp: _train_with("corpus_order=0"),
+    # transition tables past model.MAX_TRANSITION_ENTRIES, rejected before a draw
+    "corpus-table-order-20": lambda tmp: _train_with("corpus_order=20"),
+    "corpus-table-26-symbols-order-12": lambda tmp: _train_with("corpus_symbols=26", "corpus_order=12"),
+    # a 7.1 PiB draw, beyond the address space, so it fails at once
+    "corpus-length-unallocatable": lambda tmp: _train_with("corpus_length=1000000000000000"),
     "corpus-one-character": _one_character_corpus,
     "sparse-weights-source-unknown": lambda tmp: ["nw-sparse", "--set", "n=40", "--set", "seeds=5",
                                                   "--set", "n_queries=20", "--set", "dim=2",
@@ -410,6 +415,9 @@ FAILURE_PROBES = {
     "edge-seeds-zero": lambda tmp: ["edge-preserve", "--set", "n=40", "--set", "seeds=0"],
     "bench-delta-zero": lambda tmp: ["estimator-bench", "--set", "seeds=1", "--set", "n=64",
                                      "--set", "delta=0"],
+    # a step that overflows to inf puts a key at infinity, where the target is NaN
+    "bench-delta-overflow": lambda tmp: ["estimator-bench", "--set", "seeds=1", "--set", "n=8",
+                                         "--set", "delta=1.7e308"],
     # noise so large that a value overflows to inf, which the dataset or the estimator rejects
     **{f"{name}-noise-std-overflow": lambda tmp, command=command: [
         command, "--set", "n=10", "--set", "seeds=5", "--set", "noise_std=1e308"]
@@ -445,12 +453,18 @@ PROBES_NAME = {
     "diagnose-corpus-length-one": "error: need at least two eval tokens",
     "corpus-symbols-one": "error: n_symbols must be in [2, 26]",
     "corpus-order-zero": "error: order must be at least 1",
+    "corpus-table-order-20":
+        "error: order 20 over n_symbols 12 needs a transition table of more than 4194304 entries",
+    "corpus-table-26-symbols-order-12":
+        "error: order 12 over n_symbols 26 needs a transition table of more than 4194304 entries",
+    "corpus-length-unallocatable": "error: out of memory: ",
     "corpus-one-character": "error: corpus needs at least two distinct characters",
     "sparse-weights-source-unknown": "error: unknown weights_source 'bogus'",
     "sparse-scaling-random": "error: scaling must be one of maxscale, meanscale, unscaled, identity; got 'random'",
     "sparse-scaling-bogus": "error: scaling must be one of maxscale, meanscale, unscaled, identity; got 'bogus'",
     "edge-seeds-zero": "error: need at least one seed",
     "bench-delta-zero": "error: delta must be positive",
+    "bench-delta-overflow": "error: separable_sinusoid produced non-finite output",
     **dict.fromkeys(
         ("checkpoint-step-string", "checkpoint-adam_t-string", "checkpoint-step-float",
          "checkpoint-adam_t-negative", "checkpoint-step-bool"),

@@ -1,6 +1,6 @@
 """Bit-identity oracle: sha256 digests of everything a tiny training run,
 its evaluation and its diagnostics produce, for the standard model and the
-metric-weighted model in all five scaling modes, with one and two heads;
+metric-weighted model in all four scaling modes, with one and two heads;
 of every number the kernel-regression lab reports (``nw-sparse`` with
 oracle and consistent weights, ``edge-preserve``, ``estimator-bench``); and
 of the ``verify`` report.

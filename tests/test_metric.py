@@ -15,7 +15,7 @@ from elliptical.metric import (
     scale_rows,
     sq_distances,
 )
-from elliptical.numerics import ParameterError, ShapeError, derive_rng, make_rng
+from elliptical.numerics import ParameterError, derive_rng, make_rng
 from elliptical.nwlab import NWDataset, cross_validate_bandwidth, nw_estimate_batch
 
 
@@ -102,9 +102,9 @@ class TestScaleRows:
         assert np.array_equal(got.reshape(-1, 16).view(np.int64), ref.view(np.int64))
 
     def test_rejects_scalars_and_non_finite_entries(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="raw estimates must be finite rows"):
             scale_rows(np.float64(1.0), "maxscale")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="raw estimates must be finite rows"):
             scale_rows(np.array([[1.0, np.nan]]), "maxscale")
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(SCALING_MODES))
@@ -287,9 +287,10 @@ class TestRobustnessBound:
         )
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="disagree on row count"):
             robustness_bound(np.ones((3, 2)), np.ones((4, 2)), np.ones(2))
-        with pytest.raises(ShapeError):  # a stack of metrics is not one metric
+        # a stack of metrics is not one metric
+        with pytest.raises(ParameterError, match=r"weights have shape \(3, 2\)"):
             robustness_bound(np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 2)))
 
     def test_empirical_perturbations_stay_below_bound(self):

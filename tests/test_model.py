@@ -25,7 +25,6 @@ from elliptical.model import (
     NS_CORPUS,
     AdamState,
     Corpus,
-    InputError,
     ModelConfig,
     TrainParams,
     TrainingError,
@@ -144,12 +143,12 @@ class TestForward:
         corpus = synthetic_corpus(0, 600)
         cfg = _tiny_cfg(corpus.vocab_size)
         params = init_params(cfg)
-        with pytest.raises(InputError):
+        with pytest.raises(ParameterError, match="token id outside the vocabulary"):
             forward(np.array([corpus.vocab_size]), params, cfg, GradTape())
-        with pytest.raises(InputError):
+        with pytest.raises(ParameterError, match=rf"need length in \[1, {cfg.context}\]"):
             forward(np.zeros(cfg.context + 1, dtype=int), params, cfg, GradTape())
         for ambiguous in (np.array(3), np.zeros((2, 3, 4), dtype=int)):
-            with pytest.raises(InputError):
+            with pytest.raises(ParameterError, match="tokens must be 1-D or a 2-D stack"):
                 forward(ambiguous, params, cfg, GradTape())
 
     def test_single_token_shapes(self):
@@ -570,6 +569,7 @@ class TestTraining:
         with pytest.raises(TrainingError) as err:
             train(corpus, cfg, TrainParams(steps=3, lr=1e18, batch_size=2))
         assert err.value.step in (0, 1, 2)
+        assert isinstance(err.value, ParameterError)  # the CLI's one error clause catches it
 
 
 class TestPerplexity:

@@ -14,7 +14,7 @@ from elliptical.estimators import (
     sparse_sinusoid,
 )
 from elliptical.metric import scale_rows, sq_distances
-from elliptical.numerics import ParameterError, ShapeError, derive_rng, make_rng, softmax_rows
+from elliptical.numerics import ParameterError, derive_rng, make_rng, softmax_rows
 from elliptical.nwlab import (
     BANDWIDTH_GRID,
     KERNEL_FLUSH,
@@ -116,11 +116,12 @@ class TestNWEstimate:
         # sq_distances broadcasts, so a (1, dim) query or a (1,) metric would run
         # without this check
         data = _toy_dataset(make_rng(2))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="dimensions must agree"):
             nw_estimate([0.0, 0.0, 0.0], data, 0.5, np.ones(3))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError, match="dimensions must agree"):
             nw_estimate([0.0, 0.0], data, 0.5, np.ones(1))
-        with pytest.raises(ShapeError):  # a stack of metrics is not one metric
+        # a stack of metrics is not one metric
+        with pytest.raises(ParameterError, match="dimensions must agree"):
             nw_estimate([0.0, 0.0], data, 0.5, np.ones((3, 2)))
 
     def test_one_row_queries_match_batch(self):

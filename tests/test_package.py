@@ -2,8 +2,10 @@
 can trip raises, importing the package stays cheap, and ``python -m elliptical``
 runs the command line."""
 
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -15,7 +17,7 @@ import pytest
 import elliptical
 from elliptical.autodiff import GradTape, leaf
 from elliptical.model import init_params, synthetic_corpus
-from elliptical.numerics import EvaluationError, ParameterError, ShapeError
+from elliptical.numerics import ParameterError
 
 
 EXPORTS = [
@@ -39,7 +41,7 @@ def test_test_only_code_is_gone():
     # plain array of weights, as scale_rows returns it; numerics.ordered_map is the
     # one thread map and numerics.cpu_count the one CPU count; a CLI key is its default (or its type when required), a
     # tape node keeps only its backward closure, and the linear target is an oracle
-    from elliptical import attention, autodiff, cli, estimators, metric, numerics, nwlab
+    from elliptical import attention, autodiff, cli, estimators, metric, model, numerics, nwlab
 
     gone = [(metric, "mahalanobis_distance"), (numerics, "finite_diff_jacobian"),
             (numerics, "as_vector"), (nwlab, "check_lipschitz_transfer"),
@@ -47,6 +49,9 @@ def test_test_only_code_is_gone():
             (elliptical, "mahalanobis_distance"),
             (elliptical, "finite_diff_jacobian"), (cli, "Option"), (cli, "_parse_str"),
             (autodiff.Tensor, "_parents"), (estimators, "linear_function")]
+    # one error class for bad input: numerics.ParameterError, which model.TrainingError extends
+    gone += [(module, name) for name in ("ShapeError", "EvaluationError", "InputError")
+             for module in (numerics, model, elliptical)]
     gone += [(module, name) for name in ("AttentionConfig", "standard_attention",
                                          "elliptical_attention", "_check_qkv",
                                          "masa", "masa_jacobian")
@@ -58,6 +63,19 @@ def test_test_only_code_is_gone():
     assert [name for module, name in gone if hasattr(module, name)] == []
     assert "gradient_bounds" not in {f.name for f in fields(estimators.SyntheticFunction)}
     assert autodiff.Tensor.__repr__ is object.__repr__
+
+
+def test_one_error_class_for_bad_input():
+    # every package check raises ParameterError (training's divergence is one too), so the
+    # CLI's one error clause reaches every check; UsageError is the CLI's own exit 2
+    from elliptical import cli, model
+
+    modules = [importlib.import_module(f"elliptical.{info.name}")
+               for info in pkgutil.iter_modules(elliptical.__path__) if info.name != "__main__"]
+    defined = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == module.__name__}
+    assert defined == {ParameterError, model.TrainingError, cli.UsageError}
 
 
 def test_test_only_knobs_and_fields_are_gone():
@@ -99,12 +117,12 @@ def _sine_at_infinity():
 #: would raise nothing or something else: (call, exception, message fragment)
 PUBLIC_INPUT_PROBES = {
     # numpy would broadcast a (1, 1) bias over the whole row
-    "forward-bias-not-a-row": (lambda: _forward_with("l0.b1", (1, 1)), ShapeError, "add"),
+    "forward-bias-not-a-row": (lambda: _forward_with("l0.b1", (1, 1)), ParameterError, "add"),
     # an (out_dim, n) output has the elements of an (n, out_dim) one and would reshape silently
     "synthetic-function-transposed-output": (
         lambda: elliptical.SyntheticFunction("t", 2, 2, lambda p: p.T)(np.zeros((3, 2))),
-        ShapeError, "returned shape"),
-    "synthetic-function-non-finite-output": (_sine_at_infinity, EvaluationError, "non-finite"),
+        ParameterError, "returned shape"),
+    "synthetic-function-non-finite-output": (_sine_at_infinity, ParameterError, "non-finite"),
     **{f"estimate-consistent-t-{t}": (
         lambda t=t: elliptical.estimate_consistent(np.sin, np.zeros((2, 1)), t),
         ParameterError, "t must be positive") for t in (0.0, float("nan"))},
@@ -115,10 +133,10 @@ PUBLIC_INPUT_PROBES = {
     "nw-estimate-batch-vector-queries": (
         lambda: elliptical.nw_estimate_batch(
             np.zeros(2), elliptical.NWDataset(np.zeros((5, 2)), np.zeros((5, 1))), 0.5, np.ones(2)),
-        ShapeError, "2-D"),
+        ParameterError, "2-D"),
     "nw-dataset-row-mismatch": (
         lambda: elliptical.NWDataset(np.zeros((3, 2)), np.zeros((2, 1))),
-        ShapeError, "one row per sample"),
+        ParameterError, "one row per sample"),
     # the package does not check an inner dimension: numpy's matmul reports it
     "forward-weight-inner-dimension": (
         lambda: _forward_with("l0.wq", (3, 4)), ValueError, "matmul"),
